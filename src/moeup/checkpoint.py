@@ -250,28 +250,35 @@ def load(path: str | Path) -> Checkpoint:
     except (KeyError, ValidationError) as exc:
         raise CheckpointError(f"invalid config in manifest: {exc}") from exc
 
-    blob_path = Path(path) / manifest["blob"]["file"]
+    try:
+        blob_file, blob_size = manifest["blob"]["file"], manifest["blob"]["size"]
+        entries = [(entry["name"], entry["dtype"], entry["shape"], entry["offset"],
+                    entry["nbytes"], entry["crc32"]) for entry in manifest["tensors"]]
+    except KeyError as exc:
+        raise CheckpointError(f"malformed manifest: missing key {exc}") from None
+    except TypeError as exc:
+        raise CheckpointError(f"malformed manifest: {exc}") from None
+
+    blob_path = Path(path) / blob_file
     try:
         blob = blob_path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"failed to read tensor blob {blob_path}: {exc}") from exc
-    if len(blob) != manifest["blob"]["size"]:
+    if len(blob) != blob_size:
         raise CheckpointError(
-            f"tensor blob size mismatch: expected {manifest['blob']['size']}, got {len(blob)}")
+            f"tensor blob size mismatch: expected {blob_size}, got {len(blob)}")
 
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        if entry["dtype"] not in _NAME_TO_DTYPE:
-            raise CheckpointError(f"tensor '{name}' has unknown dtype '{entry['dtype']}'")
-        start, nbytes = entry["offset"], entry["nbytes"]
+    for name, dtype_name, shape, start, nbytes, crc32 in entries:
+        if dtype_name not in _NAME_TO_DTYPE:
+            raise CheckpointError(f"tensor '{name}' has unknown dtype '{dtype_name}'")
         payload = blob[start:start + nbytes]
         if len(payload) != nbytes:
             raise CheckpointError(f"corrupt tensor '{name}': payload truncated")
-        if zlib.crc32(payload) != entry["crc32"]:
+        if zlib.crc32(payload) != crc32:
             raise CheckpointError(f"corrupt tensor '{name}': checksum mismatch")
-        dtype = _NAME_TO_DTYPE[entry["dtype"]]
-        shape = tuple(entry["shape"])
+        dtype = _NAME_TO_DTYPE[dtype_name]
+        shape = tuple(shape)
         expected_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
         if nbytes != expected_bytes:
             raise CheckpointError(f"tensor '{name}' byte length {nbytes} disagrees with shape {shape}")

@@ -24,6 +24,7 @@ Gradients are reverse-mode via per-layer hand-written backward functions at
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,21 @@ class MoeLayerWeights:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows; both branches rebuilt from it
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function, branch-free and bitwise equal to the two-branch form.
+
+    With ``e = exp(-|z|)`` (never overflows) the value is ``1 / (1 + e)`` for
+    ``z >= 0`` and ``e / (1 + e)`` otherwise. The numerator is picked as
+    ``max(e, z >= 0)``: ``e <= 1`` for z >= 0 and ``e >= 0`` otherwise, and a
+    NaN ``e`` propagates. This avoids a data-dependent select, which costs a
+    branch mispredict per element when signs are random.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, z >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def _ffn_fwd(w: FfnWeights, x: np.ndarray):
@@ -100,9 +114,15 @@ def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray):
     x, gate_pre, up_out, sig, act, prod = cache
     d_prod = dy @ w.down.T
     d_down = prod.T @ dy
-    d_up_out = d_prod * act
-    d_act = d_prod * up_out
-    d_gate_pre = d_act * (sig * (1.0 + gate_pre * (1.0 - sig)))
+    # swish'(z) = sig * (1 + z * (1 - sig)), evaluated in place in that order
+    d_swish = np.subtract(1.0, sig)
+    d_swish *= gate_pre
+    d_swish += 1.0
+    d_swish *= sig
+    d_gate_pre = d_prod * up_out
+    d_gate_pre *= d_swish
+    d_up_out = d_prod
+    d_up_out *= act
     d_gate = x.T @ d_gate_pre
     d_up = x.T @ d_up_out
     dx = d_gate_pre @ w.gate.T + d_up_out @ w.up.T
@@ -292,9 +312,10 @@ def _moe_bwd(w: MoeLayerWeights, cache, dy: np.ndarray, d_probs: np.ndarray | No
 
 def _layernorm_fwd(x: np.ndarray, g: np.ndarray):
     mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.mean(xhat ** 2, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv_std
+    xhat *= inv_std
     return g * xhat, (xhat, inv_std, g)
 
 
@@ -306,6 +327,14 @@ def _layernorm_bwd(cache, dy: np.ndarray):
     m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return dx, dg
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(t: int) -> np.ndarray:
+    """Read-only (t, t) mask, True strictly above the diagonal (future keys)."""
+    mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
@@ -324,9 +353,10 @@ def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
     k = _split_heads(h @ wk, n_heads, head_dim)
     v = _split_heads(h @ wv, n_heads, head_dim)
     scale = 1.0 / np.sqrt(head_dim)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    scores = np.where(causal, -np.inf, scores)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    # A masked copy rather than an added -inf bias: inf + -inf would be NaN.
+    np.copyto(scores, -np.inf, where=_causal_mask(t))
     attn = softmax(scores, axis=-1)
     ctx = attn @ v
     merged = _merge_heads(ctx)
@@ -430,7 +460,9 @@ def build_model(ckpt: Checkpoint, max_positions: int | None = None,
     cfg = ckpt.config
     if cfg.num_query_groups != cfg.num_heads:
         raise ValidationError("toy model requires num_query_groups == num_heads")
-    params = {name: ckpt.tensor_f64(name) for name in ckpt.tensors}
+    # A copy even for float64 storage: training updates parameters in place and
+    # must not write through to the checkpoint.
+    params = {name: np.array(arr, dtype=np.float64) for name, arr in ckpt.tensors.items()}
     if POSITION_SLOT not in params:
         if max_positions is None or stream is None:
             raise ValidationError(
@@ -445,7 +477,8 @@ def build_model(ckpt: Checkpoint, max_positions: int | None = None,
 def model_to_checkpoint(model: ToyLm, dtype: str = "f32",
                         metadata: dict | None = None) -> Checkpoint:
     np_dtype = {"f32": np.float32, "f64": np.float64}[dtype]
-    tensors = {name: np.ascontiguousarray(arr, dtype=np_dtype)
+    # Copied, so that further in-place training leaves the checkpoint as it is.
+    tensors = {name: np.array(arr, dtype=np_dtype, order="C")
                for name, arr in model.params.items()}
     ckpt = Checkpoint(config=model.config, tensors=tensors, metadata=dict(metadata or {}))
     ckpt.validate()
@@ -550,7 +583,10 @@ def backward_from_cache(model: ToyLm, cache: dict,
     p = model.params
     tok = cache["tokens"]
     b, t = tok.shape
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    # Every tensor's gradient comes from exactly one place below, so each is
+    # assigned rather than accumulated into a zero-filled buffer. The two
+    # embeddings are the exception: they scatter-add into zeros.
+    grads: dict[str, np.ndarray] = {}
 
     logits = cache["logits"]
     d_logits = np.zeros_like(logits)
@@ -562,10 +598,10 @@ def backward_from_cache(model: ToyLm, cache: dict,
         d_logits[:, :-1, :] = (probs - onehot) / (b * (t - 1))
 
     h_final = cache["h_final"]
-    grads["head.out"] += h_final.reshape(b * t, -1).T @ d_logits.reshape(b * t, -1)
+    grads["head.out"] = h_final.reshape(b * t, -1).T @ d_logits.reshape(b * t, -1)
     d_h_final = d_logits @ p["head.out"].T
     dx, dg = _layernorm_bwd(cache["ln_final"], d_h_final)
-    grads["final_norm"] += dg
+    grads["final_norm"] = dg
 
     moe_grad_idx = sum(1 for entry in cache["layer_caches"] if entry[0] == "moe") - 1
     for i in reversed(range(cfg.num_layers)):
@@ -578,40 +614,33 @@ def backward_from_cache(model: ToyLm, cache: dict,
             moe_grad_idx -= 1
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
                 weights, sub_cache, dsub, d_probs)
-            grads[f"layers.{i}.router"] += d_router
-            for e, (d_gate, d_up, d_down) in enumerate(expert_grads):
-                gate, up, down = ffn_slot_names(f"layers.{i}.experts.{e}")
-                grads[gate] += d_gate
-                grads[up] += d_up
-                grads[down] += d_down
-            for j, (d_gate, d_up, d_down) in enumerate(shared_grads):
-                gate, up, down = ffn_slot_names(f"layers.{i}.shared.{j}")
-                grads[gate] += d_gate
-                grads[up] += d_up
-                grads[down] += d_down
+            grads[f"layers.{i}.router"] = d_router
+            for e, expert_grad in enumerate(expert_grads):
+                grads.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"), expert_grad))
+            for j, shared_grad in enumerate(shared_grads):
+                grads.update(zip(ffn_slot_names(f"layers.{i}.shared.{j}"), shared_grad))
         else:
-            dh2_flat, d_gate, d_up, d_down = _ffn_bwd(weights, sub_cache, dsub)
-            gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-            grads[gate] += d_gate
-            grads[up] += d_up
-            grads[down] += d_down
+            dh2_flat, *ffn_grad = _ffn_bwd(weights, sub_cache, dsub)
+            grads.update(zip(ffn_slot_names(f"layers.{i}.ffn"), ffn_grad))
         dh2 = dh2_flat.reshape(b, t, -1)
         dx_ffn, dg2 = _layernorm_bwd(ln2, dh2)
-        grads[f"layers.{i}.ffn_norm"] += dg2
+        grads[f"layers.{i}.ffn_norm"] = dg2
         dx = dx + dx_ffn
 
         dh_attn, d_wq, d_wk, d_wv, d_wo = _attn_bwd(
             attn_cache, p[f"layers.{i}.attn.wq"], p[f"layers.{i}.attn.wk"],
             p[f"layers.{i}.attn.wv"], p[f"layers.{i}.attn.wo"], dx)
-        grads[f"layers.{i}.attn.wq"] += d_wq
-        grads[f"layers.{i}.attn.wk"] += d_wk
-        grads[f"layers.{i}.attn.wv"] += d_wv
-        grads[f"layers.{i}.attn.wo"] += d_wo
+        grads[f"layers.{i}.attn.wq"] = d_wq
+        grads[f"layers.{i}.attn.wk"] = d_wk
+        grads[f"layers.{i}.attn.wv"] = d_wv
+        grads[f"layers.{i}.attn.wo"] = d_wo
         dx_attn, dg1 = _layernorm_bwd(ln1, dh_attn)
-        grads[f"layers.{i}.attn_norm"] += dg1
+        grads[f"layers.{i}.attn_norm"] = dg1
         dx = dx + dx_attn
 
+    grads["embedding.token"] = np.zeros_like(p["embedding.token"])
     np.add.at(grads["embedding.token"], tok.reshape(-1), dx.reshape(b * t, -1))
+    grads[POSITION_SLOT] = np.zeros_like(p[POSITION_SLOT])
     grads[POSITION_SLOT][:t] += dx.sum(axis=0)
     return grads
 

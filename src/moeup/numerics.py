@@ -125,8 +125,9 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis`` (max-subtraction, 64-bit)."""
     v = np.asarray(values, dtype=np.float64)
     shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    return shifted
 
 
 def top_k(values: np.ndarray, k: int) -> np.ndarray:

@@ -39,6 +39,8 @@ from .model import (
 from .numerics import RngStream
 
 BALANCE_MODES = ("global", "layerwise", "off")
+# Most tokens one evaluation forward pass holds (see :func:`evaluate_loss`).
+EVAL_TILE_TOKENS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -246,8 +248,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for name in sorted(grads):
-            grads[name] = grads[name] * scale
+        for grad in grads.values():
+            grad *= scale
     return norm
 
 
@@ -257,18 +259,33 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     Decay multiplies parameters by exactly (1 - lr * weight_decay) before the
     Adam term, so zero gradients shrink parameters by that factor per step.
+
+    Parameters and both moments are updated in place. The arithmetic is that of
+    ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
+    ``p = p * decay - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, operation by
+    operation, so the results are bitwise those of the out-of-place form.
     """
     state.step += 1
     bc1 = 1.0 - config.beta1 ** state.step
     bc2 = 1.0 - config.beta2 ** state.step
-    for name in sorted(params):
-        g = grads[name]
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] = (params[name] * (1.0 - lr * config.weight_decay)
-                        - lr * m_hat / (np.sqrt(v_hat) + config.eps))
+    decay = 1.0 - lr * config.weight_decay
+    for name, param in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - config.beta1)
+        m *= config.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - config.beta2
+        v *= config.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += config.eps
+        update = np.divide(m, bc1)
+        update *= lr
+        update /= tmp
+        param *= decay
+        param -= update
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +343,25 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
                   seq_len: int | None = None, max_sequences: int | None = None) -> float:
-    """Mean next-token loss over the corpus, in deterministic order."""
+    """Mean next-token loss over the corpus, in deterministic order.
+
+    ``batch_size`` is an upper bound on the sequences per forward pass. Each
+    pass also holds at most ``EVAL_TILE_TOKENS`` tokens (one sequence at
+    least), so that its temporaries are reused from the heap rather than
+    faulted in fresh from the operating system on every pass. The tile size
+    changes only how per-sequence losses are grouped before summation.
+    """
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     seq_len = corpus.seq_len if seq_len is None else seq_len
     if seq_len > corpus.seq_len:
         raise ValidationError("eval seq_len exceeds corpus sequence length")
     limit = corpus.num_sequences if max_sequences is None else min(max_sequences,
                                                                    corpus.num_sequences)
+    rows = max(1, min(batch_size, EVAL_TILE_TOKENS // seq_len))
     total, count = 0.0, 0
-    for start in range(0, limit, batch_size):
-        batch = corpus.sequences[start:min(start + batch_size, limit), :seq_len]
+    for start in range(0, limit, rows):
+        batch = corpus.sequences[start:min(start + rows, limit), :seq_len]
         cache = forward_cache(model, batch)
         total += cache["loss"] * batch.shape[0]
         count += batch.shape[0]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .config import ValidationError
+
 THREADS_ENV_VAR = "MOEUP_THREADS"
 
 
@@ -16,7 +18,7 @@ def thread_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     return max(1, value)
 
 

@@ -114,3 +114,90 @@ def ref_dense_lm_loss(params: dict, config, tokens: np.ndarray) -> float:
         probs = ref_softmax(list(logits))
         losses.append(-math.log(probs[tokens[p + 1]]))
     return sum(losses) / len(losses)
+
+
+# ---------------------------------------------------------------------------
+# Array kernels in their plain out-of-place form
+#
+# The package's kernels reorder memory traffic (in-place steps, a cached
+# additive mask, a branch-free select) but must keep every floating-point
+# operation. These are the straightforward forms they are checked against,
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_sigmoid_array(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ref_softmax_array(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    shifted = v - np.max(v, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def ref_layernorm_fwd(x: np.ndarray, g: np.ndarray, eps: float = 1e-6):
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return g * xhat, (xhat, inv_std, g)
+
+
+def ref_attn_fwd(h, wq, wk, wv, wo, n_heads: int, head_dim: int):
+    """Causal attention with an explicit boolean mask (same signature and cache)."""
+    from moeup.model import _merge_heads, _split_heads
+
+    t = h.shape[1]
+    q = _split_heads(h @ wq, n_heads, head_dim)
+    k = _split_heads(h @ wk, n_heads, head_dim)
+    v = _split_heads(h @ wv, n_heads, head_dim)
+    scale = 1.0 / np.sqrt(head_dim)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
+    scores = np.where(causal, -np.inf, scores)
+    attn = ref_softmax_array(scores, axis=-1)
+    merged = _merge_heads(attn @ v)
+    return merged @ wo, (h, q, k, v, attn, merged, scale)
+
+
+def ref_ffn_bwd(w, cache, dy: np.ndarray):
+    x, gate_pre, up_out, sig, act, prod = cache
+    d_prod = dy @ w.down.T
+    d_down = prod.T @ dy
+    d_up_out = d_prod * act
+    d_act = d_prod * up_out
+    d_gate_pre = d_act * (sig * (1.0 + gate_pre * (1.0 - sig)))
+    d_gate = x.T @ d_gate_pre
+    d_up = x.T @ d_up_out
+    dx = d_gate_pre @ w.gate.T + d_up_out @ w.up.T
+    return dx, d_gate, d_up, d_down
+
+
+def ref_clip_gradients(grads: dict, max_norm: float) -> float:
+    """Global-norm clipping that replaces each gradient with a scaled copy."""
+    total = 0.0
+    for name in sorted(grads):
+        total += float(np.sum(grads[name] ** 2))
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for name in sorted(grads):
+            grads[name] = grads[name] * scale
+    return norm
+
+
+def ref_adamw_step(params: dict, grads: dict, m: dict, v: dict, step: int,
+                   lr: float, config) -> None:
+    """AdamW with decoupled decay; ``step`` counts from 1. Replaces dict entries."""
+    bc1 = 1.0 - config.beta1 ** step
+    bc2 = 1.0 - config.beta2 ** step
+    for name in sorted(params):
+        g = grads[name]
+        m[name] = config.beta1 * m[name] + (1.0 - config.beta1) * g
+        v[name] = config.beta2 * v[name] + (1.0 - config.beta2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        params[name] = (params[name] * (1.0 - lr * config.weight_decay)
+                        - lr * m_hat / (np.sqrt(v_hat) + config.eps))

@@ -99,6 +99,23 @@ class TestValidation:
         with pytest.raises(cp.CheckpointError, match="missing tensor 'final_norm'"):
             cp.load(tmp_path / "ck")
 
+    @pytest.mark.parametrize("path", [
+        ("blob",), ("blob", "file"), ("blob", "size"), ("tensors",),
+        *(("tensors", 0, key) for key in ("name", "dtype", "shape", "offset", "nbytes",
+                                          "crc32")),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_missing_manifest_key(self, tmp_path, path):
+        cp.save(random_checkpoint(tiny_dense_config(), seed=10), tmp_path / "ck")
+        manifest_path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        node = manifest
+        for step in path[:-1]:
+            node = node[step]
+        del node[path[-1]]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(cp.CheckpointError, match="malformed manifest"):
+            cp.load(tmp_path / "ck")
+
     def test_not_a_checkpoint(self, tmp_path):
         with pytest.raises(cp.CheckpointError, match="not a checkpoint"):
             cp.load(tmp_path)

@@ -67,6 +67,26 @@ class TestValidationAndExitCodes:
         assert code == 2
         assert "not a checkpoint" in err
 
+    def test_manifest_missing_key_is_io_error(self, capsys, dense_dir):
+        manifest_path = dense_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["tensors"][0]["crc32"]
+        manifest_path.write_text(json.dumps(manifest))
+        code, payload, err = _run(capsys, ["inspect", "--in", str(dense_dir)])
+        assert code == 2 and payload is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "crc32" in err
+
+    def test_non_integer_thread_cap_is_validation_error(self, capsys, monkeypatch, dense_dir,
+                                                        tmp_path):
+        monkeypatch.setenv("MOEUP_THREADS", "abc")
+        code, payload, err = _run(capsys, [
+            "upcycle", "--method", "drop", "--in", str(dense_dir),
+            "--out", str(tmp_path / "out")])
+        assert code == 1 and payload is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MOEUP_THREADS" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

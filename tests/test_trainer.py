@@ -6,9 +6,10 @@ import pytest
 from moeup import upcycle
 from moeup.config import ValidationError
 from moeup.corpus import default_corpus
-from moeup.model import LayerRouting, RoutingTrace, build_model
+from moeup.model import LayerRouting, RoutingTrace, build_model, forward_cache
 from moeup.numerics import RngStream
 from moeup.trainer import (
+    EVAL_TILE_TOKENS,
     AdamWState,
     LossCurve,
     LossPoint,
@@ -179,6 +180,17 @@ class TestTrain:
         _, curve = train(model, corpus, cfg)
         assert curve.points[-1].lm_loss < curve.points[0].lm_loss
 
+    def test_float64_checkpoint_unchanged_by_training(self):
+        corpus = default_corpus(seq_len=16, num_sequences=32)
+        ckpt = upcycle.from_scratch(toy_dense_config(), seed=12)
+        ckpt.tensors.update({k: v.astype(np.float64) for k, v in ckpt.tensors.items()})
+        before = {k: v.copy() for k, v in ckpt.tensors.items()}
+        model = build_model(ckpt, max_positions=64, stream=RngStream(12))
+        train(model, corpus, _cfg(total_steps=2))
+        assert not np.array_equal(model.params["head.out"], before["head.out"])
+        for name, value in before.items():
+            assert np.array_equal(ckpt.tensors[name], value), name
+
     def test_divergence_raises(self):
         corpus = default_corpus(seq_len=16, num_sequences=32)
         model = _toy_model(toy_dense_config(), seed=9)
@@ -220,3 +232,23 @@ def test_evaluate_loss_deterministic_and_finite():
     b = evaluate_loss(model, corpus, batch_size=16)
     assert math.isfinite(a)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
+    corpus = default_corpus(seq_len=64, num_sequences=40)
+    model = _toy_model(toy_dense_config(), seed=11)
+    shapes = []
+
+    def recording_forward(m, tokens):
+        shapes.append(tokens.shape)
+        return forward_cache(m, tokens)
+
+    monkeypatch.setattr("moeup.trainer.forward_cache", recording_forward)
+    tiled = evaluate_loss(model, corpus, batch_size=32)
+    assert sum(rows for rows, _ in shapes) == 40
+    assert all(rows * seq <= EVAL_TILE_TOKENS for rows, seq in shapes)
+    shapes.clear()
+    assert evaluate_loss(model, corpus, batch_size=1) == pytest.approx(tiled, rel=1e-12)
+    assert all(rows == 1 for rows, _ in shapes)
+    with pytest.raises(ValidationError, match="batch_size"):
+        evaluate_loss(model, corpus, batch_size=0)
