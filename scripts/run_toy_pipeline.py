@@ -55,8 +55,9 @@ def moe_config() -> ModelConfig:
 def pretrain_parent(corpus, steps, seed, out_dir):
     ckpt = upcycle.from_scratch(dense_config(), seed=seed)
     model = build_model(ckpt, max_positions=64, stream=RngStream(seed))
-    cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=steps, warmup_steps=20,
-                      batch_size=16, seq_len=64, balance_mode="off", seed=seed)
+    cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=steps,
+                      warmup_steps=min(20, steps), batch_size=16, seq_len=64,
+                      balance_mode="off", seed=seed)
     model, curve = train(model, corpus, cfg)
     parent = model_to_checkpoint(model, metadata={"role": "toy-parent", "seed": seed})
     checkpoint.save(parent, out_dir / "parent")
@@ -134,8 +135,8 @@ def main() -> None:
     print(f"[4/5] continued training, {args.moe_steps} steps per variant")
     curves = {}
     train_cfg = TrainConfig(max_lr=2e-3, min_lr=2e-4, total_steps=args.moe_steps,
-                            warmup_steps=20, batch_size=16, seq_len=64,
-                            balance_mode="global", balance_coeff=0.02,
+                            warmup_steps=min(20, args.moe_steps), batch_size=16,
+                            seq_len=64, balance_mode="global", balance_coeff=0.02,
                             seed=args.seed + 7)
     trained_models = {}
     for name, ckpt in variants.items():

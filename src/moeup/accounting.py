@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .config import ModelConfig
+from .config import ModelConfig, ValidationError
 
 TRAINING_FLOPS_FACTOR = 3  # forward + ~2x forward for backward
 
@@ -113,7 +113,7 @@ def flops_forward(config: ModelConfig, seq_len: int | None = None) -> FlopsBreak
     """Forward FLOPs for one sequence (defaults to the config's seq_len)."""
     s = config.seq_len if seq_len is None else int(seq_len)
     if s < 0:
-        raise ValueError(f"seq_len must be >= 0, got {seq_len}")
+        raise ValidationError(f"seq_len must be >= 0, got {seq_len}")
     d_h, d_k = config.hidden_size, config.head_dim
     n_h, n_q = config.num_heads, config.num_query_groups
 
@@ -144,7 +144,7 @@ def flops_forward(config: ModelConfig, seq_len: int | None = None) -> FlopsBreak
 def training_flops(config: ModelConfig, total_tokens: int | float) -> float:
     """Total training FLOPs: 3x forward per token times the token budget."""
     if total_tokens < 0:
-        raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
+        raise ValidationError(f"total_tokens must be >= 0, got {total_tokens}")
     breakdown = flops_forward(config)
     return float(breakdown.training_per_token) * float(total_tokens)
 

@@ -181,7 +181,8 @@ def save(ckpt: Checkpoint, path: str | Path) -> None:
     ckpt.validate()
     for name, array in ckpt.tensors.items():
         if not np.all(np.isfinite(array)):
-            raise ValueError(f"tensor '{name}' contains non-finite values; refusing to serialize")
+            raise ValidationError(
+                f"tensor '{name}' contains non-finite values; refusing to serialize")
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)

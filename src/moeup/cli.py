@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -39,16 +39,6 @@ def _emit(result: dict) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _section(path: str | None, name: str) -> dict:
-    if path is None:
-        return {}
-    data = load_config_file(path)
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"'{name}' section must be a JSON object")
-    return dict(section)
 
 
 def _build_parser() -> _Parser:
@@ -143,27 +133,26 @@ def _cmd_init(args) -> dict:
     }
 
 
-def _upcycle_spec(args) -> upcycle.UpcycleSpec:
-    section = _section(args.config, "upcycle")
-    merged = {
-        "method": args.method,
-        "ratio": section.get("ratio", 0.5),
-        "seed": section.get("seed", 0),
-        "noise_sigma": section.get("noise_sigma", 0.02),
-        "noise_fraction": section.get("noise_fraction", 0.5),
-        "granularity": section.get("granularity", 1),
-        "shared_experts": section.get("shared_experts", 0),
-        "shared_init": section.get("shared_init", "copy"),
-        "scale_factor": section.get("scale_factor"),
-    }
-    overrides = {
-        "ratio": args.ratio, "seed": args.seed, "noise_sigma": args.noise_sigma,
-        "noise_fraction": args.noise_fraction, "granularity": args.granularity,
-        "shared_experts": args.shared, "shared_init": args.shared_init,
-        "scale_factor": args.scale_factor,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return upcycle.UpcycleSpec(**merged)
+def _from_config(cls, config_path: str | None, section_name: str, flags: dict,
+                 defaults: dict | None = None):
+    """Build the dataclass ``cls`` from ``defaults``, then a config file section,
+    then the flags that were set (unset flags are ``None``).
+
+    Fields set by none of them keep the dataclass default. Unknown section
+    keys and wrong-typed values raise ``ValidationError``.
+    """
+    section = {} if config_path is None else load_config_file(config_path).get(section_name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"'{section_name}' section must be a JSON object")
+    unknown = set(section) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {section_name} config fields: {sorted(unknown)}")
+    settings = dict(defaults or {}) | section
+    settings.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        return cls(**settings)
+    except TypeError as exc:
+        raise ValidationError(f"invalid {section_name} config: {exc}") from exc
 
 
 def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec) -> ModelConfig:
@@ -182,7 +171,12 @@ def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec) -> Mode
 
 
 def _cmd_upcycle(args) -> dict:
-    spec = _upcycle_spec(args)
+    spec = _from_config(upcycle.UpcycleSpec, args.config, "upcycle", {
+        "method": args.method, "ratio": args.ratio, "seed": args.seed,
+        "noise_sigma": args.noise_sigma, "noise_fraction": args.noise_fraction,
+        "granularity": args.granularity, "shared_experts": args.shared,
+        "shared_init": args.shared_init, "scale_factor": args.scale_factor,
+    })
     plan = None
     if spec.method == "scratch":
         if args.config is None:
@@ -222,31 +216,28 @@ def _cmd_upcycle(args) -> dict:
     return result
 
 
+# CLI defaults for the TrainConfig fields that have no dataclass default.
+_TRAIN_REQUIRED = {"max_lr": 2e-3, "min_lr": 2e-4, "total_steps": 100}
+
+
 def _train_config(args) -> trainer.TrainConfig:
-    section = _section(args.config, "train")
-    merged = {
-        "max_lr": 2e-3, "min_lr": 2e-4, "total_steps": 100,
-        "warmup_steps": 0, "tail_steps": 0, "batch_size": 16, "seq_len": 64,
-        "balance_mode": "global", "seed": 0,
-    }
-    merged.update(section)
-    overrides = {
+    flags = {
         "total_steps": args.steps, "batch_size": args.batch_size, "seq_len": args.seq_len,
         "max_lr": args.max_lr, "min_lr": args.min_lr, "warmup_steps": args.warmup,
         "tail_steps": args.tail, "balance_mode": args.balance,
         "balance_coeff": args.balance_coeff, "seed": args.seed,
     }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
     if args.tokens is not None:
         if args.steps is not None:
             raise ValidationError("pass either --steps or --tokens, not both")
-        per_step = merged["batch_size"] * merged["seq_len"]
-        merged["total_steps"] = max(1, -(-int(args.tokens) // per_step))
-    known = {f.name for f in trainer.TrainConfig.__dataclass_fields__.values()}
-    unknown = set(merged) - known
-    if unknown:
-        raise ValidationError(f"unknown train config fields: {sorted(unknown)}")
-    return trainer.TrainConfig(**merged)
+        # The step count follows from the batch shape: read that first, with
+        # step counts that cannot fail validation.
+        zero_steps = dict.fromkeys(("total_steps", "warmup_steps", "tail_steps"), 0)
+        probe = _from_config(trainer.TrainConfig, args.config, "train",
+                             flags | zero_steps, _TRAIN_REQUIRED)
+        per_step = probe.batch_size * probe.seq_len
+        flags["total_steps"] = max(1, -(-int(args.tokens) // per_step))
+    return _from_config(trainer.TrainConfig, args.config, "train", flags, _TRAIN_REQUIRED)
 
 
 def _cmd_train(args) -> dict:
@@ -277,7 +268,6 @@ def _cmd_train(args) -> dict:
 def _cmd_flops(args) -> dict:
     config = model_config_from_file(args.config)
     breakdown = accounting.flops_forward(config, seq_len=args.seq_len)
-    _info(accounting.format_flops_table(breakdown, config.num_layers))
     result = {
         "command": "flops", "config": config.to_dict(),
         "forward": breakdown.to_dict(),
@@ -285,6 +275,7 @@ def _cmd_flops(args) -> dict:
     if args.tokens is not None:
         result["total_tokens"] = args.tokens
         result["training_flops"] = accounting.training_flops(config, args.tokens)
+    _info(accounting.format_flops_table(breakdown, config.num_layers))
     return result
 
 

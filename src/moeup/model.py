@@ -31,7 +31,7 @@ import numpy as np
 
 from .checkpoint import POSITION_SLOT, Checkpoint, ffn_slot_names
 from .config import ModelConfig, ValidationError
-from .numerics import NormalParams, RngStream, sample_normal, softmax, top_k, top_k_batch
+from .numerics import NormalParams, RngStream, sample_normal, softmax, top_k_batch
 
 _LN_EPS = 1e-6
 
@@ -152,7 +152,7 @@ def _partial_ffn(w: FfnWeights, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
-    """Sparse MoE layer on a single hidden vector.
+    """Sparse MoE layer on a single hidden vector: row 0 of :func:`_moe_fwd`.
 
     Returns ``(y, gates, selected)`` where ``gates`` is the full-length gate
     vector (softmax over the k selected logits, exact zeros elsewhere) and
@@ -164,16 +164,8 @@ def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
         raise ValidationError(f"input has shape {x.shape}, expected ({d_h},)")
     if not (1 <= k <= n):
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    logits = x @ w.router
-    selected = top_k(logits, k)
-    gates = np.zeros(n, dtype=np.float64)
-    gates[selected] = softmax(logits[selected])
-    y = np.zeros(d_h, dtype=np.float64)
-    for e in selected:
-        y += gates[e] * ffn_forward(w.experts[e], x)
-    for sw in w.shared:
-        y += ffn_forward(sw, x)
-    return y, gates, selected
+    y, (_, _, _, sel, _, gates_full, _, _) = _moe_fwd(w, x[None, :], k)
+    return y[0], gates_full[0], sel[0]
 
 
 def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_masks):

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ValidationError
+
 __all__ = [
     "NormalParams",
     "RngStream",
-    "require_finite",
     "sample_indices_without_replacement",
     "sample_normal",
     "softmax",
@@ -41,9 +42,10 @@ class NormalParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError(f"normal parameters must be finite, got mu={self.mu} sigma={self.sigma}")
+            raise ValidationError(
+                f"normal parameters must be finite, got mu={self.mu} sigma={self.sigma}")
         if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,9 @@ class RngStream:
 
     def __post_init__(self):
         if not (0 <= int(self.seed) <= _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if any(int(p) < 0 for p in self.path):
-            raise ValueError(f"path components must be non-negative, got {self.path}")
+            raise ValidationError(f"path components must be non-negative, got {self.path}")
         object.__setattr__(self, "path", tuple(int(p) for p in self.path))
 
     def child(self, *steps: int) -> "RngStream":
@@ -73,11 +75,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def require_finite(name: str, array: np.ndarray) -> None:
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"tensor '{name}' contains non-finite values")
 
 
 def sample_normal(stream: RngStream, params: NormalParams, count: int) -> np.ndarray:
@@ -138,11 +135,7 @@ def top_k(values: np.ndarray, k: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"top_k expects a 1D vector, got shape {v.shape}")
-    k = int(k)
-    if k < 0 or k > v.shape[0]:
-        raise ValueError(f"k must be in [0, {v.shape[0]}], got {k}")
-    order = np.argsort(-v, kind="stable")[:k]
-    return np.sort(order.astype(np.int64))
+    return top_k_batch(v, k)
 
 
 def top_k_batch(values: np.ndarray, k: int) -> np.ndarray:

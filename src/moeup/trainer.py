@@ -153,14 +153,25 @@ def cosine_lr(step: int, config: TrainConfig) -> float:
 # Load-balancing loss
 # ---------------------------------------------------------------------------
 
-def _layer_stats(selected: np.ndarray, probs: np.ndarray, num_experts: int):
-    counts = np.bincount(selected.reshape(-1), minlength=num_experts).astype(np.float64)
-    flat_probs = probs.reshape(-1, num_experts)
-    return counts, flat_probs
+def _assignment_pools(trace: RoutingTrace, mode: str):
+    """Pooling groups of the balancing loss: one per layer (``layerwise``) or
+    one over all layers (``global``).
 
-
-def _fp_product(fractions: np.ndarray, mean_probs: np.ndarray, num_experts: int) -> float:
-    return float(num_experts * (fractions @ mean_probs))
+    Returns ``(fractions, tokens, layers)`` per group: the top-k assignment
+    fractions f, the number of routed tokens and the group's layers.
+    """
+    n = trace.num_experts
+    groups = [[layer] for layer in trace.layers] if mode == "layerwise" else [trace.layers]
+    pools = []
+    for layers in groups:
+        counts = np.zeros(n, dtype=np.float64)
+        assignments = tokens = 0
+        for layer in layers:
+            counts += np.bincount(layer.selected.reshape(-1), minlength=n).astype(np.float64)
+            assignments += layer.selected.size
+            tokens += layer.probs.shape[0] * layer.probs.shape[1]
+        pools.append((counts / assignments, tokens, layers))
+    return pools
 
 
 def load_balance_loss(trace: RoutingTrace, mode: str) -> float:
@@ -172,54 +183,28 @@ def load_balance_loss(trace: RoutingTrace, mode: str) -> float:
     if not trace.layers:
         raise ValidationError("empty routing trace")
     n = trace.num_experts
-    if mode == "layerwise":
-        per_layer = []
-        for layer in trace.layers:
-            counts, flat_probs = _layer_stats(layer.selected, layer.probs, n)
-            fractions = counts / layer.selected.size
-            per_layer.append(_fp_product(fractions, flat_probs.mean(axis=0), n))
-        return float(np.mean(per_layer))
-    counts = np.zeros(n, dtype=np.float64)
-    total_assignments = 0
-    prob_blocks = []
-    for layer in trace.layers:
-        layer_counts, flat_probs = _layer_stats(layer.selected, layer.probs, n)
-        counts += layer_counts
-        total_assignments += layer.selected.size
-        prob_blocks.append(flat_probs)
-    fractions = counts / total_assignments
-    mean_probs = np.concatenate(prob_blocks, axis=0).mean(axis=0)
-    return _fp_product(fractions, mean_probs, n)
+    products = []
+    for fractions, _, layers in _assignment_pools(trace, mode):
+        probs = np.concatenate([layer.probs.reshape(-1, n) for layer in layers], axis=0)
+        products.append(float(n * (fractions @ probs.mean(axis=0))))
+    return float(np.mean(products))
 
 
 def _balance_loss_and_grads(trace: RoutingTrace, mode: str, coeff: float):
-    """Balance loss plus d(coeff * loss)/d(probs) per layer, for injection."""
+    """Balance loss plus d(coeff * loss)/d(probs) per layer, for injection.
+
+    The loss is the mean over pooling groups, so each group's gradient is
+    divided by the number of groups as well as by its token count.
+    """
     loss = load_balance_loss(trace, mode)
     if mode == "off" or coeff == 0.0:
         return loss, None
     n = trace.num_experts
+    pools = _assignment_pools(trace, mode)
     grads = []
-    if mode == "layerwise":
-        num_layers = len(trace.layers)
-        for layer in trace.layers:
-            counts, _ = _layer_stats(layer.selected, layer.probs, n)
-            fractions = counts / layer.selected.size
-            tokens = layer.probs.shape[0] * layer.probs.shape[1]
-            vec = coeff * n * fractions / (num_layers * tokens)
-            grads.append(np.broadcast_to(vec, layer.probs.shape).copy())
-    else:
-        counts = np.zeros(n, dtype=np.float64)
-        total_assignments = 0
-        total_tokens = 0
-        for layer in trace.layers:
-            layer_counts, _ = _layer_stats(layer.selected, layer.probs, n)
-            counts += layer_counts
-            total_assignments += layer.selected.size
-            total_tokens += layer.probs.shape[0] * layer.probs.shape[1]
-        fractions = counts / total_assignments
-        vec = coeff * n * fractions / total_tokens
-        for layer in trace.layers:
-            grads.append(np.broadcast_to(vec, layer.probs.shape).copy())
+    for fractions, tokens, layers in pools:
+        vec = coeff * n * fractions / (len(pools) * tokens)
+        grads.extend(np.broadcast_to(vec, layer.probs.shape).copy() for layer in layers)
     return loss, grads
 
 

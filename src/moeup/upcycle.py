@@ -15,6 +15,10 @@ Supported methods (CLI tokens in parentheses):
   ``d_f / m`` parent dimensions, then applies drop upcycling within them;
   optionally with always-active shared experts (copied or dropped)
 
+Naive upcycling is drop upcycling at ``r = 0``, and drop upcycling is the
+fine-grained method at granularity 1 without shared experts: one expert
+builder, in :func:`fine_grained_drop_upcycle`, makes the experts of all three.
+
 Every method except ``scratch`` copies non-FFN tensors bitwise (``btx``
 averages them). Routers are always freshly initialized
 Uniform(-0.0346, 0.0346), whose standard deviation matches 0.02.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +89,19 @@ class UpcycleSpec:
             raise ValidationError(f"ratio must be in [0, 1], got {self.ratio}")
         if not (0.0 <= self.noise_fraction <= 1.0):
             raise ValidationError(f"noise_fraction must be in [0, 1], got {self.noise_fraction}")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (0 <= self.seed < 2**64):
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.granularity < 1:
             raise ValidationError(f"granularity must be >= 1, got {self.granularity}")
         if self.shared_experts < 0:
             raise ValidationError(f"shared_experts must be >= 0, got {self.shared_experts}")
         if self.shared_init not in SHARED_INITS:
             raise ValidationError(f"shared_init must be one of {SHARED_INITS}, got {self.shared_init!r}")
-        if self.scale_factor is not None and self.scale_factor <= 0:
-            raise ValidationError(f"scale_factor must be positive, got {self.scale_factor}")
+        if self.scale_factor is not None and not (0 < self.scale_factor < math.inf):
+            raise ValidationError(
+                f"scale_factor must be finite and positive, got {self.scale_factor}")
 
 
 @dataclass
@@ -296,53 +303,39 @@ def _require_compatible(dense: Checkpoint, config: ModelConfig) -> None:
             raise ValidationError(f"config mismatch on {name}: parent {a} vs target {b}")
 
 
-def _copy_non_ffn(dense: Checkpoint) -> dict[str, np.ndarray]:
-    out = {}
-    for name, tensor in dense.tensors.items():
-        if ".ffn." in name:
-            continue
-        out[name] = tensor
-    return out
+def _require_coarse(config: ModelConfig, method: str) -> None:
+    if config.granularity != 1 or config.shared_experts != 0:
+        raise ValidationError(
+            f"{method} does not support fine-grained or shared experts (see fg-drop)")
 
 
-def _provenance(method: str, spec: UpcycleSpec | None, parent: Checkpoint | None) -> dict:
-    meta: dict = {"method": method}
-    if spec is not None:
-        meta.update({
-            "ratio": spec.ratio, "seed": int(spec.seed),
-            "noise_sigma": spec.noise_sigma, "noise_fraction": spec.noise_fraction,
-            "granularity": spec.granularity, "shared_experts": spec.shared_experts,
-            "shared_init": spec.shared_init, "scale_factor": spec.scale_factor,
-        })
-    if parent is not None:
-        meta["parent_hash"] = checkpoint_hash(parent)
-    return meta
+def _provenance(spec: UpcycleSpec, parent: Checkpoint) -> dict:
+    return asdict(spec) | {"seed": int(spec.seed), "parent_hash": checkpoint_hash(parent)}
+
+
+def _assemble(config: ModelConfig, base_tensors: dict[str, np.ndarray],
+              expert_tensors: dict[str, np.ndarray], seed: int, metadata: dict) -> Checkpoint:
+    """MoE checkpoint from the non-FFN tensors of ``base_tensors``, the expert
+    tensors and fresh routers drawn from path (layer, ROUTER)."""
+    tensors = {name: t for name, t in base_tensors.items() if ".ffn." not in name}
+    tensors.update(expert_tensors)
+    root = RngStream(seed)
+    dtype = base_tensors["embedding.token"].dtype
+    for i in range(config.num_layers):
+        tensors[f"layers.{i}.router"] = router_init(config, root.child(i, _P_ROUTER)).astype(dtype)
+    ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
+    ckpt.validate()
+    return ckpt
 
 
 def naive_upcycle(dense: Checkpoint, config: ModelConfig, seed: int = 0) -> Checkpoint:
     """Replicate the dense FFN into every expert bitwise; fresh routers.
 
-    Equals drop upcycling at ratio 0 (the router stream is shared too, so the
-    outputs coincide tensor for tensor).
+    This is drop upcycling at ratio 0, and is built by the same code.
     """
-    _require_compatible(dense, config)
-    if config.granularity != 1 or config.shared_experts != 0:
-        raise ValidationError("naive upcycling does not support fine-grained or shared experts")
-    root = RngStream(seed)
-    tensors = _copy_non_ffn(dense)
-    for i in range(config.num_layers):
-        gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-        for e in range(config.routed_experts):
-            e_gate, e_up, e_down = ffn_slot_names(f"layers.{i}.experts.{e}")
-            tensors[e_gate] = dense.tensors[gate]
-            tensors[e_up] = dense.tensors[up]
-            tensors[e_down] = dense.tensors[down]
-        router = router_init(config, root.child(i, _P_ROUTER))
-        tensors[f"layers.{i}.router"] = router.astype(dense.tensors["embedding.token"].dtype)
-    ckpt = Checkpoint(config=config, tensors=tensors,
-                      metadata=_provenance("naive", None, dense) | {"seed": int(seed)})
-    ckpt.validate()
-    return ckpt
+    _require_coarse(config, "naive upcycling")
+    spec = UpcycleSpec(method="naive", ratio=0.0, seed=seed)
+    return fine_grained_drop_upcycle(dense, config, spec)[0]
 
 
 def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> Checkpoint:
@@ -352,11 +345,9 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
     is N(0, noise_sigma^2) added to masked entries only.
     """
     _require_compatible(dense, config)
-    if config.granularity != 1 or config.shared_experts != 0:
-        raise ValidationError("random-noise upcycling does not support fine-grained or shared experts")
+    _require_coarse(config, "random-noise upcycling")
     root = RngStream(spec.seed)
     noise_params = NormalParams(0.0, spec.noise_sigma)
-    tensors = _copy_non_ffn(dense)
 
     def build(job):
         i, e = job
@@ -374,14 +365,10 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
         return out
 
     jobs = [(i, e) for i in range(config.num_layers) for e in range(config.routed_experts)]
+    experts: dict[str, np.ndarray] = {}
     for built in parallel_map(build, jobs):
-        tensors.update(built)
-    for i in range(config.num_layers):
-        router = router_init(config, root.child(i, _P_ROUTER))
-        tensors[f"layers.{i}.router"] = router.astype(dense.tensors["embedding.token"].dtype)
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=_provenance("rnu", spec, dense))
-    ckpt.validate()
-    return ckpt
+        experts.update(built)
+    return _assemble(config, dense.tensors, experts, spec.seed, _provenance(spec, dense))
 
 
 def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
@@ -392,17 +379,16 @@ def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
     intermediate dims; down: rows are intermediate dims). The dropped index
     set is shared across the three; each matrix gets its own (mu, sigma)
     computed over exactly its dropped columns/rows, and the replacement block
-    is drawn N(mu, sigma^2). Retained columns/rows are kept bitwise.
+    is drawn N(mu, sigma^2). Retained columns/rows are kept bitwise. With
+    nothing dropped the parent arrays are returned as they are, not copied.
     """
+    if dropped.size == 0:
+        return dict(parent_mats), dict.fromkeys(_KINDS)
     out: dict[str, np.ndarray] = {}
     stats: dict[str, NormalParams | None] = {}
     for kind in _KINDS:
         parent = parent_mats[kind]
         new = parent.copy()
-        if dropped.size == 0:
-            out[kind] = new
-            stats[kind] = None
-            continue
         block = parent[:, dropped] if kind != "down" else parent[dropped, :]
         values = np.asarray(block, dtype=np.float64)
         params = NormalParams(float(values.mean()), float(values.std()))
@@ -425,46 +411,18 @@ def drop_upcycle(dense: Checkpoint, config: ModelConfig,
     corresponding columns of gate/up and rows of down with draws from
     N(mu, sigma^2), where (mu, sigma) are computed per matrix over exactly the
     selected entries; keep everything else bitwise. Non-FFN tensors are
-    copied; routers are freshly initialized.
+    copied; routers are freshly initialized. This is fine-grained drop
+    upcycling at granularity 1 without shared experts, and is built by it.
     """
-    _require_compatible(dense, config)
-    if config.granularity != 1 or config.shared_experts != 0:
-        raise ValidationError(
-            "drop upcycling with granularity/shared experts requires fine_grained_drop_upcycle")
-    root = RngStream(spec.seed)
-    d_f = config.intermediate_size
-    drop_count = math.floor(spec.ratio * d_f)
-    tensors = _copy_non_ffn(dense)
-    plan = ReinitPlan(method="drop", ratio=spec.ratio, seed=int(spec.seed),
-                      intermediate_size=d_f, expert_width=d_f, granularity=1)
+    _require_coarse(config, "drop upcycling")
+    return fine_grained_drop_upcycle(dense, config, spec)
 
-    def build(job):
-        i, e = job
-        gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-        parents = {"gate": dense.tensors[gate], "up": dense.tensors[up],
-                   "down": dense.tensors[down]}
-        dropped = sample_indices_without_replacement(root.child(i, e, _P_INDICES), d_f, drop_count)
-        streams = {kind: root.child(i, e, _P_REINIT, kc) for kc, kind in enumerate(_KINDS)}
-        mats, stats = _reinit_matrices(parents, dropped, streams)
-        names = ffn_slot_names(f"layers.{i}.experts.{e}")
-        out = dict(zip(names, (mats["gate"], mats["up"], mats["down"])))
-        return out, ExpertReinit(dropped=dropped, stats=stats)
 
-    jobs = [(i, e) for i in range(config.num_layers) for e in range(config.routed_experts)]
-    results = parallel_map(build, jobs)
-    for i in range(config.num_layers):
-        layer_plan = LayerReinit()
-        for e in range(config.routed_experts):
-            built, entry = results[i * config.routed_experts + e]
-            tensors.update(built)
-            layer_plan.experts.append(entry)
-        plan.layers.append(layer_plan)
-        router = router_init(config, root.child(i, _P_ROUTER))
-        tensors[f"layers.{i}.router"] = router.astype(dense.tensors["embedding.token"].dtype)
-
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=_provenance("drop", spec, dense))
-    ckpt.validate()
-    return ckpt, plan
+# Substream purposes (dims, indices, reinit) of each expert group.
+_GROUP_PURPOSES = {
+    "experts": (_P_DIMS, _P_INDICES, _P_REINIT),
+    "shared": (_P_SHARED_DIMS, _P_SHARED_INDICES, _P_SHARED_REINIT),
+}
 
 
 def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
@@ -472,12 +430,13 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
     """Drop upcycling for fine-grained (and optionally shared) experts.
 
     Per routed expert: sample d_f / m parent dimensions, then within that
-    slice drop floor(ratio * d_f / m) dimensions and re-initialize them
-    exactly as in :func:`drop_upcycle`. Shared experts sample their slice and
-    are either copied verbatim (``shared_init="copy"``) or dropped the same
-    way (``"drop"``). With ``scale_factor`` set, the up and down matrices of
-    all experts are scaled uniformly. Granularity 1 without shared experts
-    reproduces :func:`drop_upcycle` tensor for tensor.
+    slice drop floor(ratio * d_f / m) dimensions and re-initialize them from
+    their statistics (:func:`_reinit_matrices`). Shared experts sample their slice and
+    are either copied verbatim (``shared_init="copy"``, i.e. nothing dropped)
+    or dropped the same way (``"drop"``). With ``scale_factor`` set, the up
+    and down matrices of all experts are scaled uniformly. At granularity 1
+    the experts start from the parent matrices themselves. The plan and the
+    metadata carry ``spec.method``.
     """
     _require_compatible(dense, config)
     if spec.granularity != config.granularity:
@@ -490,88 +449,45 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
     root = RngStream(spec.seed)
     d_f = config.intermediate_size
     width = config.expert_intermediate
-    drop_count = math.floor(spec.ratio * width)
-    tensors = _copy_non_ffn(dense)
-    plan = ReinitPlan(method="fg-drop", ratio=spec.ratio, seed=int(spec.seed),
-                      intermediate_size=d_f, expert_width=width,
-                      granularity=config.granularity)
+    drop_counts = {"experts": math.floor(spec.ratio * width)}
+    drop_counts["shared"] = drop_counts["experts"] if spec.shared_init == "drop" else 0
 
-    def slice_parent(i: int, dims: np.ndarray) -> dict[str, np.ndarray]:
-        gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-        return {"gate": dense.tensors[gate][:, dims],
-                "up": dense.tensors[up][:, dims],
-                "down": dense.tensors[down][dims, :]}
-
-    def maybe_scale(mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        if spec.scale_factor is None:
-            return mats
-        scaled = dict(mats)
-        for kind in ("up", "down"):
-            arr = np.asarray(mats[kind], dtype=np.float64) * spec.scale_factor
-            scaled[kind] = arr.astype(mats[kind].dtype)
-        return scaled
-
-    def build_routed(job):
-        i, e = job
-        if width == d_f:
-            dims = None
-            parents = slice_parent(i, np.arange(d_f, dtype=np.int64))
-        else:
-            dims = sample_indices_without_replacement(root.child(i, e, _P_DIMS), d_f, width)
-            parents = slice_parent(i, dims)
-        dropped = sample_indices_without_replacement(root.child(i, e, _P_INDICES), width, drop_count)
-        streams = {kind: root.child(i, e, _P_REINIT, kc) for kc, kind in enumerate(_KINDS)}
+    def build(job):
+        i, group, index = job
+        p_dims, p_indices, p_reinit = _GROUP_PURPOSES[group]
+        parents = dict(zip(_KINDS, (dense.tensors[n] for n in ffn_slot_names(f"layers.{i}.ffn"))))
+        dims = None
+        if width != d_f:
+            dims = sample_indices_without_replacement(root.child(i, index, p_dims), d_f, width)
+            parents = {kind: m[dims, :] if kind == "down" else m[:, dims]
+                       for kind, m in parents.items()}
+        dropped = sample_indices_without_replacement(
+            root.child(i, index, p_indices), width, drop_counts[group])
+        streams = {kind: root.child(i, index, p_reinit, kc) for kc, kind in enumerate(_KINDS)}
         mats, stats = _reinit_matrices(parents, dropped, streams)
-        mats = maybe_scale(mats)
-        names = ffn_slot_names(f"layers.{i}.experts.{e}")
-        out = dict(zip(names, (mats["gate"], mats["up"], mats["down"])))
-        return out, ExpertReinit(dropped=dropped, stats=stats, dims=dims)
+        if spec.scale_factor is not None:
+            # An overflow to inf is reported by the finite check in checkpoint.save.
+            with np.errstate(over="ignore"):
+                for kind in ("up", "down"):
+                    scaled = np.asarray(mats[kind], dtype=np.float64) * spec.scale_factor
+                    mats[kind] = scaled.astype(mats[kind].dtype)
+        names = ffn_slot_names(f"layers.{i}.{group}.{index}")
+        entry = ExpertReinit(dropped=dropped, stats=stats, dims=dims)
+        return dict(zip(names, (mats[kind] for kind in _KINDS))), entry
 
-    def build_shared(job):
-        i, j = job
-        if width == d_f:
-            dims = None
-            parents = slice_parent(i, np.arange(d_f, dtype=np.int64))
-        else:
-            dims = sample_indices_without_replacement(root.child(i, j, _P_SHARED_DIMS), d_f, width)
-            parents = slice_parent(i, dims)
-        if spec.shared_init == "copy":
-            dropped = np.zeros(0, dtype=np.int64)
-            mats = {kind: parents[kind].copy() for kind in _KINDS}
-            stats: dict[str, NormalParams | None] = {kind: None for kind in _KINDS}
-        else:
-            dropped = sample_indices_without_replacement(
-                root.child(i, j, _P_SHARED_INDICES), width, drop_count)
-            streams = {kind: root.child(i, j, _P_SHARED_REINIT, kc)
-                       for kc, kind in enumerate(_KINDS)}
-            mats, stats = _reinit_matrices(parents, dropped, streams)
-        mats = maybe_scale(mats)
-        names = ffn_slot_names(f"layers.{i}.shared.{j}")
-        out = dict(zip(names, (mats["gate"], mats["up"], mats["down"])))
-        return out, ExpertReinit(dropped=dropped, stats=stats, dims=dims)
-
-    routed_jobs = [(i, e) for i in range(config.num_layers) for e in range(config.routed_experts)]
-    shared_jobs = [(i, j) for i in range(config.num_layers) for j in range(config.shared_experts)]
-    routed_results = parallel_map(build_routed, routed_jobs)
-    shared_results = parallel_map(build_shared, shared_jobs)
-
-    for i in range(config.num_layers):
-        layer_plan = LayerReinit()
-        for e in range(config.routed_experts):
-            built, entry = routed_results[i * config.routed_experts + e]
-            tensors.update(built)
-            layer_plan.experts.append(entry)
-        for j in range(config.shared_experts):
-            built, entry = shared_results[i * config.shared_experts + j]
-            tensors.update(built)
-            layer_plan.shared.append(entry)
-        plan.layers.append(layer_plan)
-        router = router_init(config, root.child(i, _P_ROUTER))
-        tensors[f"layers.{i}.router"] = router.astype(dense.tensors["embedding.token"].dtype)
-
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=_provenance("fg-drop", spec, dense))
-    ckpt.validate()
-    return ckpt, plan
+    jobs = [(i, group, index) for i in range(config.num_layers)
+            for group, count in (("experts", config.routed_experts),
+                                 ("shared", config.shared_experts))
+            for index in range(count)]
+    plan = ReinitPlan(method=spec.method, ratio=spec.ratio, seed=int(spec.seed),
+                      intermediate_size=d_f, expert_width=width,
+                      granularity=config.granularity,
+                      layers=[LayerReinit() for _ in range(config.num_layers)])
+    experts: dict[str, np.ndarray] = {}
+    for (i, group, _), (built, entry) in zip(jobs, parallel_map(build, jobs)):
+        experts.update(built)
+        getattr(plan.layers[i], group).append(entry)
+    return _assemble(config, dense.tensors, experts, spec.seed, _provenance(spec, dense)), plan
 
 
 def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
@@ -584,8 +500,7 @@ def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
     Requires num_experts == 2 * (number of input models).
     """
     models = [seed_dense, *expert_denses]
-    if config.granularity != 1 or config.shared_experts != 0:
-        raise ValidationError("branch merging does not support fine-grained or shared experts")
+    _require_coarse(config, "branch merging")
     for m in models:
         _require_compatible(m, config)
         if m.config != models[0].config:
@@ -597,29 +512,22 @@ def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
             f"num_experts ({config.num_experts}) must equal 2 x number of input models "
             f"({2 * len(models)})")
 
-    root = RngStream(seed)
-    tensors: dict[str, np.ndarray] = {}
+    averaged: dict[str, np.ndarray] = {}
     for name in models[0].tensors:
         if ".ffn." in name:
             continue
         stacked = np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
-        tensors[name] = stacked.mean(axis=0).astype(models[0].tensors[name].dtype)
+        averaged[name] = stacked.mean(axis=0).astype(models[0].tensors[name].dtype)
+    experts: dict[str, np.ndarray] = {}
     for i in range(config.num_layers):
-        gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
+        parent_names = ffn_slot_names(f"layers.{i}.ffn")
         for e in range(config.num_experts):
-            src = models[e // 2]
-            e_gate, e_up, e_down = ffn_slot_names(f"layers.{i}.experts.{e}")
-            tensors[e_gate] = src.tensors[gate]
-            tensors[e_up] = src.tensors[up]
-            tensors[e_down] = src.tensors[down]
-        router = router_init(config, root.child(i, _P_ROUTER))
-        tensors[f"layers.{i}.router"] = router.astype(models[0].tensors["embedding.token"].dtype)
+            experts.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"),
+                               (models[e // 2].tensors[n] for n in parent_names)))
 
     metadata = {
         "method": "btx", "seed": int(seed),
         "parent_hash": checkpoint_hash(seed_dense),
         "branch_hashes": [checkpoint_hash(m) for m in expert_denses],
     }
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
-    ckpt.validate()
-    return ckpt
+    return _assemble(config, averaged, experts, seed, metadata)

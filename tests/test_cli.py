@@ -90,6 +90,31 @@ class TestValidationAndExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv, config", [
+        ("init --config {model} --seed -1 --out {out}", None),
+        ("upcycle --method drop --seed -1 --in {dense} --out {out}", None),
+        ("upcycle --method rnu --noise-sigma inf --in {dense} --out {out}", None),
+        ("upcycle --method drop --scale-factor inf --in {dense} --out {out}", None),
+        ("upcycle --method drop --scale-factor 1e308 --in {dense} --out {out}", None),
+        ("flops --config {model} --seq-len -1", None),
+        ("flops --config {model} --tokens -5", None),
+        ("upcycle --method drop --config {config} --in {dense} --out {out}",
+         {"upcycle": {"ratio": "abc"}}),
+        ("upcycle --method drop --config {config} --in {dense} --out {out}",
+         {"upcycle": {"ratioo": 0.5}}),
+        ("train --config {config} --in {dense} --corpus {corpus} --out {out}",
+         {"train": {"batch_size": "x"}}),
+    ])
+    def test_bad_input_prints_one_error_line(self, capsys, tmp_path, config_file, dense_dir,
+                                             corpus_file, argv, config):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config))
+        paths = {"model": config_file, "dense": dense_dir, "corpus": corpus_file,
+                 "config": config_path, "out": tmp_path / "out"}
+        code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
+        assert code == 1 and payload is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestParamsAndFlops:
     def test_params_reference_value(self, capsys, tmp_path):
