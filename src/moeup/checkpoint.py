@@ -19,6 +19,20 @@ Manifest schema (all fields required unless noted):
 Blob layout: little-endian IEEE-754 floats (``f32`` or ``f64`` per tensor),
 row-major, each tensor starting at a 64-byte-aligned offset, gaps zero-filled.
 
+:func:`save` streams each tensor's bytes straight into the blob file, hashing
+them as they go, so it holds no copy of the payload. Both files are written
+and fsynced under temporary names in the target directory and then renamed
+into place, the manifest last; other files in the directory are left alone.
+A crash therefore leaves either the old checkpoint, the new one, or the new
+blob next to the old manifest, which :func:`load` rejects.
+
+:func:`load` reads the blob once into one buffer and checks, before building
+any tensor: unique tensor names, byte lengths that match the shapes, byte
+ranges that lie inside the blob and do not overlap, a ``blob.file`` inside the
+checkpoint directory, the blob size, each tensor's CRC32 and the blob
+SHA-256. Any failure raises :class:`CheckpointError`. The loaded tensors are
+writable views of that one buffer.
+
 Canonical tensor names form a bijection with the structural slots implied by
 the config:
 
@@ -44,8 +58,11 @@ whose stored parameters therefore match the accounting module exactly.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,16 +175,26 @@ class Checkpoint:
         return int(sum(a.size for a in self.tensors.values()))
 
 
+def _little_endian(array: np.ndarray) -> np.ndarray:
+    """C-contiguous little-endian form of ``array``; no copy when it already is one."""
+    array = np.ascontiguousarray(array)
+    return array.astype(array.dtype.newbyteorder("<"), copy=False)
+
+
+def _byte_view(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without copying them."""
+    return memoryview(array.reshape(-1).view(np.uint8))
+
+
 def checkpoint_hash(ckpt: Checkpoint) -> str:
     """SHA-256 over tensor names, shapes, dtypes, and payload bytes."""
     h = hashlib.sha256()
     for name in sorted(ckpt.tensors):
-        array = np.ascontiguousarray(ckpt.tensors[name])
-        le = array.astype(array.dtype.newbyteorder("<"), copy=False)
+        le = _little_endian(ckpt.tensors[name])
         h.update(name.encode("utf-8"))
-        h.update(repr(tuple(array.shape)).encode("ascii"))
+        h.update(repr(tuple(le.shape)).encode("ascii"))
         h.update(_DTYPE_TO_NAME[np.dtype(le.dtype)].encode("ascii"))
-        h.update(le.tobytes())
+        h.update(_byte_view(le))
     return h.hexdigest()
 
 
@@ -176,8 +203,50 @@ def _aligned(offset: int) -> int:
     return offset if rem == 0 else offset + (TENSOR_ALIGNMENT - rem)
 
 
+def _write_blob(tensors: dict[str, np.ndarray], fh) -> tuple[list[dict], int, str]:
+    """Stream the tensors sorted by name into ``fh``; return the tensor index,
+    the blob size and the blob SHA-256."""
+    index = []
+    sha256 = hashlib.sha256()
+    size = 0
+    for name in sorted(tensors):
+        le = _little_endian(tensors[name])
+        payload = _byte_view(le)
+        offset = _aligned(size)
+        for chunk in (b"\x00" * (offset - size), payload):
+            fh.write(chunk)
+            sha256.update(chunk)
+        size = offset + payload.nbytes
+        index.append({
+            "name": name,
+            "dtype": _DTYPE_TO_NAME[np.dtype(le.dtype)],
+            "shape": list(le.shape),
+            "offset": offset,
+            "nbytes": payload.nbytes,
+            "crc32": zlib.crc32(payload),
+        })
+    return index, size, sha256.hexdigest()
+
+
+def _sync(fh) -> None:
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def _sync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the checkpoint to ``path`` (a directory, created if needed)."""
+    """Write the checkpoint to ``path`` (a directory, created if needed).
+
+    Both files are written and fsynced under temporary names, then renamed
+    into place, the manifest last. Other files in the directory are kept.
+    """
     ckpt.validate()
     for name, array in ckpt.tensors.items():
         if not np.all(np.isfinite(array)):
@@ -185,46 +254,37 @@ def save(ckpt: Checkpoint, path: str | Path) -> None:
                 f"tensor '{name}' contains non-finite values; refusing to serialize")
 
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-
-    index = []
-    blob = bytearray()
-    for name in sorted(ckpt.tensors):
-        array = np.ascontiguousarray(ckpt.tensors[name])
-        le = array.astype(array.dtype.newbyteorder("<"), copy=False)
-        payload = le.tobytes()
-        offset = _aligned(len(blob))
-        blob.extend(b"\x00" * (offset - len(blob)))
-        blob.extend(payload)
-        index.append({
-            "name": name,
-            "dtype": _DTYPE_TO_NAME[np.dtype(le.dtype)],
-            "shape": list(array.shape),
-            "offset": offset,
-            "nbytes": len(payload),
-            "crc32": zlib.crc32(payload),
-        })
-
-    manifest = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "config": ckpt.config.to_dict(),
-        "metadata": ckpt.metadata,
-        "blob": {
-            "file": BLOB_FILE,
-            "size": len(blob),
-            "sha256": hashlib.sha256(bytes(blob)).hexdigest(),
-        },
-        "tensors": index,
-    }
-
+    token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    blob_tmp, manifest_tmp = out / f".{BLOB_FILE}.{token}", out / f".{MANIFEST_FILE}.{token}"
     try:
-        (out / BLOB_FILE).write_bytes(bytes(blob))
-        with open(out / MANIFEST_FILE, "w", encoding="utf-8") as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(blob_tmp, "xb") as fh:
+            index, size, sha256 = _write_blob(ckpt.tensors, fh)
+            _sync(fh)
+        manifest = {
+            "format": FORMAT_NAME,
+            "version": FORMAT_VERSION,
+            "config": ckpt.config.to_dict(),
+            "metadata": ckpt.metadata,
+            "blob": {"file": BLOB_FILE, "size": size, "sha256": sha256},
+            "tensors": index,
+        }
+        with open(manifest_tmp, "x", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+            _sync(fh)
+        # Between the two renames the old manifest sits next to the new blob;
+        # load rejects that pair, because the blob no longer matches its
+        # size, checksums and SHA-256.
+        os.replace(blob_tmp, out / BLOB_FILE)
+        os.replace(manifest_tmp, out / MANIFEST_FILE)
+        _sync_dir(out)
     except OSError as exc:
         raise CheckpointError(f"failed to write checkpoint at {out}: {exc}") from exc
+    finally:
+        for tmp in (blob_tmp, manifest_tmp):
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -236,6 +296,8 @@ def read_manifest(path: str | Path) -> dict:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest at {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"malformed manifest at {manifest_path}: not a JSON object")
     if manifest.get("format") != FORMAT_NAME:
         raise CheckpointError(f"unrecognized checkpoint format: {manifest.get('format')!r}")
     if manifest.get("version") != FORMAT_VERSION:
@@ -243,48 +305,109 @@ def read_manifest(path: str | Path) -> dict:
     return manifest
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _blob_path(root: Path, blob_file) -> Path:
+    if not isinstance(blob_file, str) or not blob_file:
+        raise CheckpointError(
+            f"malformed manifest: blob.file must be a file name, got {blob_file!r}")
+    relative = Path(blob_file)
+    if relative.is_absolute() or ".." in relative.parts:
+        raise CheckpointError(
+            f"blob.file {blob_file!r} points outside the checkpoint directory {root}")
+    return root / relative
+
+
+def _check_entries(entries: list[tuple], blob_size: int) -> None:
+    """Field types, byte lengths, unique names, and disjoint in-blob byte ranges."""
+    names = set()
+    for name, dtype_name, shape, start, nbytes, _crc32 in entries:
+        if not (isinstance(name, str) and isinstance(dtype_name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(start) and _is_count(nbytes)):
+            raise CheckpointError(f"malformed manifest: bad index entry for tensor {name!r}")
+        if dtype_name not in _NAME_TO_DTYPE:
+            raise CheckpointError(f"tensor '{name}' has unknown dtype '{dtype_name}'")
+        if name in names:
+            raise CheckpointError(f"duplicate tensor '{name}' in manifest")
+        names.add(name)
+        expected_bytes = math.prod(shape) * _NAME_TO_DTYPE[dtype_name].itemsize
+        if nbytes != expected_bytes:
+            raise CheckpointError(
+                f"tensor '{name}' byte length {nbytes} disagrees with shape {tuple(shape)}")
+        if start + nbytes > blob_size:
+            raise CheckpointError(
+                f"corrupt tensor '{name}': payload truncated (bytes [{start}, {start + nbytes}) "
+                f"of a {blob_size}-byte blob)")
+    end, previous = 0, None
+    for name, _, _, start, nbytes, _ in sorted(entries, key=lambda e: e[3]):
+        if nbytes == 0:
+            continue
+        if start < end:
+            raise CheckpointError(f"tensors '{previous}' and '{name}' overlap in the blob")
+        end, previous = start + nbytes, name
+
+
+def _read_blob(blob_path: Path, blob_size: int) -> np.ndarray:
+    """The whole blob, read once into one uint8 buffer."""
+    try:
+        with open(blob_path, "rb") as fh:
+            actual = os.fstat(fh.fileno()).st_size
+            if actual != blob_size:
+                raise CheckpointError(
+                    f"tensor blob size mismatch: expected {blob_size}, got {actual}")
+            buffer = np.empty(blob_size, dtype=np.uint8)
+            view, filled = memoryview(buffer), 0
+            while filled < blob_size:
+                count = fh.readinto(view[filled:])
+                if not count:
+                    raise CheckpointError(
+                        f"tensor blob size mismatch: expected {blob_size}, got {filled}")
+                filled += count
+    except OSError as exc:
+        raise CheckpointError(f"failed to read tensor blob {blob_path}: {exc}") from exc
+    return buffer
+
+
 def load(path: str | Path) -> Checkpoint:
-    """Read, checksum-validate, and structurally validate a checkpoint."""
+    """Read, checksum-validate, and structurally validate a checkpoint.
+
+    The returned tensors are writable views of one buffer holding the blob.
+    """
     manifest = read_manifest(path)
     try:
         config = ModelConfig.from_dict(manifest["config"])
-    except (KeyError, ValidationError) as exc:
+    except (KeyError, TypeError, ValidationError) as exc:
         raise CheckpointError(f"invalid config in manifest: {exc}") from exc
 
     try:
-        blob_file, blob_size = manifest["blob"]["file"], manifest["blob"]["size"]
+        blob = manifest["blob"]
+        blob_file, blob_size, blob_sha256 = blob["file"], blob["size"], blob["sha256"]
         entries = [(entry["name"], entry["dtype"], entry["shape"], entry["offset"],
                     entry["nbytes"], entry["crc32"]) for entry in manifest["tensors"]]
     except KeyError as exc:
         raise CheckpointError(f"malformed manifest: missing key {exc}") from None
     except TypeError as exc:
         raise CheckpointError(f"malformed manifest: {exc}") from None
+    if not _is_count(blob_size):
+        raise CheckpointError(f"malformed manifest: bad blob size {blob_size!r}")
+    _check_entries(entries, blob_size)
 
-    blob_path = Path(path) / blob_file
-    try:
-        blob = blob_path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"failed to read tensor blob {blob_path}: {exc}") from exc
-    if len(blob) != blob_size:
-        raise CheckpointError(
-            f"tensor blob size mismatch: expected {blob_size}, got {len(blob)}")
+    blob_path = _blob_path(Path(path), blob_file)
+    buffer = _read_blob(blob_path, blob_size)
+    view = memoryview(buffer)
+    for name, _, _, start, nbytes, crc32 in entries:
+        if zlib.crc32(view[start:start + nbytes]) != crc32:
+            raise CheckpointError(f"corrupt tensor '{name}': checksum mismatch")
+    if hashlib.sha256(view).hexdigest() != blob_sha256:
+        raise CheckpointError(f"corrupt tensor blob {blob_path}: SHA-256 mismatch")
 
     tensors: dict[str, np.ndarray] = {}
-    for name, dtype_name, shape, start, nbytes, crc32 in entries:
-        if dtype_name not in _NAME_TO_DTYPE:
-            raise CheckpointError(f"tensor '{name}' has unknown dtype '{dtype_name}'")
-        payload = blob[start:start + nbytes]
-        if len(payload) != nbytes:
-            raise CheckpointError(f"corrupt tensor '{name}': payload truncated")
-        if zlib.crc32(payload) != crc32:
-            raise CheckpointError(f"corrupt tensor '{name}': checksum mismatch")
+    for name, dtype_name, shape, start, nbytes, _ in entries:
         dtype = _NAME_TO_DTYPE[dtype_name]
-        shape = tuple(shape)
-        expected_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        if nbytes != expected_bytes:
-            raise CheckpointError(f"tensor '{name}' byte length {nbytes} disagrees with shape {shape}")
-        # copy() detaches from the read-only buffer so tensors are writable
-        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        tensors[name] = np.frombuffer(buffer, dtype=dtype, count=nbytes // dtype.itemsize,
+                                      offset=start).reshape(shape)
 
     ckpt = Checkpoint(config=config, tensors=tensors, metadata=dict(manifest.get("metadata", {})))
     ckpt.validate()

@@ -14,12 +14,22 @@ The number of routed experts is therefore
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 
 class ValidationError(ValueError):
     """Raised when a config, spec, or CLI argument fails validation."""
+
+
+def require_ints(obj, names) -> None:
+    """Raise ``ValidationError`` unless each named field of ``obj`` holds an
+    integer; ``bool`` and integral floats such as ``2.0`` are rejected."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,7 @@ class ModelConfig:
     seq_len: int = 4096
 
     def __post_init__(self):
+        require_ints(self, (f.name for f in fields(self)))
         for name in ("hidden_size", "intermediate_size", "num_heads", "num_query_groups",
                      "head_dim", "vocab_size", "seq_len"):
             if getattr(self, name) <= 0:

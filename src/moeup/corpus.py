@@ -162,9 +162,8 @@ def default_eval_corpus(seq_len: int = 64, num_sequences: int = 128) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in range(corpus.num_sequences):
-            ids = " ".join(str(int(t)) for t in corpus.sequences[row])
-            fh.write(f"{corpus.domains[row]}\t{ids}\n")
+        for domain, row in zip(corpus.domains, corpus.sequences):
+            fh.write(f"{domain}\t{' '.join(map(str, row.tolist()))}\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:

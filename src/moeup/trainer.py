@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ValidationError
+from .config import ValidationError, require_ints
 from .corpus import Corpus
 from .model import (
     RoutingTrace,
@@ -66,6 +66,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, ("total_steps", "warmup_steps", "tail_steps", "batch_size",
+                            "seq_len", "seed"))
         if self.min_lr > self.max_lr:
             raise ValidationError(f"min_lr ({self.min_lr}) must be <= max_lr ({self.max_lr})")
         if self.min_lr < 0:

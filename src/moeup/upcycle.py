@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, checkpoint_hash, expected_slots, ffn_slot_names
-from .config import ModelConfig, ValidationError
+from .config import ModelConfig, ValidationError, require_ints
 from .numerics import NormalParams, RngStream, sample_indices_without_replacement, sample_normal
 from .util import parallel_map
 
@@ -83,6 +83,7 @@ class UpcycleSpec:
     scale_factor: float | None = None
 
     def __post_init__(self):
+        require_ints(self, ("seed", "granularity", "shared_experts"))
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if not (0.0 <= self.ratio <= 1.0):

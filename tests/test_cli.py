@@ -115,6 +115,23 @@ class TestValidationAndExitCodes:
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, config, field", [
+        ("upcycle --method fg-drop --experts 2 --topk 1 --config {config} --in {dense} "
+         "--out {out}", {"upcycle": {"granularity": 2.0}}, "granularity"),
+        ("train --config {config} --in {dense} --corpus {corpus} --out {out}",
+         {"train": {"total_steps": 2.5}}, "total_steps"),
+    ])
+    def test_non_integer_config_value_is_validation_error(self, capsys, tmp_path, dense_dir,
+                                                          corpus_file, argv, config, field):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config))
+        paths = {"dense": dense_dir, "corpus": corpus_file, "config": config_path,
+                 "out": tmp_path / "out"}
+        code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
+        assert code == 1 and payload is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be an integer" in err
+
 
 class TestParamsAndFlops:
     def test_params_reference_value(self, capsys, tmp_path):

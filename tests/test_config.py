@@ -59,3 +59,28 @@ def test_config_file_sections(tmp_path):
     sectioned.write_text(json.dumps({"model": cfg.to_dict(), "train": {"seed": 1}}))
     assert model_config_from_file(flat) == cfg
     assert model_config_from_file(sectioned) == cfg
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"], ids=repr)
+def test_integer_fields_reject_other_types(value):
+    from moeup.trainer import TrainConfig
+    from moeup.upcycle import UpcycleSpec
+
+    model = tiny_moe_config(n=4, k=2).to_dict()
+    for name in ("hidden_size", "num_layers", "top_k", "granularity", "seq_len"):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            ModelConfig(**(model | {name: value}))
+    for name in ("seed", "granularity", "shared_experts"):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            UpcycleSpec(method="fg-drop", **{name: value})
+    train = dict(max_lr=1e-3, min_lr=1e-4, total_steps=4)
+    for name in ("total_steps", "warmup_steps", "tail_steps", "batch_size", "seq_len", "seed"):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            TrainConfig(**(train | {name: value}))
+
+
+def test_integer_fields_accept_numpy_integers():
+    import numpy as np
+
+    data = {k: np.int64(v) for k, v in tiny_moe_config(n=4, k=2).to_dict().items()}
+    assert ModelConfig(**data) == tiny_moe_config(n=4, k=2)

@@ -82,3 +82,12 @@ def test_code_domain_brackets_nest():
                 stack.append(opens.index(tok))
             elif tok in closes:
                 assert stack and stack.pop() == closes.index(tok)
+
+
+def test_save_corpus_bytes_match_per_token_form(tmp_path):
+    corpus = default_corpus(seq_len=64, num_sequences=30)
+    save_corpus(corpus, tmp_path / "corpus.txt")
+    expected = "".join(
+        f"{corpus.domains[row]}\t{' '.join(str(int(t)) for t in corpus.sequences[row])}\n"
+        for row in range(corpus.num_sequences))
+    assert (tmp_path / "corpus.txt").read_bytes() == expected.encode("utf-8")
