@@ -58,8 +58,9 @@ def collect_traces(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     for start in range(0, corpus.num_sequences, batch_size):
         stop = min(start + batch_size, corpus.num_sequences)
         batch = corpus.sequences[start:stop, :seq_len]
-        cache = forward_cache(model, batch)
-        traces.append(trace_from_cache(model, cache, corpus.domains[start:stop]))
+        # The trace keeps only the routing arrays; the rest of the cache dies here.
+        traces.append(trace_from_cache(model, forward_cache(model, batch),
+                                       corpus.domains[start:stop]))
     return traces
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .checkpoint import POSITION_SLOT, Checkpoint, ffn_slot_names
 from .config import ModelConfig, ValidationError
 from .numerics import NormalParams, RngStream, sample_normal, softmax, top_k_batch
+from .util import keep_freed_memory
 
 _LN_EPS = 1e-6
 
@@ -268,20 +269,25 @@ def _moe_bwd(w: MoeLayerWeights, cache, dy: np.ndarray, d_probs: np.ndarray | No
     dx = np.zeros_like(x)
     d_gates_full = np.zeros_like(gates_full)
     expert_grads = []
-    for e, (idx, cache_e, fe) in enumerate(expert_caches):
+    # Each expert's cache is taken out of the layer cache and freed as soon as
+    # that expert's backward has used it, so the cache is used up afterwards.
+    for e, ew in enumerate(w.experts):
+        idx, cache_e, fe = expert_caches[e]
+        expert_caches[e] = None
         if idx.size:
             dfe = gates_full[idx, e:e + 1] * dy[idx]
-            dxe, d_gate, d_up, d_down = _ffn_bwd(w.experts[e], cache_e, dfe)
+            dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dfe)
             dx[idx] += dxe
             d_gates_full[idx, e] = np.einsum("nd,nd->n", dy[idx], fe)
             expert_grads.append((d_gate, d_up, d_down))
         else:
-            ew = w.experts[e]
             expert_grads.append((np.zeros_like(ew.gate), np.zeros_like(ew.up),
                                  np.zeros_like(ew.down)))
+        del idx, cache_e, fe
     shared_grads = []
-    for sw, cache_s in zip(w.shared, shared_caches):
-        dxs, d_gate, d_up, d_down = _ffn_bwd(sw, cache_s, dy)
+    for j, sw in enumerate(w.shared):
+        dxs, d_gate, d_up, d_down = _ffn_bwd(sw, shared_caches[j], dy)
+        shared_caches[j] = None
         dx += dxs
         shared_grads.append((d_gate, d_up, d_down))
 
@@ -493,6 +499,15 @@ def _check_tokens(model: ToyLm, tokens) -> np.ndarray:
 
 
 def forward_cache(model: ToyLm, tokens) -> dict:
+    """Forward pass that keeps every activation the backward pass needs.
+
+    Returns a dict with ``tokens`` (the (B, T) ids), ``layer_caches`` (one
+    tuple per layer), ``ln_final``, ``h_final``, ``logits`` and ``loss``.
+    :func:`backward_from_cache` uses the cache up: it frees each activation
+    at its last use. Take the routing trace with :func:`trace_from_cache`
+    before running backward, and run this again for another backward pass.
+    """
+    keep_freed_memory()  # passes reuse the memory earlier passes freed
     cfg = model.config
     p = model.params
     tok = _check_tokens(model, tokens)
@@ -541,7 +556,16 @@ def forward_cache(model: ToyLm, tokens) -> dict:
     }
 
 
+def _require_unused(cache: dict) -> None:
+    """Reject a cache that :func:`backward_from_cache` has used up."""
+    if cache["logits"] is None or any(entry is None for entry in cache["layer_caches"]):
+        raise ValidationError("forward cache already used up by backward_from_cache; "
+                              "run forward_cache again; call trace_from_cache first")
+
+
 def trace_from_cache(model: ToyLm, cache: dict, domains=None) -> RoutingTrace:
+    """Routing trace of a :func:`forward_cache` result that backward has not used up."""
+    _require_unused(cache)
     cfg = model.config
     b, t = cache["tokens"].shape
     trace = RoutingTrace(num_experts=cfg.routed_experts, top_k=cfg.top_k,
@@ -569,18 +593,15 @@ def lm_forward(model: ToyLm, tokens, domains=None) -> LmOutput:
                     loss=cache["loss"])
 
 
-def backward_from_cache(model: ToyLm, cache: dict,
-                         router_prob_grads: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    cfg = model.config
-    p = model.params
+def _head_bwd(p: dict[str, np.ndarray], cache: dict, grads: dict[str, np.ndarray]):
+    """Backward through the loss, output head and final norm; returns d(x).
+
+    Takes the head's activations out of ``cache``, so they die on return.
+    """
     tok = cache["tokens"]
     b, t = tok.shape
-    # Every tensor's gradient comes from exactly one place below, so each is
-    # assigned rather than accumulated into a zero-filled buffer. The two
-    # embeddings are the exception: they scatter-add into zeros.
-    grads: dict[str, np.ndarray] = {}
-
-    logits = cache["logits"]
+    logits, h_final, ln_final = cache["logits"], cache["h_final"], cache["ln_final"]
+    cache["logits"] = cache["h_final"] = cache["ln_final"] = None
     d_logits = np.zeros_like(logits)
     if t > 1:
         pred = logits[:, :-1, :]
@@ -589,15 +610,41 @@ def backward_from_cache(model: ToyLm, cache: dict,
         np.put_along_axis(onehot, tok[:, 1:, None], 1.0, axis=-1)
         d_logits[:, :-1, :] = (probs - onehot) / (b * (t - 1))
 
-    h_final = cache["h_final"]
     grads["head.out"] = h_final.reshape(b * t, -1).T @ d_logits.reshape(b * t, -1)
     d_h_final = d_logits @ p["head.out"].T
-    dx, dg = _layernorm_bwd(cache["ln_final"], d_h_final)
-    grads["final_norm"] = dg
+    dx, grads["final_norm"] = _layernorm_bwd(ln_final, d_h_final)
+    return dx
+
+
+def backward_from_cache(model: ToyLm, cache: dict,
+                         router_prob_grads: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Gradients of the LM loss from a :func:`forward_cache` result.
+
+    Backward uses the cache up, so that activations die at their last use:
+    the head's ``logits`` and ``h_final`` go once the head gradient is taken,
+    each layer's ``layer_caches`` entry (top layer first) once that layer's
+    backward has run, and within an MoE layer each expert's activations once
+    that expert's backward has run. A used-up cache raises ``ValidationError``;
+    run :func:`forward_cache` again, and take any routing trace before this.
+    ``router_prob_grads`` is as for :func:`lm_backward`.
+    """
+    _require_unused(cache)
+    cfg = model.config
+    p = model.params
+    tok = cache["tokens"]
+    b, t = tok.shape
+    # Every tensor's gradient comes from exactly one place below, so each is
+    # assigned rather than accumulated into a zero-filled buffer. The two
+    # embeddings are the exception: they scatter-add into zeros.
+    grads: dict[str, np.ndarray] = {}
+    dx = _head_bwd(p, cache, grads)
 
     moe_grad_idx = sum(1 for entry in cache["layer_caches"] if entry[0] == "moe") - 1
     for i in reversed(range(cfg.num_layers)):
+        # Taken out of the cache: this layer's activations die when the loop
+        # moves on to the layer below.
         kind, ln1, attn_cache, ln2, sub_cache, weights = cache["layer_caches"][i]
+        cache["layer_caches"][i] = None
         dsub = dx.reshape(b * t, -1)
         if kind == "moe":
             d_probs = None
@@ -643,7 +690,8 @@ def lm_backward(model: ToyLm, tokens,
 
     ``router_prob_grads`` optionally adds, per MoE layer, an upstream gradient
     on the full router softmax (shape (B, T, n)); the trainer uses this to
-    inject the load-balancing term.
+    inject the load-balancing term. The forward cache is used up by the
+    backward pass, which frees each activation at its last use.
     """
     cache = forward_cache(model, tokens)
     return backward_from_cache(model, cache, router_prob_grads)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64 - 1
+# Box-Muller pairs drawn per chunk by :func:`sample_normal` (1 MiB of uniforms).
+NORMAL_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,29 +79,40 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def sample_normal(stream: RngStream, params: NormalParams, count: int) -> np.ndarray:
+def sample_normal(stream: RngStream, params: NormalParams, count: int,
+                  dtype=np.float64) -> np.ndarray:
     """Draw ``count`` N(mu, sigma^2) samples via Box-Muller on the stream.
 
     Consumption order is fixed: uniforms are taken in pairs (u1, u2), pair i
     consuming uniforms 2i and 2i+1, and each pair produces the two deviates
     r*cos(2 pi u2), r*sin(2 pi u2) with r = sqrt(-2 ln u1). The trailing
     deviate is discarded for odd ``count``. sigma = 0 yields a constant mu.
+
+    The deviates are computed in float64 and rounded to ``dtype`` as they are
+    stored. Uniforms are drawn ``NORMAL_CHUNK_PAIRS`` pairs at a time from one
+    generator, which yields the same sequence as one large draw, so the memory
+    needed is the result plus one chunk's temporaries.
     """
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
-    pairs = (count + 1) // 2
-    u = stream.generator().random(2 * pairs)
-    u1 = 1.0 - u[0::2]  # map [0, 1) onto (0, 1] so log() is safe
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return params.mu + params.sigma * z[:count]
+    out = np.empty(count, dtype=dtype)
+    generator = stream.generator()
+    for start in range(0, count, 2 * NORMAL_CHUNK_PAIRS):
+        size = min(count - start, 2 * NORMAL_CHUNK_PAIRS)
+        pairs = (size + 1) // 2
+        u = generator.random(2 * pairs)
+        u1 = 1.0 - u[0::2]  # map [0, 1) onto (0, 1] so log() is safe
+        u2 = u[1::2]
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        z = np.empty(2 * pairs, dtype=np.float64)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        z *= params.sigma  # mu + sigma * z, in place in the chunk
+        z += params.mu
+        out[start:start + size] = z[:size]
+    return out
 
 
 def sample_indices_without_replacement(stream: RngStream, population: int, take: int) -> np.ndarray:

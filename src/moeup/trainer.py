@@ -304,28 +304,41 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
 
     for step in range(config.total_steps):
         tokens, _ = _sample_batch(corpus, config, stream, step)
-        cache = forward_cache(model, tokens)
-        lm_loss = cache["loss"]
-        if use_balance:
-            trace = trace_from_cache(model, cache)
-            balance_loss, prob_grads = _balance_loss_and_grads(
-                trace, config.balance_mode, config.balance_coeff)
-        else:
-            balance_loss, prob_grads = 0.0, None
-        total_loss = lm_loss + config.balance_coeff * balance_loss
-        if not math.isfinite(total_loss):
-            raise TrainingDiverged(
-                f"non-finite loss at step {step}: lm={lm_loss} balance={balance_loss}")
-        grads = backward_from_cache(model, cache, prob_grads)
-        clip_gradients(grads, config.grad_clip)
         lr = cosine_lr(step, config)
-        adamw_step(model.params, grads, state, lr, config)
+        total_loss, lm_loss, balance_loss = _train_step(
+            model, tokens, config, use_balance, state, lr, step)
         curve.append(LossPoint(
             tokens_processed=(step + 1) * config.batch_size * config.seq_len,
             train_loss=float(total_loss), lm_loss=float(lm_loss),
             balance_loss=float(balance_loss), lr=float(lr),
         ))
     return model, curve
+
+
+def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, use_balance: bool,
+                state: AdamWState, lr: float, step: int) -> tuple[float, float, float]:
+    """One update; returns ``(total_loss, lm_loss, balance_loss)``.
+
+    A function of its own so that the step's cache, trace, balance gradients
+    and parameter gradients all die when it returns, before the next step's
+    forward pass allocates new ones.
+    """
+    cache = forward_cache(model, tokens)
+    lm_loss = cache["loss"]
+    if use_balance:
+        trace = trace_from_cache(model, cache)
+        balance_loss, prob_grads = _balance_loss_and_grads(
+            trace, config.balance_mode, config.balance_coeff)
+    else:
+        balance_loss, prob_grads = 0.0, None
+    total_loss = lm_loss + config.balance_coeff * balance_loss
+    if not math.isfinite(total_loss):
+        raise TrainingDiverged(
+            f"non-finite loss at step {step}: lm={lm_loss} balance={balance_loss}")
+    grads = backward_from_cache(model, cache, prob_grads)
+    clip_gradients(grads, config.grad_clip)
+    adamw_step(model.params, grads, state, lr, config)
+    return total_loss, lm_loss, balance_loss
 
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
@@ -349,7 +362,7 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     total, count = 0.0, 0
     for start in range(0, limit, rows):
         batch = corpus.sequences[start:min(start + rows, limit), :seq_len]
-        cache = forward_cache(model, batch)
-        total += cache["loss"] * batch.shape[0]
+        # Not bound to a name, so that the cache dies before the next tile's forward.
+        total += forward_cache(model, batch)["loss"] * batch.shape[0]
         count += batch.shape[0]
     return total / count

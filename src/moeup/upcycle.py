@@ -284,8 +284,9 @@ def from_scratch(config: ModelConfig, seed: int, dtype: str = "f32") -> Checkpoi
             tensor = router_init(config, root.child(layer, _P_ROUTER))
         else:
             stream = root.child(_P_INIT, *_slot_path(name))
-            tensor = sample_normal(stream, params, int(np.prod(shape))).reshape(shape)
-        tensors[name] = tensor.astype(np_dtype)
+            tensor = sample_normal(stream, params, int(np.prod(shape)),
+                                   dtype=np_dtype).reshape(shape)
+        tensors[name] = tensor.astype(np_dtype, copy=False)
     metadata = {"method": "scratch", "seed": int(seed)}
     ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
     ckpt.validate()

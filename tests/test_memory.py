@@ -1,0 +1,298 @@
+"""Memory: activations die at their last use, and sampling needs one chunk.
+
+Liveness is checked with weak references to the arrays a forward cache holds
+(the model's parameters excluded): an array whose last strong reference is
+dropped dies at once, so a live weak reference is an activation still held.
+Peaks are measured with ``tracemalloc``, which numpy reports its buffers to.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from moeup import analysis
+from moeup import model as model_mod
+from moeup import trainer as trainer_mod
+from moeup.config import ValidationError
+from moeup.corpus import VOCAB_SIZE, default_corpus
+from moeup.model import backward_from_cache, build_model, forward_cache, trace_from_cache
+from moeup.numerics import NORMAL_CHUNK_PAIRS, NormalParams, RngStream, sample_normal
+from moeup.trainer import TrainConfig, evaluate_loss, train
+from moeup.upcycle import from_scratch
+from moeup.util import keep_freed_memory
+
+from conftest import (
+    make_config,
+    random_checkpoint,
+    tiny_dense_config,
+    tiny_moe_config,
+    toy_moe_config,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CONFIGS = [
+    tiny_dense_config(vocab=VOCAB_SIZE),
+    tiny_moe_config(vocab=VOCAB_SIZE),
+    tiny_moe_config(vocab=VOCAB_SIZE, n=4, k=3, m=2, k_s=1),
+]
+CONFIG_IDS = ["dense", "moe", "fine-grained-shared"]
+
+
+def _model(config):
+    return build_model(random_checkpoint(config, seed=3), max_positions=16, stream=RngStream(4))
+
+
+def _train_config(**overrides) -> TrainConfig:
+    settings = dict(max_lr=3e-3, min_lr=3e-4, total_steps=3, warmup_steps=1, batch_size=4,
+                    seq_len=16, seed=5)
+    return TrainConfig(**(settings | overrides))
+
+
+def _tokens(batch=4):
+    return default_corpus(seq_len=16, num_sequences=batch).sequences
+
+
+def _arrays(obj, skip: set[int]) -> list[np.ndarray]:
+    """Every array in a nest of dicts, tuples and lists, except ids in ``skip``."""
+    if isinstance(obj, np.ndarray):
+        return [] if id(obj) in skip else [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item, skip)]
+    return []
+
+
+def _refs(obj, model, skip=()) -> list[weakref.ref]:
+    params = {id(a) for a in model.params.values()}
+    return [weakref.ref(a) for a in _arrays(obj, params | set(skip))]
+
+
+def _alive(refs) -> int:
+    return sum(ref() is not None for ref in refs)
+
+
+def _recording_forward(previous: list, alive_at_start: list, skip_routing: bool = False):
+    """A ``forward_cache`` that first counts the live arrays of the last cache."""
+
+    def forward(model, tokens):
+        alive_at_start.append(_alive(previous))
+        cache = forward_cache(model, tokens)
+        # A routing trace keeps the router probabilities, selections and gates.
+        skip = [id(entry[4][j]) for entry in cache["layer_caches"] if entry[0] == "moe"
+                for j in (2, 3, 4)] if skip_routing else []
+        previous[:] = _refs(cache, model, skip)
+        assert previous
+        return cache
+
+    return forward
+
+
+# ---------------------------------------------------------------------------
+# Liveness
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_step_cache_dead_when_next_forward_starts(config, monkeypatch):
+    previous, alive = [], []
+    monkeypatch.setattr(trainer_mod, "forward_cache", _recording_forward(previous, alive))
+    train(_model(config), default_corpus(seq_len=16, num_sequences=32), _train_config())
+    assert alive == [0, 0, 0]
+
+
+def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
+    corpus = default_corpus(seq_len=16, num_sequences=12)
+    previous, alive = [], []
+    monkeypatch.setattr(trainer_mod, "forward_cache", _recording_forward(previous, alive))
+    evaluate_loss(_model(CONFIGS[1]), corpus, batch_size=4)
+    assert alive == [0, 0, 0]
+
+
+def test_collect_traces_keeps_only_routing(monkeypatch):
+    corpus = default_corpus(seq_len=16, num_sequences=12)
+    previous, alive = [], []
+    monkeypatch.setattr(analysis, "forward_cache",
+                        _recording_forward(previous, alive, skip_routing=True))
+    traces = analysis.collect_traces(_model(CONFIGS[2]), corpus, batch_size=4)
+    assert len(traces) == 3 and alive == [0, 0, 0]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_layer_cache_dead_when_layer_below_starts_backward(config, monkeypatch):
+    model = _model(config)
+    cache = forward_cache(model, _tokens())
+    head = _refs([cache["logits"], cache["h_final"], cache["ln_final"]], model)
+    layers = [_refs(entry, model) for entry in cache["layer_caches"]]
+    assert all(layers)
+    seen = []
+    name = "_moe_bwd" if config.is_moe else "_ffn_bwd"
+    real = getattr(model_mod, name)
+
+    def layer_bwd(*args):
+        layer = len(layers) - 1 - len(seen)
+        seen.append((_alive(head), [_alive(refs) for refs in layers[layer + 1:]]))
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, name, layer_bwd)
+    backward_from_cache(model, cache)
+    assert seen == [(0, [0] * k) for k in range(len(layers))]
+    assert sum(_alive(refs) for refs in layers) == 0
+
+
+def _expert_refs(cache, model) -> list[list[weakref.ref]]:
+    """Per expert, in backward order, the arrays only that expert's cache holds."""
+    refs = []
+    for entry in reversed(cache["layer_caches"]):
+        _, _, _, _, _, _, expert_caches, shared_caches = entry[4]
+        refs.extend(_refs(e_cache, model) for e_cache in expert_caches if e_cache[0].size)
+        # A shared expert's input is the layer input, which the router also uses.
+        refs.extend(_refs(s_cache[1:], model) for s_cache in shared_caches)
+    return refs
+
+
+def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
+    model = _model(CONFIGS[2])
+    cache = forward_cache(model, _tokens())
+    experts = _expert_refs(cache, model)
+    seen = []
+    real = model_mod._ffn_bwd
+
+    def ffn_bwd(w, ffn_cache, dy):
+        seen.append(sum(_alive(refs) for refs in experts[:len(seen)]))
+        return real(w, ffn_cache, dy)
+
+    monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
+    backward_from_cache(model, cache)
+    assert len(seen) == len(experts) and seen == [0] * len(experts)
+
+
+def test_used_up_cache_is_rejected():
+    model = _model(CONFIGS[1])
+    cache = forward_cache(model, _tokens())
+    trace = trace_from_cache(model, cache)
+    first = backward_from_cache(model, cache)
+    assert trace.layers and first
+    for again in (backward_from_cache, trace_from_cache):
+        with pytest.raises(ValidationError, match="run forward_cache again"):
+            again(model, cache)
+    fresh = backward_from_cache(model, forward_cache(model, _tokens()))
+    assert all(np.array_equal(fresh[k], first[k]) for k in first)
+
+
+# ---------------------------------------------------------------------------
+# Peaks
+# ---------------------------------------------------------------------------
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_peak_is_one_step_of_activations():
+    """Activations dominate at this shape (a 64 x 16 batch for 18k parameters),
+    so a train run that held two steps' caches would peak near twice one step."""
+    config = tiny_moe_config(vocab=VOCAB_SIZE)
+    corpus = default_corpus(seq_len=16, num_sequences=64)
+    cfg = _train_config(batch_size=64)
+    model = _model(config)
+    tokens, _ = trainer_mod._sample_batch(corpus, cfg, RngStream(cfg.seed), 0)
+    step = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
+    whole = _peak(lambda: train(model, corpus, cfg))
+    assert whole <= 1.3 * step, (whole, step)
+
+
+def test_from_scratch_peak_near_payload():
+    # The 8 MiB token embedding and head are several chunks each.
+    config = make_config(256, 512, 1, 4, 4, 8192, s=64)
+    payload = sum(a.nbytes for a in from_scratch(config, seed=1).tensors.values())
+    assert payload > 16 << 20
+    peak = _peak(lambda: from_scratch(config, seed=1))
+    assert peak <= 1.5 * payload, (peak, payload)
+
+
+def test_forward_passes_reuse_freed_memory():
+    """Each tile's activations are freed before the next tile's forward. The
+    next tile must reuse that memory rather than fault in fresh pages; with
+    glibc's default thresholds about 97% of each tile's pages faulted again."""
+    if not keep_freed_memory():
+        pytest.skip("needs glibc malloc")
+    import resource
+
+    model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    corpus = default_corpus(seq_len=64, num_sequences=96)
+    tile_pages = _peak(lambda: forward_cache(model, corpus.sequences[:8])) // resource.getpagesize()
+
+    def faults(sequences: int) -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evaluate_loss(model, corpus, batch_size=8, max_sequences=sequences)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(8)
+    two_tiles = faults(16)
+    ten_more = faults(96) - two_tiles
+    assert ten_more < 0.05 * 10 * tile_pages, (ten_more, tile_pages)
+
+
+def _one_shot_normal(stream, params, count):
+    """``sample_normal`` drawing every uniform at once, as it once did."""
+    if count == 0:
+        return np.zeros(0, dtype=np.float64)
+    pairs = (count + 1) // 2
+    u = stream.generator().random(2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs, dtype=np.float64)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return params.mu + params.sigma * z[:count]
+
+
+@pytest.mark.parametrize("count", [0, 1, 1001, 2 * NORMAL_CHUNK_PAIRS,
+                                   2 * NORMAL_CHUNK_PAIRS + 1, 5 * NORMAL_CHUNK_PAIRS + 3])
+def test_chunked_sample_normal_matches_one_shot(count):
+    stream, params = RngStream(9, (2, 1)), NormalParams(0.25, 0.02)
+    want = _one_shot_normal(stream, params, count)
+    got = sample_normal(stream, params, count)
+    assert got.dtype == np.float64 and got.size == count
+    assert got.tobytes() == want.tobytes()
+    f32 = sample_normal(stream, params, count, dtype=np.float32)
+    assert f32.dtype == np.float32 and f32.tobytes() == want.astype(np.float32).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# scripts/peak_rss.py
+# ---------------------------------------------------------------------------
+
+def _peak_rss(*args) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "peak_rss.py"), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_peak_rss_script_on_toy_config(tmp_path):
+    init = _peak_rss("init", "--scale", "toy", "--out", str(tmp_path / "parent"))
+    assert init["command"] == "init" and init["exit_code"] == 0
+    assert init["maxrss_mib"] > 0 and init["wall_s"] > 0 and init["payload_mib"] > 0
+    up = _peak_rss("upcycle", "--in", str(tmp_path / "parent"), "--out", str(tmp_path / "moe"))
+    assert up["exit_code"] == 0 and up["payload_mib"] > init["payload_mib"]
+    assert (tmp_path / "moe" / "reinit_plan.json").exists()
