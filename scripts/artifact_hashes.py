@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""SHA-256 of every artifact a fixed set of ``moeup`` commands writes.
+
+    python3 scripts/artifact_hashes.py --out DIR
+
+Writes toy model configs into DIR and small corpora with
+``scripts/make_corpus.py``, then runs, each as ``python3 -m moeup.cli`` in a
+child process: ``init`` of a dense parent and of a btx branch; ``upcycle``
+with naive, drop, rnu, fg-drop (shared expert and scale factor), btx and
+scratch; a 3-step ``train`` of the dense parent and of three MoE checkpoints,
+under both balance modes; and ``analyze-routing`` of a trained MoE. It prints one JSON line mapping each file under DIR (a relative
+path) to its SHA-256, so two code versions can be checked for byte-identical
+artifacts by comparing two lines.
+
+The children run with BLAS on one thread: MoE training bits depend on the
+BLAS thread count, so the map is comparable only at a fixed count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DENSE = {"hidden_size": 32, "intermediate_size": 64, "num_layers": 2, "num_heads": 2,
+         "num_query_groups": 2, "head_dim": 16, "vocab_size": 96, "seq_len": 16}
+MOE = DENSE | {"num_experts": 4, "top_k": 2}
+MOE_FLAGS = ["--experts", "4", "--topk", "2"]
+TRAIN_FLAGS = ["--steps", "3", "--batch-size", "4", "--seq-len", "16", "--warmup", "1",
+               "--seed", "7"]
+CLI = [sys.executable, "-m", "moeup.cli"]
+
+
+def _commands(out: Path) -> list[list[str]]:
+    """Command lines in run order."""
+    corpus, train_txt = out / "corpora", str(out / "corpora" / "train.txt")
+    dense, moe = str(out / "dense.json"), str(out / "moe.json")
+    up = [*CLI, "upcycle", "--in", str(out / "parent")]
+    commands = [
+        [sys.executable, str(ROOT / "scripts" / "make_corpus.py"), "--out", str(corpus),
+         "--seq-len", "16", "--train-sequences", "32", "--eval-sequences", "8"],
+        [*CLI, "init", "--config", dense, "--seed", "1", "--out", str(out / "parent")],
+        [*CLI, "init", "--config", dense, "--seed", "2", "--out", str(out / "branch")],
+        [*up, "--method", "naive", *MOE_FLAGS, "--out", str(out / "naive")],
+        [*up, "--method", "drop", *MOE_FLAGS, "--ratio", "0.5", "--seed", "3",
+         "--out", str(out / "drop")],
+        [*up, "--method", "rnu", *MOE_FLAGS, "--seed", "3", "--out", str(out / "rnu")],
+        [*up, "--method", "fg-drop", "--experts", "4", "--topk", "3", "--granularity", "2",
+         "--shared", "1", "--scale-factor", "2", "--seed", "3", "--out", str(out / "fg_drop")],
+        [*up, "--method", "btx", *MOE_FLAGS, "--branches", str(out / "branch"), "--seed", "3",
+         "--out", str(out / "btx")],
+        [*CLI, "upcycle", "--method", "scratch", "--config", moe, "--seed", "3",
+         "--out", str(out / "scratch")],
+    ]
+    for name, balance in [("parent", "global"), ("drop", "global"), ("fg_drop", "layerwise"),
+                          ("btx", "layerwise")]:
+        commands.append([*CLI, "train", "--in", str(out / name), "--corpus", train_txt,
+                         *TRAIN_FLAGS, "--balance", balance, "--out", str(out / f"train_{name}")])
+    commands.append([*CLI, "analyze-routing", "--in", str(out / "train_drop" / "model"),
+                     "--corpus", str(corpus / "eval.txt"), "--batch-size", "4",
+                     "--out", str(out / "routing")])
+    return commands
+
+
+def run_all(out: Path) -> dict[str, str]:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "dense.json").write_text(json.dumps(DENSE, sort_keys=True), encoding="utf-8")
+    (out / "moe.json").write_text(json.dumps({"model": MOE}, sort_keys=True), encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for command in _commands(out):
+        proc = subprocess.run(command, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(command)} exited {proc.returncode}: {proc.stderr}")
+    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True,
+                        help="directory for the artifacts (created; should be empty)")
+    args = parser.parse_args(argv)
+    print(json.dumps(run_all(args.out), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

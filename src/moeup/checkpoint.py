@@ -94,7 +94,6 @@ def ffn_slot_names(prefix: str) -> tuple[str, str, str]:
 def expected_slots(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Required tensor name -> shape map implied by the config."""
     d_h = config.hidden_size
-    d_f = config.intermediate_size
     slots: dict[str, tuple[int, ...]] = {
         "embedding.token": (config.vocab_size, d_h),
         "head.out": (d_h, config.vocab_size),
@@ -102,6 +101,13 @@ def expected_slots(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
     q_width = config.num_heads * config.head_dim
     kv_width = config.num_query_groups * config.head_dim
+
+    def add_ffn(prefix: str, width: int) -> None:
+        gate, up, down = ffn_slot_names(prefix)
+        slots[gate] = (d_h, width)
+        slots[up] = (d_h, width)
+        slots[down] = (width, d_h)
+
     for i in range(config.num_layers):
         slots[f"layers.{i}.attn.wq"] = (d_h, q_width)
         slots[f"layers.{i}.attn.wk"] = (d_h, kv_width)
@@ -110,23 +116,13 @@ def expected_slots(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         slots[f"layers.{i}.attn_norm"] = (d_h,)
         slots[f"layers.{i}.ffn_norm"] = (d_h,)
         if config.is_moe:
-            width = config.expert_intermediate
             slots[f"layers.{i}.router"] = (d_h, config.routed_experts)
             for e in range(config.routed_experts):
-                gate, up, down = ffn_slot_names(f"layers.{i}.experts.{e}")
-                slots[gate] = (d_h, width)
-                slots[up] = (d_h, width)
-                slots[down] = (width, d_h)
+                add_ffn(f"layers.{i}.experts.{e}", config.expert_intermediate)
             for j in range(config.shared_experts):
-                gate, up, down = ffn_slot_names(f"layers.{i}.shared.{j}")
-                slots[gate] = (d_h, width)
-                slots[up] = (d_h, width)
-                slots[down] = (width, d_h)
+                add_ffn(f"layers.{i}.shared.{j}", config.expert_intermediate)
         else:
-            gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-            slots[gate] = (d_h, d_f)
-            slots[up] = (d_h, d_f)
-            slots[down] = (d_f, d_h)
+            add_ffn(f"layers.{i}.ffn", config.intermediate_size)
     return slots
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -160,14 +160,8 @@ def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec) -> Mode
         return model_config_from_file(args.config)
     experts = args.experts if args.experts is not None else 8
     topk = args.topk if args.topk is not None else 2
-    return ModelConfig(
-        hidden_size=parent.hidden_size, intermediate_size=parent.intermediate_size,
-        num_layers=parent.num_layers, num_heads=parent.num_heads,
-        num_query_groups=parent.num_query_groups, head_dim=parent.head_dim,
-        vocab_size=parent.vocab_size, num_experts=experts, top_k=topk,
-        granularity=spec.granularity, shared_experts=spec.shared_experts,
-        seq_len=parent.seq_len,
-    )
+    return replace(parent, num_experts=experts, top_k=topk, granularity=spec.granularity,
+                   shared_experts=spec.shared_experts)
 
 
 def _cmd_upcycle(args) -> dict:

@@ -136,12 +136,9 @@ def load_config_file(path: str | Path) -> dict:
     return data
 
 
-def model_config_from_file(path: str | Path, overrides: dict | None = None) -> ModelConfig:
+def model_config_from_file(path: str | Path) -> ModelConfig:
     data = load_config_file(path)
     section = data.get("model", data)
     if not isinstance(section, dict):
         raise ValidationError("'model' section must be a JSON object")
-    merged = dict(section)
-    if overrides:
-        merged.update(overrides)
-    return ModelConfig.from_dict(merged)
+    return ModelConfig.from_dict(section)

@@ -19,7 +19,9 @@ model (it requires num_query_groups == num_heads); the accounting module
 still honors grouped-query configs.
 
 Gradients are reverse-mode via per-layer hand-written backward functions at
-64-bit precision; there is no general tape.
+64-bit precision; there is no general tape. The forward pass keeps a
+``LayerCache`` per layer, whose FFN part is an ``MoeCache`` in an MoE model,
+and the backward pass reads them by name, freeing each part at its last use.
 """
 
 from __future__ import annotations
@@ -141,16 +143,36 @@ def ffn_forward(w: FfnWeights, x: np.ndarray) -> np.ndarray:
 
 def _partial_ffn(w: FfnWeights, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """FFN restricted to a subset of intermediate dimensions (empty -> 0)."""
-    if cols.size == 0:
-        return np.zeros(w.down.shape[1], dtype=np.float64)
-    gate_pre = x @ w.gate[:, cols]
-    act = gate_pre * _sigmoid(gate_pre)
-    return (act * (x @ w.up[:, cols])) @ w.down[cols, :]
+    return ffn_forward(FfnWeights(w.gate[:, cols], w.up[:, cols], w.down[cols, :]), x)
 
 
 # ---------------------------------------------------------------------------
 # MoE layer
 # ---------------------------------------------------------------------------
+
+@dataclass
+class LayerRouting:
+    """Routing record for one MoE layer: who went where, and how confidently.
+
+    Shapes are (B, T, ·) in a :class:`RoutingTrace` and (N, ·) in an :class:`MoeCache`.
+    """
+
+    selected: np.ndarray  # (B, T, k) int64, ascending per token
+    gates: np.ndarray     # (B, T, k) gate weights over the selected experts
+    probs: np.ndarray     # (B, T, n) full router softmax (for balance stats)
+
+
+@dataclass(slots=True)
+class MoeCache:
+    """What :func:`_moe_fwd` keeps for :func:`_moe_bwd`."""
+
+    x: np.ndarray           # (N, d_h) layer input
+    logits: np.ndarray      # (N, n) router logits
+    gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
+    routing: LayerRouting
+    experts: list[tuple | None]  # per routed expert (rows, FFN cache, output); None if unchosen
+    shared: list[tuple]     # per shared expert, its FFN cache
+
 
 def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
     """Sparse MoE layer on a single hidden vector: row 0 of :func:`_moe_fwd`.
@@ -165,8 +187,8 @@ def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
         raise ValidationError(f"input has shape {x.shape}, expected ({d_h},)")
     if not (1 <= k <= n):
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    y, (_, _, _, sel, _, gates_full, _, _) = _moe_fwd(w, x[None, :], k)
-    return y[0], gates_full[0], sel[0]
+    y, cache = _moe_fwd(w, x[None, :], k)
+    return y[0], cache.gates_full[0], cache.routing.selected[0]
 
 
 def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_masks):
@@ -227,7 +249,7 @@ def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_mas
 
 
 def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int):
-    """Batched MoE forward over rows of ``x`` (N, d_h); returns (y, cache)."""
+    """Batched MoE forward over rows of ``x`` (N, d_h); returns ``(y, MoeCache)``."""
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
     probs = softmax(logits, axis=-1)
@@ -240,66 +262,64 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int):
     np.put_along_axis(gates_full, sel, gates_sel, axis=-1)
 
     y = np.zeros_like(x)
-    expert_caches = []
+    expert_caches: list[tuple | None] = [None] * n
     for e in range(n):
         idx = np.nonzero(selmask[:, e])[0]
         if idx.size:
             fe, cache_e = _ffn_fwd(w.experts[e], x[idx])
             y[idx] += gates_full[idx, e:e + 1] * fe
-            expert_caches.append((idx, cache_e, fe))
-        else:
-            expert_caches.append((idx, None, None))
+            expert_caches[e] = (idx, cache_e, fe)
     shared_caches = []
     for sw in w.shared:
         fs, cache_s = _ffn_fwd(sw, x)
         y += fs
         shared_caches.append(cache_s)
-    cache = (x, logits, probs, sel, gates_sel, gates_full, expert_caches, shared_caches)
+    cache = MoeCache(x, logits, gates_full, LayerRouting(sel, gates_sel, probs),
+                     expert_caches, shared_caches)
     return y, cache
 
 
-def _moe_bwd(w: MoeLayerWeights, cache, dy: np.ndarray, d_probs: np.ndarray | None):
+def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None):
     """Backward for :func:`_moe_fwd`.
 
     ``d_probs`` optionally injects an upstream gradient on the full router
     softmax (used by the load-balancing loss). Top-k selection itself is
     piecewise constant and carries no gradient.
     """
-    x, logits, probs, sel, gates_sel, gates_full, expert_caches, shared_caches = cache
-    dx = np.zeros_like(x)
-    d_gates_full = np.zeros_like(gates_full)
+    routing = cache.routing
+    dx = np.zeros_like(cache.x)
+    d_gates_full = np.zeros_like(cache.gates_full)
     expert_grads = []
     # Each expert's cache is taken out of the layer cache and freed as soon as
     # that expert's backward has used it, so the cache is used up afterwards.
     for e, ew in enumerate(w.experts):
-        idx, cache_e, fe = expert_caches[e]
-        expert_caches[e] = None
-        if idx.size:
-            dfe = gates_full[idx, e:e + 1] * dy[idx]
-            dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dfe)
-            dx[idx] += dxe
-            d_gates_full[idx, e] = np.einsum("nd,nd->n", dy[idx], fe)
-            expert_grads.append((d_gate, d_up, d_down))
-        else:
-            expert_grads.append((np.zeros_like(ew.gate), np.zeros_like(ew.up),
-                                 np.zeros_like(ew.down)))
+        if cache.experts[e] is None:
+            expert_grads.append(tuple(map(np.zeros_like, (ew.gate, ew.up, ew.down))))
+            continue
+        idx, cache_e, fe = cache.experts[e]
+        cache.experts[e] = None
+        dfe = cache.gates_full[idx, e:e + 1] * dy[idx]
+        dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dfe)
+        dx[idx] += dxe
+        d_gates_full[idx, e] = np.einsum("nd,nd->n", dy[idx], fe)
+        expert_grads.append((d_gate, d_up, d_down))
         del idx, cache_e, fe
     shared_grads = []
     for j, sw in enumerate(w.shared):
-        dxs, d_gate, d_up, d_down = _ffn_bwd(sw, shared_caches[j], dy)
-        shared_caches[j] = None
+        dxs, d_gate, d_up, d_down = _ffn_bwd(sw, cache.shared[j], dy)
+        cache.shared[j] = None
         dx += dxs
         shared_grads.append((d_gate, d_up, d_down))
 
-    d_gates_sel = np.take_along_axis(d_gates_full, sel, axis=-1)
-    inner = np.sum(gates_sel * d_gates_sel, axis=-1, keepdims=True)
-    d_gate_logits = gates_sel * (d_gates_sel - inner)
-    d_logits = np.zeros_like(logits)
-    np.put_along_axis(d_logits, sel, d_gate_logits, axis=-1)
+    d_gates_sel = np.take_along_axis(d_gates_full, routing.selected, axis=-1)
+    inner = np.sum(routing.gates * d_gates_sel, axis=-1, keepdims=True)
+    d_gate_logits = routing.gates * (d_gates_sel - inner)
+    d_logits = np.zeros_like(cache.logits)
+    np.put_along_axis(d_logits, routing.selected, d_gate_logits, axis=-1)
     if d_probs is not None:
-        inner_p = np.sum(probs * d_probs, axis=-1, keepdims=True)
-        d_logits += probs * (d_probs - inner_p)
-    d_router = x.T @ d_logits
+        inner_p = np.sum(routing.probs * d_probs, axis=-1, keepdims=True)
+        d_logits += routing.probs * (d_probs - inner_p)
+    d_router = cache.x.T @ d_logits
     dx += d_logits @ w.router.T
     return dx, d_router, expert_grads, shared_grads
 
@@ -393,15 +413,6 @@ def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LayerRouting:
-    """Routing record for one MoE layer: who went where, and how confidently."""
-
-    selected: np.ndarray  # (B, T, k) int64, ascending per token
-    gates: np.ndarray     # (B, T, k) gate weights over the selected experts
-    probs: np.ndarray     # (B, T, n) full router softmax (for balance stats)
-
-
-@dataclass
 class RoutingTrace:
     num_experts: int
     top_k: int
@@ -416,6 +427,17 @@ class LmOutput:
     loss: float
 
 
+@dataclass(slots=True)
+class LayerCache:
+    """What one layer's forward keeps for its backward."""
+
+    attn_norm: tuple         # _layernorm_fwd cache before attention
+    attn: tuple              # _attn_fwd cache
+    ffn_norm: tuple          # _layernorm_fwd cache before the FFN
+    ffn: MoeCache | tuple    # _moe_fwd cache in an MoE model, else _ffn_fwd cache
+    weights: MoeLayerWeights | FfnWeights
+
+
 @dataclass
 class ToyLm:
     """Toy decoder-only LM; ``params`` maps canonical tensor names to float64 arrays."""
@@ -427,21 +449,17 @@ class ToyLm:
     def max_positions(self) -> int:
         return self.params[POSITION_SLOT].shape[0]
 
+    def _ffn_weights(self, prefix: str) -> FfnWeights:
+        return FfnWeights(*(self.params[name] for name in ffn_slot_names(prefix)))
+
     def layer_ffn(self, i: int) -> FfnWeights:
-        gate, up, down = ffn_slot_names(f"layers.{i}.ffn")
-        return FfnWeights(self.params[gate], self.params[up], self.params[down])
+        return self._ffn_weights(f"layers.{i}.ffn")
 
     def layer_moe(self, i: int) -> MoeLayerWeights:
         cfg = self.config
-        experts = []
-        for e in range(cfg.routed_experts):
-            gate, up, down = ffn_slot_names(f"layers.{i}.experts.{e}")
-            experts.append(FfnWeights(self.params[gate], self.params[up], self.params[down]))
-        shared = []
-        for j in range(cfg.shared_experts):
-            gate, up, down = ffn_slot_names(f"layers.{i}.shared.{j}")
-            shared.append(FfnWeights(self.params[gate], self.params[up], self.params[down]))
-        return MoeLayerWeights(self.params[f"layers.{i}.router"], tuple(experts), tuple(shared))
+        experts = [self._ffn_weights(f"layers.{i}.experts.{e}") for e in range(cfg.routed_experts)]
+        shared = [self._ffn_weights(f"layers.{i}.shared.{j}") for j in range(cfg.shared_experts)]
+        return MoeLayerWeights(self.params[f"layers.{i}.router"], experts, shared)
 
 
 DEFAULT_POSITION_STD = 0.02
@@ -483,6 +501,11 @@ def model_to_checkpoint(model: ToyLm, dtype: str = "f32",
     return ckpt
 
 
+def _attn_slots(i: int) -> list[str]:
+    """Layer i's attention weight names, in :func:`_attn_fwd` argument order."""
+    return [f"layers.{i}.attn.{name}" for name in ("wq", "wk", "wv", "wo")]
+
+
 def _check_tokens(model: ToyLm, tokens) -> np.ndarray:
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim == 1:
@@ -502,7 +525,8 @@ def forward_cache(model: ToyLm, tokens) -> dict:
     """Forward pass that keeps every activation the backward pass needs.
 
     Returns a dict with ``tokens`` (the (B, T) ids), ``layer_caches`` (one
-    tuple per layer), ``ln_final``, ``h_final``, ``logits`` and ``loss``.
+    :class:`LayerCache` per layer, whose ``ffn`` is an :class:`MoeCache` in an
+    MoE model), ``ln_final``, ``h_final``, ``logits`` and ``loss``.
     :func:`backward_from_cache` uses the cache up: it frees each activation
     at its last use. Take the routing trace with :func:`trace_from_cache`
     before running backward, and run this again for another backward pass.
@@ -517,23 +541,19 @@ def forward_cache(model: ToyLm, tokens) -> dict:
     layer_caches = []
     for i in range(cfg.num_layers):
         h, ln1 = _layernorm_fwd(x, p[f"layers.{i}.attn_norm"])
-        attn_out, attn_cache = _attn_fwd(
-            h, p[f"layers.{i}.attn.wq"], p[f"layers.{i}.attn.wk"],
-            p[f"layers.{i}.attn.wv"], p[f"layers.{i}.attn.wo"],
-            cfg.num_heads, cfg.head_dim)
+        attn_out, attn_cache = _attn_fwd(h, *(p[name] for name in _attn_slots(i)),
+                                         cfg.num_heads, cfg.head_dim)
         x = x + attn_out
         h2, ln2 = _layernorm_fwd(x, p[f"layers.{i}.ffn_norm"])
+        flat = h2.reshape(b * t, -1)
         if cfg.is_moe:
             weights = model.layer_moe(i)
-            flat = h2.reshape(b * t, -1)
-            y, moe_cache = _moe_fwd(weights, flat, cfg.top_k)
-            x = x + y.reshape(b, t, -1)
-            layer_caches.append(("moe", ln1, attn_cache, ln2, moe_cache, weights))
+            y, ffn_cache = _moe_fwd(weights, flat, cfg.top_k)
         else:
             weights = model.layer_ffn(i)
-            y, ffn_cache = _ffn_fwd(weights, h2.reshape(b * t, -1))
-            x = x + y.reshape(b, t, -1)
-            layer_caches.append(("ffn", ln1, attn_cache, ln2, ffn_cache, weights))
+            y, ffn_cache = _ffn_fwd(weights, flat)
+        x = x + y.reshape(b, t, -1)
+        layer_caches.append(LayerCache(ln1, attn_cache, ln2, ffn_cache, weights))
 
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]
@@ -558,7 +578,7 @@ def forward_cache(model: ToyLm, tokens) -> dict:
 
 def _require_unused(cache: dict) -> None:
     """Reject a cache that :func:`backward_from_cache` has used up."""
-    if cache["logits"] is None or any(entry is None for entry in cache["layer_caches"]):
+    if cache["logits"] is None or any(layer is None for layer in cache["layer_caches"]):
         raise ValidationError("forward cache already used up by backward_from_cache; "
                               "run forward_cache again; call trace_from_cache first")
 
@@ -572,15 +592,12 @@ def trace_from_cache(model: ToyLm, cache: dict, domains=None) -> RoutingTrace:
                          domains=list(domains) if domains is not None else None)
     if trace.domains is not None and len(trace.domains) != b:
         raise ValidationError(f"got {len(trace.domains)} domain labels for batch of {b}")
-    for entry in cache["layer_caches"]:
-        if entry[0] != "moe":
-            continue
-        _, _, _, _, moe_cache, _ = entry
-        _, _, probs, sel, gates_sel, _, _, _ = moe_cache
+    for layer in cache["layer_caches"] if cfg.is_moe else ():
+        routing = layer.ffn.routing
         trace.layers.append(LayerRouting(
-            selected=sel.reshape(b, t, -1),
-            gates=gates_sel.reshape(b, t, -1),
-            probs=probs.reshape(b, t, -1),
+            selected=routing.selected.reshape(b, t, -1),
+            gates=routing.gates.reshape(b, t, -1),
+            probs=routing.probs.reshape(b, t, -1),
         ))
     return trace
 
@@ -622,10 +639,11 @@ def backward_from_cache(model: ToyLm, cache: dict,
 
     Backward uses the cache up, so that activations die at their last use:
     the head's ``logits`` and ``h_final`` go once the head gradient is taken,
-    each layer's ``layer_caches`` entry (top layer first) once that layer's
-    backward has run, and within an MoE layer each expert's activations once
-    that expert's backward has run. A used-up cache raises ``ValidationError``;
-    run :func:`forward_cache` again, and take any routing trace before this.
+    each layer's :class:`LayerCache` (top layer first) once that layer's
+    backward has run, and within an MoE layer each expert's entry of the
+    :class:`MoeCache` once that expert's backward has run. A used-up cache
+    raises ``ValidationError``; run :func:`forward_cache` again, and take any
+    routing trace before this.
     ``router_prob_grads`` is as for :func:`lm_backward`.
     """
     _require_unused(cache)
@@ -639,42 +657,33 @@ def backward_from_cache(model: ToyLm, cache: dict,
     grads: dict[str, np.ndarray] = {}
     dx = _head_bwd(p, cache, grads)
 
-    moe_grad_idx = sum(1 for entry in cache["layer_caches"] if entry[0] == "moe") - 1
     for i in reversed(range(cfg.num_layers)):
         # Taken out of the cache: this layer's activations die when the loop
         # moves on to the layer below.
-        kind, ln1, attn_cache, ln2, sub_cache, weights = cache["layer_caches"][i]
+        layer = cache["layer_caches"][i]
         cache["layer_caches"][i] = None
         dsub = dx.reshape(b * t, -1)
-        if kind == "moe":
-            d_probs = None
-            if router_prob_grads is not None:
-                d_probs = router_prob_grads[moe_grad_idx].reshape(b * t, -1)
-            moe_grad_idx -= 1
+        if cfg.is_moe:
+            d_probs = (None if router_prob_grads is None
+                       else router_prob_grads[i].reshape(b * t, -1))
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
-                weights, sub_cache, dsub, d_probs)
+                layer.weights, layer.ffn, dsub, d_probs)
             grads[f"layers.{i}.router"] = d_router
             for e, expert_grad in enumerate(expert_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"), expert_grad))
             for j, shared_grad in enumerate(shared_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.shared.{j}"), shared_grad))
         else:
-            dh2_flat, *ffn_grad = _ffn_bwd(weights, sub_cache, dsub)
+            dh2_flat, *ffn_grad = _ffn_bwd(layer.weights, layer.ffn, dsub)
             grads.update(zip(ffn_slot_names(f"layers.{i}.ffn"), ffn_grad))
         dh2 = dh2_flat.reshape(b, t, -1)
-        dx_ffn, dg2 = _layernorm_bwd(ln2, dh2)
-        grads[f"layers.{i}.ffn_norm"] = dg2
+        dx_ffn, grads[f"layers.{i}.ffn_norm"] = _layernorm_bwd(layer.ffn_norm, dh2)
         dx = dx + dx_ffn
 
-        dh_attn, d_wq, d_wk, d_wv, d_wo = _attn_bwd(
-            attn_cache, p[f"layers.{i}.attn.wq"], p[f"layers.{i}.attn.wk"],
-            p[f"layers.{i}.attn.wv"], p[f"layers.{i}.attn.wo"], dx)
-        grads[f"layers.{i}.attn.wq"] = d_wq
-        grads[f"layers.{i}.attn.wk"] = d_wk
-        grads[f"layers.{i}.attn.wv"] = d_wv
-        grads[f"layers.{i}.attn.wo"] = d_wo
-        dx_attn, dg1 = _layernorm_bwd(ln1, dh_attn)
-        grads[f"layers.{i}.attn_norm"] = dg1
+        attn_slots = _attn_slots(i)
+        dh_attn, *attn_grads = _attn_bwd(layer.attn, *(p[name] for name in attn_slots), dx)
+        grads.update(zip(attn_slots, attn_grads))
+        dx_attn, grads[f"layers.{i}.attn_norm"] = _layernorm_bwd(layer.attn_norm, dh_attn)
         dx = dx + dx_attn
 
     grads["embedding.token"] = np.zeros_like(p["embedding.token"])
@@ -688,9 +697,9 @@ def lm_backward(model: ToyLm, tokens,
                 router_prob_grads: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Gradients of the LM loss for every parameter tensor.
 
-    ``router_prob_grads`` optionally adds, per MoE layer, an upstream gradient
-    on the full router softmax (shape (B, T, n)); the trainer uses this to
-    inject the load-balancing term. The forward cache is used up by the
+    ``router_prob_grads`` optionally adds, per layer of an MoE model, an
+    upstream gradient on the full router softmax (shape (B, T, n)); the
+    trainer uses this to inject the load-balancing term. The forward cache is used up by the
     backward pass, which frees each activation at its last use.
     """
     cache = forward_cache(model, tokens)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +64,12 @@ def _tokens(batch=4):
 
 
 def _arrays(obj, skip: set[int]) -> list[np.ndarray]:
-    """Every array in a nest of dicts, tuples and lists, except ids in ``skip``."""
+    """Every array in a nest of dicts, tuples, lists and dataclasses, except
+    ids in ``skip``."""
     if isinstance(obj, np.ndarray):
         return [] if id(obj) in skip else [obj]
+    if is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in fields(obj)]
     if isinstance(obj, dict):
         obj = list(obj.values())
     if isinstance(obj, (tuple, list)):
@@ -89,8 +93,9 @@ def _recording_forward(previous: list, alive_at_start: list, skip_routing: bool 
         alive_at_start.append(_alive(previous))
         cache = forward_cache(model, tokens)
         # A routing trace keeps the router probabilities, selections and gates.
-        skip = [id(entry[4][j]) for entry in cache["layer_caches"] if entry[0] == "moe"
-                for j in (2, 3, 4)] if skip_routing else []
+        skip = [id(a) for layer in cache["layer_caches"]
+                for a in _arrays(layer.ffn.routing, set())] if skip_routing else []
+        assert skip or not skip_routing
         previous[:] = _refs(cache, model, skip)
         assert previous
         return cache
@@ -152,11 +157,12 @@ def test_layer_cache_dead_when_layer_below_starts_backward(config, monkeypatch):
 def _expert_refs(cache, model) -> list[list[weakref.ref]]:
     """Per expert, in backward order, the arrays only that expert's cache holds."""
     refs = []
-    for entry in reversed(cache["layer_caches"]):
-        _, _, _, _, _, _, expert_caches, shared_caches = entry[4]
-        refs.extend(_refs(e_cache, model) for e_cache in expert_caches if e_cache[0].size)
+    for layer in reversed(cache["layer_caches"]):
+        refs.extend(_refs(e_cache, model) for e_cache in layer.ffn.experts
+                    if e_cache is not None)
         # A shared expert's input is the layer input, which the router also uses.
-        refs.extend(_refs(s_cache[1:], model) for s_cache in shared_caches)
+        refs.extend(_refs(s_cache[1:], model) for s_cache in layer.ffn.shared)
+    assert refs and all(refs)
     return refs
 
 

@@ -251,9 +251,8 @@ class TestLmBackward:
         tokens = np.array([1, 2])
         cache = forward_cache(model, tokens)
         used = set()
-        for entry in cache["layer_caches"]:
-            _, _, _, _, moe_cache, _ = entry
-            sel = moe_cache[3]
+        for layer in cache["layer_caches"]:
+            sel = layer.ffn.routing.selected
             used |= set(sel.reshape(-1).tolist())
         grads = lm_backward(model, tokens)
         unused = set(range(4)) - used

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,12 +7,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_toy_pipeline_short_run(tmp_path):
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_toy_pipeline_short_run(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_toy_pipeline.py"), "--out", str(tmp_path),
          "--pretrain-steps", "2", "--branch-steps", "1", "--moe-steps", "2"],
-        env=env, capture_output=True, text=True, timeout=600)
+        env=_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "summary.json").exists()
+
+
+def test_artifact_hashes_reproduce_across_processes(tmp_path):
+    maps = []
+    for run in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "artifact_hashes.py"),
+             "--out", str(tmp_path / run)],
+            env=_env(), capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 1
+        maps.append(json.loads(lines[0]))
+    assert maps[0] == maps[1]
+    names = set(maps[0])
+    assert {"train_fg_drop/curve.jsonl", "train_btx/model/tensors.bin",
+            "routing/routing_fractions.csv", "fg_drop/reinit_plan.json"} <= names
