@@ -8,9 +8,11 @@ Writes toy model configs into DIR and small corpora with
 child process: ``init`` of a dense parent and of a btx branch; ``upcycle``
 with naive, drop, rnu, fg-drop (shared expert and scale factor), btx and
 scratch; a 3-step ``train`` of the dense parent and of three MoE checkpoints,
-under both balance modes; and ``analyze-routing`` of a trained MoE. It prints one JSON line mapping each file under DIR (a relative
-path) to its SHA-256, so two code versions can be checked for byte-identical
-artifacts by comparing two lines.
+under both balance modes; ``analyze-routing`` of a trained MoE; and
+``catch-up`` of the trained parent's curve against the trained drop's. It prints
+one JSON line mapping each file under DIR (a relative path) to its SHA-256, so
+two code versions can be checked for byte-identical artifacts by comparing two
+lines.
 
 The children run with BLAS on one thread: MoE training bits depend on the
 BLAS thread count, so the map is comparable only at a fixed count.
@@ -65,6 +67,9 @@ def _commands(out: Path) -> list[list[str]]:
     commands.append([*CLI, "analyze-routing", "--in", str(out / "train_drop" / "model"),
                      "--corpus", str(corpus / "eval.txt"), "--batch-size", "4",
                      "--out", str(out / "routing")])
+    commands.append([*CLI, "catch-up", "--base", str(out / "train_drop" / "curve.jsonl"),
+                     "--other", str(out / "train_parent" / "curve.jsonl"), "--window", "1",
+                     "--out", str(out / "catchup_drop_vs_parent.csv")])
     return commands
 
 

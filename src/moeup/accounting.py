@@ -76,10 +76,6 @@ class FlopsBreakdown:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @property
-    def attention_per_layer(self) -> int:
-        return self.kv_proj + self.q_proj + self.qk_logits + self.attn_matrix + self.softmax_value
-
 
 def count_params(config: ModelConfig) -> ParamBreakdown:
     """Exact parameter counts implied by the config."""

@@ -119,6 +119,18 @@ class ModelConfig:
             raise ValidationError(str(exc)) from exc
 
 
+def text_lines(path):
+    """``(line number, line)`` of each line of a UTF-8 text file, from 1.
+
+    A file that is not UTF-8 raises ``ValidationError`` naming it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_config_file(path: str | Path) -> dict:
     """Load a JSON config file and return its raw dict.
 
@@ -129,7 +141,7 @@ def load_config_file(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or a file that is not UTF-8
             raise ValidationError(f"invalid JSON in config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")

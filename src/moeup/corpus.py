@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ValidationError
+from .config import ValidationError, text_lines
 from .numerics import RngStream
 
 VOCAB_SIZE = 96
@@ -169,20 +169,19 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     sequences = []
     domains = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                tag, ids = line.split("\t", 1)
-                row = np.array([int(tok) for tok in ids.split()], dtype=np.int64)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed corpus line") from exc
-            if row.size == 0 or row.min() < 0:
-                raise ValidationError(f"{path}:{lineno}: token ids must be non-negative")
-            sequences.append(row)
-            domains.append(tag)
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            tag, ids = line.split("\t", 1)
+            row = np.array([int(tok) for tok in ids.split()], dtype=np.int64)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed corpus line") from exc
+        if row.size == 0 or row.min() < 0:
+            raise ValidationError(f"{path}:{lineno}: token ids must be non-negative")
+        sequences.append(row)
+        domains.append(tag)
     if not sequences:
         raise ValidationError(f"corpus file {path} is empty")
     lengths = {len(s) for s in sequences}

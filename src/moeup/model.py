@@ -204,30 +204,20 @@ def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_mas
     expert i's retained dimensions, and ``diverse_i`` over its re-initialized
     dimensions. The identity holds because the selected gates sum to 1.
 
-    ``retained_masks`` gives one boolean mask (or index array) per expert over
-    its intermediate dimensions. Returns ``(lhs, rhs)`` with ``lhs`` the plain
+    ``retained_masks`` gives one boolean mask per expert over its
+    intermediate dimensions. Returns ``(lhs, rhs)`` with ``lhs`` the plain
     layer output; shared experts are not supported here.
     """
     if w.shared:
         raise ValidationError("decomposition is defined for layers without shared experts")
-    retained_masks = list(retained_masks)
-    if len(retained_masks) != w.num_experts:
-        raise ValidationError(f"got {len(retained_masks)} masks for {w.num_experts} experts")
-    masks = []
-    for e, mask in enumerate(retained_masks):
+    masks = [np.asarray(mask) for mask in retained_masks]
+    if len(masks) != w.num_experts:
+        raise ValidationError(f"got {len(masks)} masks for {w.num_experts} experts")
+    for e, mask in enumerate(masks):
         width = w.experts[e].width
-        arr = np.asarray(mask)
-        if arr.dtype == bool:
-            if arr.shape != (width,):
-                raise ValidationError(
-                    f"mask for expert {e} has shape {arr.shape}, expected ({width},)")
-            masks.append(arr)
-        else:
-            flat = np.zeros(width, dtype=bool)
-            if arr.size and (arr.min() < 0 or arr.max() >= width):
-                raise ValidationError(f"mask indices for expert {e} out of range [0, {width})")
-            flat[arr.astype(np.int64)] = True
-            masks.append(flat)
+        if mask.dtype != bool or mask.shape != (width,):
+            raise ValidationError(f"mask for expert {e} must be a boolean array of shape "
+                                  f"({width},), got {mask.dtype} {mask.shape}")
 
     x = np.asarray(x, dtype=np.float64)
     lhs, gates, selected = moe_forward(w, x, k)
@@ -283,8 +273,9 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     """Backward for :func:`_moe_fwd`.
 
     ``d_probs`` optionally injects an upstream gradient on the full router
-    softmax (used by the load-balancing loss). Top-k selection itself is
-    piecewise constant and carries no gradient.
+    softmax (used by the load-balancing loss): one (n,) vector, the same for
+    every row, broadcast against the (N, n) probabilities. Top-k selection
+    itself is piecewise constant and carries no gradient.
     """
     routing = cache.routing
     dx = np.zeros_like(cache.x)
@@ -644,7 +635,8 @@ def backward_from_cache(model: ToyLm, cache: dict,
     :class:`MoeCache` once that expert's backward has run. A used-up cache
     raises ``ValidationError``; run :func:`forward_cache` again, and take any
     routing trace before this.
-    ``router_prob_grads`` is as for :func:`lm_backward`.
+    ``router_prob_grads`` is as for :func:`lm_backward`: one (n,) vector per
+    layer, applied to every token.
     """
     _require_unused(cache)
     cfg = model.config
@@ -664,8 +656,7 @@ def backward_from_cache(model: ToyLm, cache: dict,
         cache["layer_caches"][i] = None
         dsub = dx.reshape(b * t, -1)
         if cfg.is_moe:
-            d_probs = (None if router_prob_grads is None
-                       else router_prob_grads[i].reshape(b * t, -1))
+            d_probs = None if router_prob_grads is None else router_prob_grads[i]
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
                 layer.weights, layer.ffn, dsub, d_probs)
             grads[f"layers.{i}.router"] = d_router
@@ -698,9 +689,10 @@ def lm_backward(model: ToyLm, tokens,
     """Gradients of the LM loss for every parameter tensor.
 
     ``router_prob_grads`` optionally adds, per layer of an MoE model, an
-    upstream gradient on the full router softmax (shape (B, T, n)); the
-    trainer uses this to inject the load-balancing term. The forward cache is used up by the
-    backward pass, which frees each activation at its last use.
+    upstream gradient on the full router softmax: one (n,) vector per layer,
+    the same for every token. The trainer uses this to inject the
+    load-balancing term. The forward cache is used up by the backward pass,
+    which frees each activation at its last use.
     """
     cache = forward_cache(model, tokens)
     return backward_from_cache(model, cache, router_prob_grads)

@@ -12,7 +12,9 @@ all tokens,
 assignment counts and probabilities over all layers before taking the
 product. Uniform routing with uniform probabilities gives exactly 1; fully
 collapsed routing gives exactly n. Gradients flow through P only (the
-assignment fractions are piecewise constant).
+assignment fractions are piecewise constant), and d(coeff * loss)/dP is the
+same for every token, so the backward pass gets it as one (n,) vector per MoE
+layer: ``router_prob_grads[i]``.
 
 Loss curves are recorded every step and serialize as JSONL with keys
 ``tokens_processed``, ``train_loss``, ``lm_loss``, ``balance_loss``, ``lr``.
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import ValidationError, require_ints
+from .config import ValidationError, require_ints, text_lines
 from .corpus import Corpus
 from .model import (
     RoutingTrace,
@@ -122,12 +124,20 @@ class LossCurve:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "LossCurve":
+        """Read :meth:`save_jsonl` output; a bad line raises ``ValidationError``."""
         curve = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    curve.append(LossPoint(**json.loads(line)))
+        for lineno, line in text_lines(path):
+            if line.strip():
+                try:
+                    point = LossPoint(**json.loads(line))
+                    values = astuple(point)
+                    if type(values[0]) is not int or any(type(v) not in (int, float)
+                                                         for v in values):
+                        raise ValidationError("tokens_processed must be an integer and "
+                                              "the other fields numbers")
+                    curve.append(point)
+                except (TypeError, ValueError) as exc:  # bad JSON, fields or values
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         return curve
 
 
@@ -155,59 +165,41 @@ def cosine_lr(step: int, config: TrainConfig) -> float:
 # Load-balancing loss
 # ---------------------------------------------------------------------------
 
-def _assignment_pools(trace: RoutingTrace, mode: str):
-    """Pooling groups of the balancing loss: one per layer (``layerwise``) or
-    one over all layers (``global``).
+def _balance_terms(trace: RoutingTrace, mode: str, coeff: float):
+    """Balancing loss and, per layer, d(coeff * loss)/d(probs), from one pooling.
 
-    Returns ``(fractions, tokens, layers)`` per group: the top-k assignment
-    fractions f, the number of routed tokens and the group's layers.
+    Each pooling group is one layer (``layerwise``) or all layers (``global``).
+    The gradient is the same for every token, so each layer gets one (n,)
+    vector: the loss is the mean over groups, hence each group's vector is
+    divided by the number of groups as well as by its token count.
+
+    Returns ``(0.0, None)`` under ``off`` and for a trace without MoE layers,
+    and ``(loss, None)`` when ``coeff`` is 0.
     """
+    if mode not in BALANCE_MODES:
+        raise ValidationError(f"mode must be one of {BALANCE_MODES}")
+    if mode == "off" or not trace.layers:
+        return 0.0, None
     n = trace.num_experts
     groups = [[layer] for layer in trace.layers] if mode == "layerwise" else [trace.layers]
-    pools = []
+    products, grads = [], []
     for layers in groups:
         counts = np.zeros(n, dtype=np.float64)
-        assignments = tokens = 0
         for layer in layers:
             counts += np.bincount(layer.selected.reshape(-1), minlength=n).astype(np.float64)
-            assignments += layer.selected.size
-            tokens += layer.probs.shape[0] * layer.probs.shape[1]
-        pools.append((counts / assignments, tokens, layers))
-    return pools
+        fractions = counts / sum(layer.selected.size for layer in layers)
+        probs = np.concatenate([layer.probs.reshape(-1, n) for layer in layers], axis=0)
+        products.append(float(n * (fractions @ probs.mean(axis=0))))
+        vec = coeff * n * fractions / (len(groups) * probs.shape[0])
+        grads.extend(vec for _ in layers)
+    return float(np.mean(products)), (grads if coeff != 0.0 else None)
 
 
 def load_balance_loss(trace: RoutingTrace, mode: str) -> float:
     """Balancing loss of a routing trace under ``global`` or ``layerwise`` pooling."""
-    if mode not in BALANCE_MODES:
-        raise ValidationError(f"mode must be one of {BALANCE_MODES}")
-    if mode == "off":
-        return 0.0
-    if not trace.layers:
+    if mode in ("global", "layerwise") and not trace.layers:
         raise ValidationError("empty routing trace")
-    n = trace.num_experts
-    products = []
-    for fractions, _, layers in _assignment_pools(trace, mode):
-        probs = np.concatenate([layer.probs.reshape(-1, n) for layer in layers], axis=0)
-        products.append(float(n * (fractions @ probs.mean(axis=0))))
-    return float(np.mean(products))
-
-
-def _balance_loss_and_grads(trace: RoutingTrace, mode: str, coeff: float):
-    """Balance loss plus d(coeff * loss)/d(probs) per layer, for injection.
-
-    The loss is the mean over pooling groups, so each group's gradient is
-    divided by the number of groups as well as by its token count.
-    """
-    loss = load_balance_loss(trace, mode)
-    if mode == "off" or coeff == 0.0:
-        return loss, None
-    n = trace.num_experts
-    pools = _assignment_pools(trace, mode)
-    grads = []
-    for fractions, tokens, layers in pools:
-        vec = coeff * n * fractions / (len(pools) * tokens)
-        grads.extend(np.broadcast_to(vec, layer.probs.shape).copy() for layer in layers)
-    return loss, grads
+    return _balance_terms(trace, mode, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,6 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
         raise ValidationError(
             f"train seq_len ({config.seq_len}) exceeds the model's position table "
             f"({model.max_positions})")
-    use_balance = config.balance_mode != "off" and model.config.is_moe
     stream = RngStream(config.seed)
     state = AdamWState.for_params(model.params)
     curve = LossCurve()
@@ -306,7 +297,7 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
         tokens, _ = _sample_batch(corpus, config, stream, step)
         lr = cosine_lr(step, config)
         total_loss, lm_loss, balance_loss = _train_step(
-            model, tokens, config, use_balance, state, lr, step)
+            model, tokens, config, state, lr, step)
         curve.append(LossPoint(
             tokens_processed=(step + 1) * config.batch_size * config.seq_len,
             train_loss=float(total_loss), lm_loss=float(lm_loss),
@@ -315,8 +306,8 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
     return model, curve
 
 
-def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, use_balance: bool,
-                state: AdamWState, lr: float, step: int) -> tuple[float, float, float]:
+def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, state: AdamWState,
+                lr: float, step: int) -> tuple[float, float, float]:
     """One update; returns ``(total_loss, lm_loss, balance_loss)``.
 
     A function of its own so that the step's cache, trace, balance gradients
@@ -325,12 +316,8 @@ def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, use_balan
     """
     cache = forward_cache(model, tokens)
     lm_loss = cache["loss"]
-    if use_balance:
-        trace = trace_from_cache(model, cache)
-        balance_loss, prob_grads = _balance_loss_and_grads(
-            trace, config.balance_mode, config.balance_coeff)
-    else:
-        balance_loss, prob_grads = 0.0, None
+    balance_loss, prob_grads = _balance_terms(
+        trace_from_cache(model, cache), config.balance_mode, config.balance_coeff)
     total_loss = lm_loss + config.balance_coeff * balance_loss
     if not math.isfinite(total_loss):
         raise TrainingDiverged(

@@ -181,12 +181,15 @@ class ReinitPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReinitPlan":
-        if data.get("format") != "moeup.reinit_plan":
-            raise ValidationError(f"not a reinit plan: format={data.get('format')!r}")
+        if not isinstance(data, dict) or data.get("format") != "moeup.reinit_plan":
+            raise ValidationError("not a reinit plan: no 'format': 'moeup.reinit_plan'")
 
         def entry(raw: dict) -> ExpertReinit:
+            dropped = np.asarray(raw["dropped"], dtype=np.int64)
+            if dropped.ndim != 1 or np.any((dropped < 0) | (dropped >= data["expert_width"])):
+                raise ValueError("dropped indices must lie in [0, expert_width)")
             return ExpertReinit(
-                dropped=np.asarray(raw["dropped"], dtype=np.int64),
+                dropped=dropped,
                 dims=None if raw.get("dims") is None else np.asarray(raw["dims"], dtype=np.int64),
                 stats={
                     kind: (None if p is None else NormalParams(p["mu"], p["sigma"]))
@@ -194,16 +197,19 @@ class ReinitPlan:
                 },
             )
 
-        plan = cls(
-            method=data["method"], ratio=data["ratio"], seed=data["seed"],
-            intermediate_size=data["intermediate_size"], expert_width=data["expert_width"],
-            granularity=data["granularity"],
-        )
-        for layer in data["layers"]:
-            plan.layers.append(LayerReinit(
-                experts=[entry(e) for e in layer["experts"]],
-                shared=[entry(e) for e in layer["shared"]],
-            ))
+        try:
+            plan = cls(
+                method=data["method"], ratio=data["ratio"], seed=data["seed"],
+                intermediate_size=data["intermediate_size"], expert_width=data["expert_width"],
+                granularity=data["granularity"],
+            )
+            for layer in data["layers"]:
+                plan.layers.append(LayerReinit(
+                    experts=[entry(e) for e in layer["experts"]],
+                    shared=[entry(e) for e in layer["shared"]],
+                ))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValidationError(f"malformed reinit plan ({type(exc).__name__}: {exc})") from exc
         return plan
 
 
@@ -220,7 +226,10 @@ def load_plan(path: str | Path) -> ReinitPlan:
     if path.is_dir():
         path = path / _REINIT_PLAN_FILE
     with open(path, "r", encoding="utf-8") as fh:
-        return ReinitPlan.from_json_dict(json.load(fh))
+        try:
+            return ReinitPlan.from_json_dict(json.load(fh))
+        except ValueError as exc:  # not UTF-8, invalid JSON, or a ValidationError
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

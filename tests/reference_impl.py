@@ -201,3 +201,42 @@ def ref_adamw_step(params: dict, grads: dict, m: dict, v: dict, step: int,
         v_hat = v[name] / bc2
         params[name] = (params[name] * (1.0 - lr * config.weight_decay)
                         - lr * m_hat / (np.sqrt(v_hat) + config.eps))
+
+
+def _ref_assignment_pools(trace, mode: str):
+    """``(fractions, tokens, layers)`` per pooling group of the balancing loss."""
+    n = trace.num_experts
+    groups = [[layer] for layer in trace.layers] if mode == "layerwise" else [trace.layers]
+    pools = []
+    for layers in groups:
+        counts = np.zeros(n, dtype=np.float64)
+        assignments = tokens = 0
+        for layer in layers:
+            counts += np.bincount(layer.selected.reshape(-1), minlength=n).astype(np.float64)
+            assignments += layer.selected.size
+            tokens += layer.probs.shape[0] * layer.probs.shape[1]
+        pools.append((counts / assignments, tokens, layers))
+    return pools
+
+
+def ref_balance_loss_and_grads(trace, mode: str, coeff: float):
+    """Balancing loss and d(coeff * loss)/d(probs) per layer, in two passes.
+
+    The pools are built once for the loss and again for the gradients, and
+    each layer's gradient is a full (B, T, n) array: the same row repeated
+    for every token. ``mode`` is ``global`` or ``layerwise``.
+    """
+    n = trace.num_experts
+    products = []
+    for fractions, _, layers in _ref_assignment_pools(trace, mode):
+        probs = np.concatenate([layer.probs.reshape(-1, n) for layer in layers], axis=0)
+        products.append(float(n * (fractions @ probs.mean(axis=0))))
+    loss = float(np.mean(products))
+    if coeff == 0.0:
+        return loss, None
+    pools = _ref_assignment_pools(trace, mode)
+    grads = []
+    for fractions, tokens, layers in pools:
+        vec = coeff * n * fractions / (len(pools) * tokens)
+        grads.extend(np.broadcast_to(vec, layer.probs.shape).copy() for layer in layers)
+    return loss, grads

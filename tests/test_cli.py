@@ -11,6 +11,13 @@ from moeup.corpus import default_corpus, save_corpus
 from conftest import make_config, random_checkpoint, toy_dense_config
 
 
+_PLAN = {"format": "moeup.reinit_plan", "method": "drop", "ratio": 0.5, "seed": 0,
+         "intermediate_size": 32, "expert_width": 32, "granularity": 1,
+         "layers": [{"experts": [{"dropped": [1], "dims": None, "stats": {}}], "shared": []}]}
+_POINT = {"tokens_processed": 64, "train_loss": 1.0, "lm_loss": 1.0, "balance_loss": 0.0,
+          "lr": 1e-3}
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -104,11 +111,30 @@ class TestValidationAndExitCodes:
          {"upcycle": {"ratioo": 0.5}}),
         ("train --config {config} --in {dense} --corpus {corpus} --out {out}",
          {"train": {"batch_size": "x"}}),
+        # Malformed artifacts: the file's raw bytes, or a JSON value.
+        ("analyze-overlap --plan {config}", b"{not json"),
+        ("analyze-overlap --plan {config}", [_PLAN]),
+        ("analyze-overlap --plan {config}", {k: v for k, v in _PLAN.items() if k != "method"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
+            {"experts": [{"dropped": "abc", "dims": None, "stats": {}}], "shared": []}]}),
+        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
+            {"experts": [{"dropped": [32], "dims": None, "stats": {}}], "shared": []}]}),
+        ("catch-up --base {config} --other {config}", b"{not json\n"),
+        ("catch-up --base {config} --other {config}", b"[64, 1.0]\n"),
+        ("catch-up --base {config} --other {config}", b'{"tokens_processed": 64}\n'),
+        ("catch-up --base {config} --other {config}",
+         json.dumps(_POINT | {"tokens_processed": "x"}).encode()),
+        ("train --in {dense} --corpus {config} --out {out}", b"alpha\t1 2 \xff\n"),
+        ("analyze-routing --in {dense} --corpus {config} --out {out}", b"\xfe\xff\n"),
+        ("params --config {config}", b"\xff{}"),
     ])
     def test_bad_input_prints_one_error_line(self, capsys, tmp_path, config_file, dense_dir,
                                              corpus_file, argv, config):
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps(config))
+        if isinstance(config, bytes):
+            config_path.write_bytes(config)
+        else:
+            config_path.write_text(json.dumps(config))
         paths = {"model": config_file, "dense": dense_dir, "corpus": corpus_file,
                  "config": config_path, "out": tmp_path / "out"}
         code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])

@@ -34,6 +34,7 @@ from conftest import random_checkpoint, tiny_dense_config, tiny_moe_config
 from reference_impl import (
     ref_adamw_step,
     ref_attn_fwd,
+    ref_balance_loss_and_grads,
     ref_clip_gradients,
     ref_ffn_bwd,
     ref_layernorm_fwd,
@@ -142,13 +143,17 @@ def test_clip_and_adamw_bitwise():
             assert _same_bits(state.v[k], ref_v[k]), k
 
 
-def _reference_train(model, corpus, config: TrainConfig) -> None:
+def _reference_train(model, corpus, config: TrainConfig) -> list[float]:
     """``train`` spelled out with the reference kernels and out-of-place updates.
 
     Gradients are rebuilt as ``zeros + grad``, the zero-filled accumulation
-    that ``backward_from_cache`` once used.
+    that ``backward_from_cache`` once used. The balancing term comes from the
+    two-pass reference and reaches backward as a full (B * T, n) array per
+    layer, where the trainer passes one (n,) vector. Returns the balance
+    loss of each step.
     """
     use_balance = config.balance_mode != "off" and model.config.is_moe
+    balance_losses = []
     stream = RngStream(config.seed)
     params = model.params
     m = {k: np.zeros_like(p) for k, p in params.items()}
@@ -156,28 +161,37 @@ def _reference_train(model, corpus, config: TrainConfig) -> None:
     for step in range(config.total_steps):
         tokens, _ = trainer_mod._sample_batch(corpus, config, stream, step)
         cache = forward_cache(model, tokens)
-        prob_grads = None
+        balance_loss, prob_grads = 0.0, None
         if use_balance:
-            _, prob_grads = trainer_mod._balance_loss_and_grads(
+            balance_loss, prob_grads = ref_balance_loss_and_grads(
                 trace_from_cache(model, cache), config.balance_mode, config.balance_coeff)
+            b, t = tokens.shape
+            prob_grads = [g.reshape(b * t, -1) for g in prob_grads]
+        balance_losses.append(balance_loss)
         grads = backward_from_cache(model, cache, prob_grads)
         assert set(grads) == set(params)
         grads = {k: np.zeros_like(g) + g for k, g in grads.items()}
         ref_clip_gradients(grads, config.grad_clip)
         ref_adamw_step(params, grads, m, v, step + 1, cosine_lr(step, config), config)
+    return balance_losses
 
 
-@pytest.mark.parametrize("config", [
-    tiny_dense_config(vocab=VOCAB_SIZE),
-    tiny_moe_config(vocab=VOCAB_SIZE),
-    tiny_moe_config(vocab=VOCAB_SIZE, n=4, k=3, m=2, k_s=1),
-], ids=["dense", "moe", "fine-grained-shared"])
-def test_three_step_train_matches_reference_update(config, monkeypatch):
+@pytest.mark.parametrize("config, balance_mode", [
+    (tiny_dense_config(vocab=VOCAB_SIZE), "global"),
+    (tiny_moe_config(vocab=VOCAB_SIZE), "global"),
+    (tiny_moe_config(vocab=VOCAB_SIZE, n=4, k=3, m=2, k_s=1), "global"),
+    (tiny_moe_config(vocab=VOCAB_SIZE), "layerwise"),
+    (tiny_moe_config(vocab=VOCAB_SIZE, n=4, k=3, m=2, k_s=1), "layerwise"),
+], ids=["dense", "moe", "fine-grained-shared", "moe-layerwise",
+        "fine-grained-shared-layerwise"])
+def test_three_step_train_matches_reference_update(config, balance_mode, monkeypatch):
     corpus = default_corpus(seq_len=16, num_sequences=32)
     ckpt = random_checkpoint(config, seed=12)
     cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=3, warmup_steps=1,
-                      batch_size=4, seq_len=16, grad_clip=0.05, seed=13)
-    trained, _ = train(build_model(ckpt, max_positions=16, stream=RngStream(14)), corpus, cfg)
+                      batch_size=4, seq_len=16, grad_clip=0.05, balance_mode=balance_mode,
+                      seed=13)
+    trained, curve = train(build_model(ckpt, max_positions=16, stream=RngStream(14)),
+                           corpus, cfg)
 
     reference = build_model(ckpt, max_positions=16, stream=RngStream(14))
     monkeypatch.setattr(model_mod, "_sigmoid", ref_sigmoid_array)
@@ -185,8 +199,9 @@ def test_three_step_train_matches_reference_update(config, monkeypatch):
     monkeypatch.setattr(model_mod, "_layernorm_fwd", ref_layernorm_fwd)
     monkeypatch.setattr(model_mod, "_attn_fwd", ref_attn_fwd)
     monkeypatch.setattr(model_mod, "_ffn_bwd", ref_ffn_bwd)
-    _reference_train(reference, corpus, cfg)
+    balance_losses = _reference_train(reference, corpus, cfg)
 
+    assert curve.losses("balance_loss").tolist() == balance_losses
     assert set(trained.params) == set(reference.params)
     for name, value in trained.params.items():
         assert _same_bits(value, reference.params[name]), name

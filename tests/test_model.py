@@ -178,6 +178,13 @@ class TestDecomposition:
         with pytest.raises(ValidationError, match="mask"):
             decompose_moe_output(w, rng.normal(size=6), 2, masks)
 
+    def test_index_array_mask_rejected(self):
+        rng = np.random.default_rng(12)
+        w, masks, _ = self._dropped_layer(rng, 6, 3, 16, 0.5)
+        masks[1] = np.nonzero(masks[1])[0]
+        with pytest.raises(ValidationError, match="boolean"):
+            decompose_moe_output(w, rng.normal(size=6), 2, masks)
+
 
 class TestToyLm:
     def test_uniform_logits_give_log_vocab_loss(self):

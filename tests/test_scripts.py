@@ -36,4 +36,5 @@ def test_artifact_hashes_reproduce_across_processes(tmp_path):
     assert maps[0] == maps[1]
     names = set(maps[0])
     assert {"train_fg_drop/curve.jsonl", "train_btx/model/tensors.bin",
-            "routing/routing_fractions.csv", "fg_drop/reinit_plan.json"} <= names
+            "routing/routing_fractions.csv", "fg_drop/reinit_plan.json",
+            "catchup_drop_vs_parent.csv"} <= names

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from moeup import trainer as trainer_mod
 from moeup import upcycle
 from moeup.config import ValidationError
 from moeup.corpus import default_corpus
-from moeup.model import LayerRouting, RoutingTrace, build_model, forward_cache
+from moeup.model import (
+    LayerRouting,
+    RoutingTrace,
+    backward_from_cache,
+    build_model,
+    forward_cache,
+    lm_forward,
+    trace_from_cache,
+)
 from moeup.numerics import RngStream
 from moeup.trainer import (
     EVAL_TILE_TOKENS,
@@ -23,7 +32,7 @@ from moeup.trainer import (
     train,
 )
 
-from conftest import toy_dense_config, toy_moe_config
+from conftest import random_checkpoint, tiny_moe_config, toy_dense_config, toy_moe_config
 
 
 def _cfg(**kw):
@@ -102,6 +111,52 @@ class TestBalanceLoss:
         assert load_balance_loss(trace, "off") == 0.0
         with pytest.raises(ValidationError, match="empty"):
             load_balance_loss(trace, "global")
+
+
+@pytest.mark.parametrize("mode", ["global", "layerwise"])
+def test_balance_gradient_matches_central_differences(mode):
+    """Router gradients with the injected balancing term against central
+    differences of ``lm_loss + coeff * load_balance_loss``."""
+    coeff, h = 0.5, 1e-5
+    ckpt = random_checkpoint(tiny_moe_config(n=4, k=2), seed=31, dtype=np.float64)
+    model = build_model(ckpt, max_positions=16, stream=RngStream(32))
+    rng = np.random.default_rng(33)
+    tokens = rng.integers(0, 23, size=(2, 10))
+
+    def objective():
+        out = lm_forward(model, tokens)
+        selected = [layer.selected for layer in out.trace.layers]
+        return out.loss + coeff * load_balance_loss(out.trace, mode), selected
+
+    cache = forward_cache(model, tokens)
+    _, prob_grads = trainer_mod._balance_terms(trace_from_cache(model, cache), mode, coeff)
+    assert [g.shape for g in prob_grads] == [(4,), (4,)]
+    grads = backward_from_cache(model, cache, prob_grads)
+    lm_only = backward_from_cache(model, forward_cache(model, tokens))
+    _, base_selected = objective()
+
+    checked, shift = 0, 0.0
+    for _ in range(40):
+        name = f"layers.{int(rng.integers(2))}.router"
+        flat = model.params[name].reshape(-1)
+        i = int(rng.integers(flat.size))
+        old = flat[i]
+        flat[i] = old + h
+        up, up_selected = objective()
+        flat[i] = old - h
+        down, down_selected = objective()
+        flat[i] = old
+        if not all(np.array_equal(a, b) and np.array_equal(a, c)
+                   for a, b, c in zip(base_selected, up_selected, down_selected)):
+            continue  # the top-k choice moved: the loss is not smooth here
+        numeric = (up - down) / (2 * h)
+        analytic = grads[name].reshape(-1)[i]
+        rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
+        assert rel < 1e-6, (name, i, numeric, analytic, rel)
+        checked += 1
+        shift = max(shift, abs(analytic - lm_only[name].reshape(-1)[i]))
+    assert checked >= 30
+    assert shift > 1e-3  # the balancing term moves these gradients measurably
 
 
 class TestOptimizer:
@@ -223,6 +278,20 @@ class TestLossCurve:
         curve.append(LossPoint(64, 3.5, 3.4, 0.0, 1e-3))
         with pytest.raises(ValidationError):
             curve.append(LossPoint(64, 3.2, 3.1, 0.0, 1e-3))
+
+    @pytest.mark.parametrize("line", [
+        b"not json", b"[1, 2]", b'{"tokens_processed": 64}',
+        b'{"tokens_processed": "x", "train_loss": 1, "lm_loss": 1, "balance_loss": 0, "lr": 0}',
+        b'{"tokens_processed": 64, "train_loss": true, "lm_loss": 1, "balance_loss": 0, "lr": 0}',
+        b'{"tokens_processed": 32, "train_loss": 1, "lm_loss": 1, "balance_loss": 0, "lr": 0}',
+        b"\xff\xfe",
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "curve.jsonl"
+        good = b'{"tokens_processed": 64, "train_loss": 1, "lm_loss": 1, "balance_loss": 0, "lr": 0}'
+        path.write_bytes(good + b"\n" + line + b"\n")
+        with pytest.raises(ValidationError, match="curve.jsonl"):
+            LossCurve.load_jsonl(path)
 
 
 def test_evaluate_loss_deterministic_and_finite():
