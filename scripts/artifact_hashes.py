@@ -3,16 +3,16 @@
 
     python3 scripts/artifact_hashes.py --out DIR
 
-Writes toy model configs into DIR and small corpora with
-``scripts/make_corpus.py``, then runs, each as ``python3 -m moeup.cli`` in a
-child process: ``init`` of a dense parent and of a btx branch; ``upcycle``
-with naive, drop, rnu, fg-drop (shared expert and scale factor), btx and
-scratch; a 3-step ``train`` of the dense parent and of three MoE checkpoints,
-under both balance modes; ``analyze-routing`` of a trained MoE; and
-``catch-up`` of the trained parent's curve against the trained drop's. It prints
-one JSON line mapping each file under DIR (a relative path) to its SHA-256, so
-two code versions can be checked for byte-identical artifacts by comparing two
-lines.
+Writes toy model configs into DIR and small corpora of two shapes (16 and 17
+tokens per sequence) with ``scripts/make_corpus.py``, then runs, each as
+``python3 -m moeup.cli`` in a child process: ``init`` of a dense parent and of
+a btx branch; ``upcycle`` with naive, drop, rnu, fg-drop (shared expert and
+scale factor), btx and scratch; a 3-step ``train`` of the dense parent and of
+three MoE checkpoints, under both balance modes; ``analyze-routing`` of a
+trained MoE; and ``catch-up`` of the trained parent's curve against the
+trained drop's. It prints one JSON line mapping each file under DIR (a
+relative path) to its SHA-256, so two code versions can be checked for
+byte-identical artifacts by comparing two lines.
 
 The children run with BLAS on one thread: MoE training bits depend on the
 BLAS thread count, so the map is comparable only at a fixed count.
@@ -47,6 +47,9 @@ def _commands(out: Path) -> list[list[str]]:
     commands = [
         [sys.executable, str(ROOT / "scripts" / "make_corpus.py"), "--out", str(corpus),
          "--seq-len", "16", "--train-sequences", "32", "--eval-sequences", "8"],
+        [sys.executable, str(ROOT / "scripts" / "make_corpus.py"),
+         "--out", str(out / "corpora_17"),
+         "--seq-len", "17", "--train-sequences", "40", "--eval-sequences", "8"],
         [*CLI, "init", "--config", dense, "--seed", "1", "--out", str(out / "parent")],
         [*CLI, "init", "--config", dense, "--seed", "2", "--out", str(out / "branch")],
         [*up, "--method", "naive", *MOE_FLAGS, "--out", str(out / "naive")],

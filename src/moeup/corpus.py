@@ -17,6 +17,22 @@ File format (one sequence per line, UTF-8):
 Token ids are decimal integers. The bundled corpus is fully deterministic:
 :func:`default_corpus` and :func:`default_eval_corpus` share the same domain
 languages but draw disjoint sequence sets.
+
+Draw order is part of the corpus format, so a given ``(seed, draw_seed)``
+always yields the same bytes:
+
+- the ``alpha`` and ``beta`` successor tables come from substreams ``(0,)``
+  and ``(1,)`` of ``seed``;
+- every row's domain comes from one ``choice`` on substream ``(2,)`` of
+  ``draw_seed``;
+- row ``r`` is walked on substream ``(3, r)`` of ``draw_seed``. A bigram row
+  draws its first token, then all its successor picks, in one array draw; a
+  bounded-integer array draw consumes the generator as the same number of
+  scalar draws would. A code row draws one uniform per token, then a bracket
+  kind or an identifier when its branch needs one.
+
+``tests/test_corpus.py::test_walks_match_scalar_reference`` pins this order
+byte for byte against one-draw-per-token walks in ``tests/reference_impl.py``.
 """
 
 from __future__ import annotations
@@ -77,30 +93,36 @@ def _bigram_table(stream: RngStream, lo: int, hi: int) -> np.ndarray:
     return table
 
 
-def _bigram_walk(g: np.random.Generator, table: np.ndarray, lo: int, length: int) -> np.ndarray:
-    seq = np.empty(length, dtype=np.int64)
-    cur = lo + int(g.integers(table.shape[0]))
-    seq[0] = cur
-    for i in range(1, length):
-        cur = int(table[cur - lo][g.integers(_SUCCESSORS)])
-        seq[i] = cur
+def _bigram_walk(g: np.random.Generator, successors: list[list[int]], lo: int,
+                 length: int) -> list[int]:
+    """A walk of ``length`` tokens: the first uniform over the language, then
+    each a uniform pick among the current token's successors, all picks from
+    one array draw."""
+    cur = lo + int(g.integers(len(successors)))
+    seq = [cur]
+    for pick in g.integers(_SUCCESSORS, size=length - 1).tolist():
+        cur = successors[cur - lo][pick]
+        seq.append(cur)
     return seq
 
 
-def _code_walk(g: np.random.Generator, ident_tables: np.ndarray, length: int) -> np.ndarray:
-    seq = np.empty(length, dtype=np.int64)
+def _code_walk(g: np.random.Generator, ident_tables: list[list[int]], length: int) -> list[int]:
+    """A bracket stream of ``length`` tokens. Which draws follow depends on
+    each token's outcome, so the draws stay one call per value."""
+    random, integers = g.random, g.integers
+    seq: list[int] = []
     stack: list[int] = []
-    for i in range(length):
-        u = g.random()
+    for _ in range(length):
+        u = random()
         if stack and u < 0.30:
-            seq[i] = _CLOSE_TOKENS[stack.pop()]
+            seq.append(_CLOSE_TOKENS[stack.pop()])
         elif len(stack) < _MAX_DEPTH and u < 0.55:
-            kind = int(g.integers(len(_OPEN_TOKENS)))
+            kind = int(integers(len(_OPEN_TOKENS)))
             stack.append(kind)
-            seq[i] = _OPEN_TOKENS[kind]
+            seq.append(_OPEN_TOKENS[kind])
         else:
             row = ident_tables[stack[-1] if stack else 0]
-            seq[i] = int(row[g.integers(row.shape[0])])
+            seq.append(row[integers(len(row))])
     return seq
 
 
@@ -120,33 +142,31 @@ def synthetic_corpus(seed: int, num_sequences: int, seq_len: int,
         raise ValidationError(f"domain_mix must be {len(DOMAINS)} non-negative weights")
 
     table_root = RngStream(seed)
-    alpha_table = _bigram_table(table_root.child(0), *_ALPHA_RANGE)
-    beta_table = _bigram_table(table_root.child(1), *_BETA_RANGE)
+    alpha = _bigram_table(table_root.child(0), *_ALPHA_RANGE).tolist()
+    beta = _bigram_table(table_root.child(1), *_BETA_RANGE).tolist()
     # Each bracket kind prefers its own slice of the identifier range.
     ident_lo, ident_hi = _IDENT_RANGE
     span = (ident_hi - ident_lo) // len(_OPEN_TOKENS)
-    ident_tables = np.stack([
-        np.arange(ident_lo + k * span, ident_lo + (k + 1) * span, dtype=np.int64)
-        for k in range(len(_OPEN_TOKENS))
-    ])
+    ident_tables = [list(range(ident_lo + k * span, ident_lo + (k + 1) * span))
+                    for k in range(len(_OPEN_TOKENS))]
 
     weights = np.asarray(domain_mix, dtype=np.float64)
     weights = weights / weights.sum()
     draw_root = RngStream(seed if draw_seed is None else draw_seed)
-    choices = draw_root.child(2).generator().choice(len(DOMAINS), size=num_sequences, p=weights)
+    choices = draw_root.child(2).generator().choice(
+        len(DOMAINS), size=num_sequences, p=weights).tolist()
 
-    sequences = np.empty((num_sequences, seq_len), dtype=np.int64)
-    domains: list[str] = []
+    rows: list[list[int]] = []
     for row, choice in enumerate(choices):
         g = draw_root.child(3, row).generator()
         if choice == 0:
-            sequences[row] = _bigram_walk(g, alpha_table, _ALPHA_RANGE[0], seq_len)
+            rows.append(_bigram_walk(g, alpha, _ALPHA_RANGE[0], seq_len))
         elif choice == 1:
-            sequences[row] = _bigram_walk(g, beta_table, _BETA_RANGE[0], seq_len)
+            rows.append(_bigram_walk(g, beta, _BETA_RANGE[0], seq_len))
         else:
-            sequences[row] = _code_walk(g, ident_tables, seq_len)
-        domains.append(DOMAINS[choice])
-    return Corpus(sequences=sequences, domains=domains)
+            rows.append(_code_walk(g, ident_tables, seq_len))
+    return Corpus(sequences=np.array(rows, dtype=np.int64),
+                  domains=[DOMAINS[choice] for choice in choices])
 
 
 def default_corpus(seq_len: int = 64, num_sequences: int = 512) -> Corpus:

@@ -289,12 +289,13 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
             continue
         idx, cache_e, fe = cache.experts[e]
         cache.experts[e] = None
-        dfe = cache.gates_full[idx, e:e + 1] * dy[idx]
-        dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dfe)
+        dye = dy[idx]
+        d_gates_full[idx, e] = np.einsum("nd,nd->n", dye, fe)
+        dye *= cache.gates_full[idx, e:e + 1]
+        dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dye)
         dx[idx] += dxe
-        d_gates_full[idx, e] = np.einsum("nd,nd->n", dy[idx], fe)
         expert_grads.append((d_gate, d_up, d_down))
-        del idx, cache_e, fe
+        del idx, cache_e, fe, dye
     shared_grads = []
     for j, sw in enumerate(w.shared):
         dxs, d_gate, d_up, d_down = _ffn_bwd(sw, cache.shared[j], dy)

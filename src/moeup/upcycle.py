@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -141,6 +142,24 @@ class ReinitPlan:
     granularity: int
     layers: list[LayerReinit] = field(default_factory=list)
 
+    def __post_init__(self):
+        require_ints(self, ("seed", "intermediate_size", "expert_width", "granularity"))
+        if self.method not in METHODS:
+            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
+        if (isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real)
+                or not 0.0 <= self.ratio <= 1.0):
+            raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
+        if self.granularity < 1 or self.intermediate_size < self.granularity:
+            raise ValidationError(
+                f"need 1 <= granularity <= intermediate_size, got {self.granularity} and "
+                f"{self.intermediate_size}")
+        if self.expert_width != self.intermediate_size // self.granularity:
+            raise ValidationError(
+                f"expert_width must be intermediate_size // granularity "
+                f"({self.intermediate_size // self.granularity}), got {self.expert_width}")
+
     def retained_masks(self, layer: int) -> list[np.ndarray]:
         """Boolean retained mask per routed expert, over local expert dims."""
         return [e.retained_mask(self.expert_width) for e in self.layers[layer].experts]
@@ -186,11 +205,15 @@ class ReinitPlan:
 
         def entry(raw: dict) -> ExpertReinit:
             dropped = np.asarray(raw["dropped"], dtype=np.int64)
-            if dropped.ndim != 1 or np.any((dropped < 0) | (dropped >= data["expert_width"])):
+            if dropped.ndim != 1 or np.any((dropped < 0) | (dropped >= plan.expert_width)):
                 raise ValueError("dropped indices must lie in [0, expert_width)")
+            dims = None if raw.get("dims") is None else np.asarray(raw["dims"], dtype=np.int64)
+            if dims is not None and (dims.shape != (plan.expert_width,) or np.any(
+                    (dims < 0) | (dims >= plan.intermediate_size))):
+                raise ValueError("dims must be expert_width indices in [0, intermediate_size)")
             return ExpertReinit(
                 dropped=dropped,
-                dims=None if raw.get("dims") is None else np.asarray(raw["dims"], dtype=np.int64),
+                dims=dims,
                 stats={
                     kind: (None if p is None else NormalParams(p["mu"], p["sigma"]))
                     for kind, p in raw["stats"].items()

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from moeup.corpus import _bigram_table
+from moeup.numerics import RngStream
+
 
 def ref_sigmoid(z: float) -> float:
     if z >= 0:
@@ -240,3 +243,60 @@ def ref_balance_loss_and_grads(trace, mode: str, coeff: float):
         vec = coeff * n * fractions / (len(pools) * tokens)
         grads.extend(np.broadcast_to(vec, layer.probs.shape).copy() for layer in layers)
     return loss, grads
+
+
+def ref_bigram_walk(g: np.random.Generator, table: np.ndarray, lo: int,
+                    length: int) -> np.ndarray:
+    """Bigram walk with one scalar draw per token."""
+    seq = np.empty(length, dtype=np.int64)
+    cur = lo + int(g.integers(table.shape[0]))
+    seq[0] = cur
+    for i in range(1, length):
+        cur = int(table[cur - lo][g.integers(4)])
+        seq[i] = cur
+    return seq
+
+
+def ref_code_walk(g: np.random.Generator, ident_tables: np.ndarray, length: int) -> np.ndarray:
+    """Bracket stream with a nesting stack of depth at most 5, one scalar draw
+    per value."""
+    opens, closes = (64, 65, 66), (67, 68, 69)
+    seq = np.empty(length, dtype=np.int64)
+    stack: list[int] = []
+    for i in range(length):
+        u = g.random()
+        if stack and u < 0.30:
+            seq[i] = closes[stack.pop()]
+        elif len(stack) < 5 and u < 0.55:
+            kind = int(g.integers(len(opens)))
+            stack.append(kind)
+            seq[i] = opens[kind]
+        else:
+            row = ident_tables[stack[-1] if stack else 0]
+            seq[i] = int(row[g.integers(row.shape[0])])
+    return seq
+
+
+def ref_synthetic_corpus(seed: int, num_sequences: int, seq_len: int,
+                         domain_mix=(1.0, 1.0, 1.0), draw_seed: int | None = None):
+    """``(sequences, domains)`` of the corpus format, from the scalar walks.
+
+    The format: bigram tables from substreams (0,) and (1,) of ``seed``; the
+    domain of every row from substream (2,) of ``draw_seed``; row r's walk
+    from substream (3, r) of ``draw_seed``.
+    """
+    tables = [_bigram_table(RngStream(seed).child(0), 0, 32),
+              _bigram_table(RngStream(seed).child(1), 32, 64)]
+    ident_tables = np.arange(70, 94, dtype=np.int64).reshape(3, 8)
+    weights = np.asarray(domain_mix, dtype=np.float64)
+    draw_root = RngStream(seed if draw_seed is None else draw_seed)
+    choices = draw_root.child(2).generator().choice(3, size=num_sequences,
+                                                    p=weights / weights.sum())
+    sequences = np.empty((num_sequences, seq_len), dtype=np.int64)
+    for row, choice in enumerate(choices):
+        g = draw_root.child(3, row).generator()
+        if choice < 2:
+            sequences[row] = ref_bigram_walk(g, tables[choice], 32 * choice, seq_len)
+        else:
+            sequences[row] = ref_code_walk(g, ident_tables, seq_len)
+    return sequences, [("alpha", "beta", "code")[c] for c in choices]

@@ -13,7 +13,8 @@ from conftest import make_config, random_checkpoint, toy_dense_config
 
 _PLAN = {"format": "moeup.reinit_plan", "method": "drop", "ratio": 0.5, "seed": 0,
          "intermediate_size": 32, "expert_width": 32, "granularity": 1,
-         "layers": [{"experts": [{"dropped": [1], "dims": None, "stats": {}}], "shared": []}]}
+         "layers": [{"experts": [{"dropped": [1], "dims": None, "stats": {}},
+                                 {"dropped": [2], "dims": None, "stats": {}}], "shared": []}]}
 _POINT = {"tokens_processed": 64, "train_loss": 1.0, "lm_loss": 1.0, "balance_loss": 0.0,
           "lr": 1e-3}
 
@@ -119,6 +120,13 @@ class TestValidationAndExitCodes:
             {"experts": [{"dropped": "abc", "dims": None, "stats": {}}], "shared": []}]}),
         ("analyze-overlap --plan {config}", _PLAN | {"layers": [
             {"experts": [{"dropped": [32], "dims": None, "stats": {}}], "shared": []}]}),
+        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
+            {"experts": [{"dropped": [1], "dims": [0], "stats": {}}] * 2, "shared": []}]}),
+        ("analyze-overlap --plan {config}", _PLAN | {"ratio": "abc"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"ratio": 7.0}),
+        ("analyze-overlap --plan {config}", _PLAN | {"seed": "x"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"granularity": "x"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"granularity": 0}),
         ("catch-up --base {config} --other {config}", b"{not json\n"),
         ("catch-up --base {config} --other {config}", b"[64, 1.0]\n"),
         ("catch-up --base {config} --other {config}", b'{"tokens_processed": 64}\n'),
@@ -140,6 +148,12 @@ class TestValidationAndExitCodes:
         code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_well_formed_plan_is_analyzed(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_PLAN))
+        code, payload, _ = _run(capsys, ["analyze-overlap", "--plan", str(path)])
+        assert code == 0 and payload["ratio"] == 0.5
 
     @pytest.mark.parametrize("argv, config, field", [
         ("upcycle --method fg-drop --experts 2 --topk 1 --config {config} --in {dense} "

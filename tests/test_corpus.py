@@ -3,6 +3,8 @@ import pytest
 
 from moeup.config import ValidationError
 from moeup.corpus import (
+    DEFAULT_CORPUS_SEED,
+    DEFAULT_EVAL_DRAW_SEED,
     DOMAINS,
     VOCAB_SIZE,
     default_corpus,
@@ -11,6 +13,8 @@ from moeup.corpus import (
     save_corpus,
     synthetic_corpus,
 )
+
+from reference_impl import ref_synthetic_corpus
 
 _RANGES = {"alpha": (0, 32), "beta": (32, 64), "code": (64, 96)}
 
@@ -91,3 +95,17 @@ def test_save_corpus_bytes_match_per_token_form(tmp_path):
         f"{corpus.domains[row]}\t{' '.join(str(int(t)) for t in corpus.sequences[row])}\n"
         for row in range(corpus.num_sequences))
     assert (tmp_path / "corpus.txt").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("seq_len", [1, 2, 17, 64, 128])
+@pytest.mark.parametrize("domain_mix", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                         ids=["alpha", "beta", "code", "mixed"])
+def test_walks_match_scalar_reference(seq_len, domain_mix):
+    for seed, draw_seed in [(0, None), (7, 3), (1, 2**64 - 1),
+                            (DEFAULT_CORPUS_SEED, DEFAULT_EVAL_DRAW_SEED)]:
+        corpus = synthetic_corpus(seed, 12, seq_len, domain_mix, draw_seed)
+        sequences, domains = ref_synthetic_corpus(seed, 12, seq_len, domain_mix, draw_seed)
+        assert corpus.sequences.dtype == sequences.dtype
+        assert corpus.sequences.shape == sequences.shape
+        assert corpus.sequences.tobytes() == sequences.tobytes()
+        assert corpus.domains == domains
