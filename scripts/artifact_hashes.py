@@ -10,9 +10,12 @@ a btx branch; ``upcycle`` with naive, drop, rnu, fg-drop (shared expert and
 scale factor), btx and scratch; a 3-step ``train`` of the dense parent and of
 three MoE checkpoints, under both balance modes; ``analyze-routing`` of a
 trained MoE; and ``catch-up`` of the trained parent's curve against the
-trained drop's. It prints one JSON line mapping each file under DIR (a
-relative path) to its SHA-256, so two code versions can be checked for
-byte-identical artifacts by comparing two lines.
+trained drop's. Last, a short ``scripts/run_toy_pipeline.py`` run writes into
+DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
+CLI command computes, and its routing CSVs come from ``collect_traces``. It
+prints one JSON line mapping each file under DIR (a relative path) to its
+SHA-256, so two code versions can be checked for byte-identical artifacts by
+comparing two lines.
 
 The children run with BLAS on one thread: MoE training bits depend on the
 BLAS thread count, so the map is comparable only at a fixed count.
@@ -73,6 +76,9 @@ def _commands(out: Path) -> list[list[str]]:
     commands.append([*CLI, "catch-up", "--base", str(out / "train_drop" / "curve.jsonl"),
                      "--other", str(out / "train_parent" / "curve.jsonl"), "--window", "1",
                      "--out", str(out / "catchup_drop_vs_parent.csv")])
+    commands.append([sys.executable, str(ROOT / "scripts" / "run_toy_pipeline.py"),
+                     "--out", str(out / "pipeline"), "--pretrain-steps", "2",
+                     "--branch-steps", "1", "--moe-steps", "2"])
     return commands
 
 

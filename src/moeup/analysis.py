@@ -50,7 +50,13 @@ class RoutingSummary:
 
 def collect_traces(model: ToyLm, corpus: Corpus, batch_size: int = 32,
                    seq_len: int | None = None) -> list[RoutingTrace]:
-    """Run the model over the corpus in order and keep every routing trace."""
+    """Run the model over the corpus in order and keep every routing trace.
+
+    The forward passes keep no activations; each trace holds only its batch's
+    routing arrays.
+    """
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if not model.config.is_moe:
         raise ValidationError("routing traces require an MoE model")
     seq_len = corpus.seq_len if seq_len is None else seq_len
@@ -58,8 +64,7 @@ def collect_traces(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     for start in range(0, corpus.num_sequences, batch_size):
         stop = min(start + batch_size, corpus.num_sequences)
         batch = corpus.sequences[start:stop, :seq_len]
-        # The trace keeps only the routing arrays; the rest of the cache dies here.
-        traces.append(trace_from_cache(model, forward_cache(model, batch),
+        traces.append(trace_from_cache(model, forward_cache(model, batch, keep_activations=False),
                                        corpus.domains[start:stop]))
     return traces
 

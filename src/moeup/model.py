@@ -19,9 +19,13 @@ model (it requires num_query_groups == num_heads); the accounting module
 still honors grouped-query configs.
 
 Gradients are reverse-mode via per-layer hand-written backward functions at
-64-bit precision; there is no general tape. The forward pass keeps a
-``LayerCache`` per layer, whose FFN part is an ``MoeCache`` in an MoE model,
-and the backward pass reads them by name, freeing each part at its last use.
+64-bit precision; there is no general tape. A forward pass that a backward
+pass will follow keeps a ``LayerCache`` per layer, whose FFN part is an
+``MoeCache`` in an MoE model, and the backward pass reads them by name,
+freeing each part at its last use. A forward pass for evaluation or routing
+traces (``keep_activations=False``) keeps none of them: inside an MoE layer
+each expert's input rows, intermediates and output die before the next expert
+runs, and only the tokens, logits, loss and routing outlive the pass.
 """
 
 from __future__ import annotations
@@ -187,8 +191,8 @@ def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
         raise ValidationError(f"input has shape {x.shape}, expected ({d_h},)")
     if not (1 <= k <= n):
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    y, cache = _moe_fwd(w, x[None, :], k)
-    return y[0], cache.gates_full[0], cache.routing.selected[0]
+    y, routing, cache = _moe_fwd(w, x[None, :], k)
+    return y[0], cache.gates_full[0], routing.selected[0]
 
 
 def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_masks):
@@ -238,8 +242,13 @@ def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_mas
     return lhs, rhs
 
 
-def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int):
-    """Batched MoE forward over rows of ``x`` (N, d_h); returns ``(y, MoeCache)``."""
+def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
+    """Batched MoE forward over rows of ``x`` (N, d_h); returns ``(y, routing, cache)``.
+
+    ``cache`` is the :class:`MoeCache` for :func:`_moe_bwd`, or None when
+    ``keep`` is false: then each expert's input rows, FFN intermediates and
+    output die as soon as its output is combined, before the next expert runs.
+    """
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
     probs = softmax(logits, axis=-1)
@@ -258,15 +267,20 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int):
         if idx.size:
             fe, cache_e = _ffn_fwd(w.experts[e], x[idx])
             y[idx] += gates_full[idx, e:e + 1] * fe
-            expert_caches[e] = (idx, cache_e, fe)
+            if keep:
+                expert_caches[e] = (idx, cache_e, fe)
+            del fe, cache_e  # unless kept, they die before the next expert's forward
     shared_caches = []
     for sw in w.shared:
         fs, cache_s = _ffn_fwd(sw, x)
         y += fs
-        shared_caches.append(cache_s)
-    cache = MoeCache(x, logits, gates_full, LayerRouting(sel, gates_sel, probs),
-                     expert_caches, shared_caches)
-    return y, cache
+        if keep:
+            shared_caches.append(cache_s)
+        del fs, cache_s
+    routing = LayerRouting(sel, gates_sel, probs)
+    if not keep:
+        return y, routing, None
+    return y, routing, MoeCache(x, logits, gates_full, routing, expert_caches, shared_caches)
 
 
 def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None):
@@ -513,15 +527,23 @@ def _check_tokens(model: ToyLm, tokens) -> np.ndarray:
     return arr
 
 
-def forward_cache(model: ToyLm, tokens) -> dict:
-    """Forward pass that keeps every activation the backward pass needs.
+def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dict:
+    """Forward pass; keeps every activation the backward pass needs, unless told not to.
 
-    Returns a dict with ``tokens`` (the (B, T) ids), ``layer_caches`` (one
-    :class:`LayerCache` per layer, whose ``ffn`` is an :class:`MoeCache` in an
-    MoE model), ``ln_final``, ``h_final``, ``logits`` and ``loss``.
-    :func:`backward_from_cache` uses the cache up: it frees each activation
+    Returns a dict with ``tokens`` (the (B, T) ids), ``routing`` (each MoE
+    layer's (B*T, ·) :class:`LayerRouting`; empty for a dense model),
+    ``logits`` and ``loss``. With ``keep_activations`` (the default) it also
+    has ``layer_caches`` (one :class:`LayerCache` per layer, whose ``ffn`` is
+    an :class:`MoeCache` in an MoE model), ``ln_final`` and ``h_final``.
+    :func:`backward_from_cache` uses such a cache up: it frees each activation
     at its last use. Take the routing trace with :func:`trace_from_cache`
     before running backward, and run this again for another backward pass.
+
+    With ``keep_activations=False`` no backward can follow, so nothing else is
+    kept: each layer's activations die as the pass moves on, and inside an MoE
+    layer each expert's tensors die before the next expert runs. Logits, loss
+    and routing are bitwise those of the default pass. Evaluation and routing
+    traces use this form.
     """
     keep_freed_memory()  # passes reuse the memory earlier passes freed
     cfg = model.config
@@ -530,7 +552,7 @@ def forward_cache(model: ToyLm, tokens) -> dict:
     b, t = tok.shape
 
     x = p["embedding.token"][tok] + p[POSITION_SLOT][None, :t, :]
-    layer_caches = []
+    layer_caches, routings = [], []
     for i in range(cfg.num_layers):
         h, ln1 = _layernorm_fwd(x, p[f"layers.{i}.attn_norm"])
         attn_out, attn_cache = _attn_fwd(h, *(p[name] for name in _attn_slots(i)),
@@ -540,12 +562,16 @@ def forward_cache(model: ToyLm, tokens) -> dict:
         flat = h2.reshape(b * t, -1)
         if cfg.is_moe:
             weights = model.layer_moe(i)
-            y, ffn_cache = _moe_fwd(weights, flat, cfg.top_k)
+            y, routing, ffn_cache = _moe_fwd(weights, flat, cfg.top_k, keep_activations)
+            routings.append(routing)
         else:
             weights = model.layer_ffn(i)
             y, ffn_cache = _ffn_fwd(weights, flat)
         x = x + y.reshape(b, t, -1)
-        layer_caches.append(LayerCache(ln1, attn_cache, ln2, ffn_cache, weights))
+        if keep_activations:
+            layer_caches.append(LayerCache(ln1, attn_cache, ln2, ffn_cache, weights))
+        # Unless kept, this layer's activations die before the next layer runs.
+        del h, ln1, attn_out, attn_cache, h2, ln2, flat, y, ffn_cache
 
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]
@@ -562,21 +588,24 @@ def forward_cache(model: ToyLm, tokens) -> dict:
     else:
         loss = 0.0
 
-    return {
-        "tokens": tok, "layer_caches": layer_caches, "ln_final": ln_final,
-        "h_final": h_final, "logits": logits, "loss": loss,
-    }
+    result = {"tokens": tok, "routing": routings, "logits": logits, "loss": loss}
+    if keep_activations:
+        result |= {"layer_caches": layer_caches, "ln_final": ln_final, "h_final": h_final}
+    return result
 
 
 def _require_unused(cache: dict) -> None:
     """Reject a cache that :func:`backward_from_cache` has used up."""
-    if cache["logits"] is None or any(layer is None for layer in cache["layer_caches"]):
+    if cache["logits"] is None or any(layer is None for layer in cache.get("layer_caches", ())):
         raise ValidationError("forward cache already used up by backward_from_cache; "
                               "run forward_cache again; call trace_from_cache first")
 
 
 def trace_from_cache(model: ToyLm, cache: dict, domains=None) -> RoutingTrace:
-    """Routing trace of a :func:`forward_cache` result that backward has not used up."""
+    """Routing trace of a :func:`forward_cache` result that backward has not used up.
+
+    Works on either kind of result, with or without kept activations.
+    """
     _require_unused(cache)
     cfg = model.config
     b, t = cache["tokens"].shape
@@ -584,8 +613,7 @@ def trace_from_cache(model: ToyLm, cache: dict, domains=None) -> RoutingTrace:
                          domains=list(domains) if domains is not None else None)
     if trace.domains is not None and len(trace.domains) != b:
         raise ValidationError(f"got {len(trace.domains)} domain labels for batch of {b}")
-    for layer in cache["layer_caches"] if cfg.is_moe else ():
-        routing = layer.ffn.routing
+    for routing in cache["routing"]:
         trace.layers.append(LayerRouting(
             selected=routing.selected.reshape(b, t, -1),
             gates=routing.gates.reshape(b, t, -1),
@@ -596,7 +624,7 @@ def trace_from_cache(model: ToyLm, cache: dict, domains=None) -> RoutingTrace:
 
 def lm_forward(model: ToyLm, tokens, domains=None) -> LmOutput:
     """Run the toy LM; returns logits, the routing trace, and the LM loss."""
-    cache = forward_cache(model, tokens)
+    cache = forward_cache(model, tokens, keep_activations=False)
     return LmOutput(logits=cache["logits"],
                     trace=trace_from_cache(model, cache, domains),
                     loss=cache["loss"])
@@ -634,11 +662,15 @@ def backward_from_cache(model: ToyLm, cache: dict,
     each layer's :class:`LayerCache` (top layer first) once that layer's
     backward has run, and within an MoE layer each expert's entry of the
     :class:`MoeCache` once that expert's backward has run. A used-up cache
-    raises ``ValidationError``; run :func:`forward_cache` again, and take any
+    raises ``ValidationError``, as does a cache made with
+    ``keep_activations=False``; run :func:`forward_cache` again, and take any
     routing trace before this.
     ``router_prob_grads`` is as for :func:`lm_backward`: one (n,) vector per
     layer, applied to every token.
     """
+    if "layer_caches" not in cache:
+        raise ValidationError("forward cache keeps no activations (keep_activations=False); "
+                              "backward needs a forward_cache(model, tokens) result")
     _require_unused(cache)
     cfg = model.config
     p = model.params
@@ -657,6 +689,7 @@ def backward_from_cache(model: ToyLm, cache: dict,
         cache["layer_caches"][i] = None
         dsub = dx.reshape(b * t, -1)
         if cfg.is_moe:
+            cache["routing"][i] = None  # the MoeCache holds the only other reference
             d_probs = None if router_prob_grads is None else router_prob_grads[i]
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
                 layer.weights, layer.ffn, dsub, d_probs)

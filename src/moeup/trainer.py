@@ -337,10 +337,21 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     least), so that its temporaries are reused from the heap rather than
     faulted in fresh from the operating system on every pass. The tile size
     changes only how per-sequence losses are grouped before summation.
+
+    No backward pass follows, so each tile's forward keeps no activations
+    (``keep_activations=False``): within an MoE layer each expert's tensors
+    die before the next expert runs, and only the tile's logits and loss
+    outlive its forward. The loss is bitwise that of the default pass.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if max_sequences is not None and max_sequences < 1:
+        raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
+    if corpus.num_sequences == 0:
+        raise ValidationError("cannot evaluate on an empty corpus")
     seq_len = corpus.seq_len if seq_len is None else seq_len
+    if seq_len < 1:
+        raise ValidationError(f"eval seq_len must be >= 1, got {seq_len}")
     if seq_len > corpus.seq_len:
         raise ValidationError("eval seq_len exceeds corpus sequence length")
     limit = corpus.num_sequences if max_sequences is None else min(max_sequences,
@@ -349,7 +360,6 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     total, count = 0.0, 0
     for start in range(0, limit, rows):
         batch = corpus.sequences[start:min(start + rows, limit), :seq_len]
-        # Not bound to a name, so that the cache dies before the next tile's forward.
-        total += forward_cache(model, batch)["loss"] * batch.shape[0]
+        total += forward_cache(model, batch, keep_activations=False)["loss"] * batch.shape[0]
         count += batch.shape[0]
     return total / count

@@ -203,14 +203,23 @@ class ReinitPlan:
         if not isinstance(data, dict) or data.get("format") != "moeup.reinit_plan":
             raise ValidationError("not a reinit plan: no 'format': 'moeup.reinit_plan'")
 
-        def entry(raw: dict) -> ExpertReinit:
+        def entry(raw: dict, counts: set[int]) -> ExpertReinit:
             dropped = np.asarray(raw["dropped"], dtype=np.int64)
             if dropped.ndim != 1 or np.any((dropped < 0) | (dropped >= plan.expert_width)):
                 raise ValueError("dropped indices must lie in [0, expert_width)")
+            if np.any(np.diff(dropped) <= 0):
+                raise ValueError("dropped indices must be strictly increasing")
+            if dropped.size not in counts:
+                expected = " or ".join(map(str, sorted(counts)))
+                raise ValueError(f"expected {expected} dropped indices "
+                                 f"(floor(ratio * expert_width)), got {dropped.size}")
             dims = None if raw.get("dims") is None else np.asarray(raw["dims"], dtype=np.int64)
             if dims is not None and (dims.shape != (plan.expert_width,) or np.any(
                     (dims < 0) | (dims >= plan.intermediate_size))):
                 raise ValueError("dims must be expert_width indices in [0, intermediate_size)")
+            if sorted(raw["stats"]) != sorted(_KINDS):
+                raise ValueError(f"stats keys must be {sorted(_KINDS)}, "
+                                 f"got {sorted(raw['stats'])}")
             return ExpertReinit(
                 dropped=dropped,
                 dims=dims,
@@ -226,10 +235,13 @@ class ReinitPlan:
                 intermediate_size=data["intermediate_size"], expert_width=data["expert_width"],
                 granularity=data["granularity"],
             )
+            # As fine_grained_drop_upcycle writes them: a routed expert drops
+            # floor(ratio * width) dims, a shared one that many or none.
+            count = math.floor(plan.ratio * plan.expert_width)
             for layer in data["layers"]:
                 plan.layers.append(LayerReinit(
-                    experts=[entry(e) for e in layer["experts"]],
-                    shared=[entry(e) for e in layer["shared"]],
+                    experts=[entry(e, {count}) for e in layer["experts"]],
+                    shared=[entry(e, {count, 0}) for e in layer["shared"]],
                 ))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValidationError(f"malformed reinit plan ({type(exc).__name__}: {exc})") from exc

@@ -73,6 +73,14 @@ class TestSummarizeRouting:
         for vec in summary.fractions.values():
             assert abs(vec.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
+        model = build_model(ckpt, max_positions=16, stream=RngStream(0))
+        corpus = default_corpus(seq_len=16, num_sequences=8)
+        with pytest.raises(ValidationError, match="batch_size"):
+            collect_traces(model, corpus, batch_size=batch_size)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             summarize_routing(RoutingTrace(num_experts=4, top_k=2, layers=[]))

@@ -11,12 +11,23 @@ from moeup.corpus import default_corpus, save_corpus
 from conftest import make_config, random_checkpoint, toy_dense_config
 
 
+# A well-formed plan as the drop upcycle writes one: at ratio 0.5 and width 8,
+# each expert drops 4 dims, with stats for every matrix kind.
+_STATS = {kind: {"mu": 0.0, "sigma": 0.02} for kind in ("gate", "up", "down")}
+_EXPERT = {"dims": None, "stats": _STATS}
 _PLAN = {"format": "moeup.reinit_plan", "method": "drop", "ratio": 0.5, "seed": 0,
-         "intermediate_size": 32, "expert_width": 32, "granularity": 1,
-         "layers": [{"experts": [{"dropped": [1], "dims": None, "stats": {}},
-                                 {"dropped": [2], "dims": None, "stats": {}}], "shared": []}]}
+         "intermediate_size": 8, "expert_width": 8, "granularity": 1,
+         "layers": [{"experts": [_EXPERT | {"dropped": [0, 1, 4, 6]},
+                                 _EXPERT | {"dropped": [1, 2, 3, 7]}], "shared": []}]}
 _POINT = {"tokens_processed": 64, "train_loss": 1.0, "lm_loss": 1.0, "balance_loss": 0.0,
           "lr": 1e-3}
+
+
+def _plan_with(experts=None, shared=()) -> dict:
+    """``_PLAN`` with its layer's expert entries replaced (None keeps them)."""
+    layer = _PLAN["layers"][0]
+    return _PLAN | {"layers": [{"experts": layer["experts"] if experts is None else experts,
+                                "shared": list(shared)}]}
 
 
 def _run(capsys, argv):
@@ -47,6 +58,13 @@ def dense_dir(tmp_path):
     dense = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, s=16), seed=1)
     cp.save(dense, tmp_path / "dense")
     return tmp_path / "dense"
+
+
+@pytest.fixture
+def moe_dir(tmp_path):
+    moe = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16), seed=1)
+    cp.save(moe, tmp_path / "moe")
+    return tmp_path / "moe"
 
 
 @pytest.fixture
@@ -116,12 +134,24 @@ class TestValidationAndExitCodes:
         ("analyze-overlap --plan {config}", b"{not json"),
         ("analyze-overlap --plan {config}", [_PLAN]),
         ("analyze-overlap --plan {config}", {k: v for k, v in _PLAN.items() if k != "method"}),
-        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
-            {"experts": [{"dropped": "abc", "dims": None, "stats": {}}], "shared": []}]}),
-        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
-            {"experts": [{"dropped": [32], "dims": None, "stats": {}}], "shared": []}]}),
-        ("analyze-overlap --plan {config}", _PLAN | {"layers": [
-            {"experts": [{"dropped": [1], "dims": [0], "stats": {}}] * 2, "shared": []}]}),
+        ("analyze-overlap --plan {config}", _plan_with([_EXPERT | {"dropped": "abc"}] * 2)),
+        ("analyze-overlap --plan {config}", _plan_with([_EXPERT | {"dropped": [0, 1, 4, 8]}] * 2)),
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [0, 1, 4, 6], "dims": [0]}] * 2)),
+        # Dropped lists must be strictly increasing and floor(ratio * width)
+        # long (a shared expert's may be empty); stats cover the three kinds.
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [1, 1, 1, 1]}, _EXPERT | {"dropped": [5, 2]}])),
+        ("analyze-overlap --plan {config}", _plan_with([_EXPERT | {"dropped": [6, 4, 1, 0]}] * 2)),
+        ("analyze-overlap --plan {config}", _plan_with([_EXPERT | {"dropped": [2, 5]}] * 2)),
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [0, 1, 2, 3, 4]}] * 2)),
+        ("analyze-overlap --plan {config}",
+         _plan_with(shared=[_EXPERT | {"dropped": [3]}])),
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [0, 1, 4, 6], "stats": _STATS | {"bogus": None}}] * 2)),
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [0, 1, 4, 6], "stats": {"gate": None}}] * 2)),
         ("analyze-overlap --plan {config}", _PLAN | {"ratio": "abc"}),
         ("analyze-overlap --plan {config}", _PLAN | {"ratio": 7.0}),
         ("analyze-overlap --plan {config}", _PLAN | {"seed": "x"}),
@@ -134,17 +164,19 @@ class TestValidationAndExitCodes:
          json.dumps(_POINT | {"tokens_processed": "x"}).encode()),
         ("train --in {dense} --corpus {config} --out {out}", b"alpha\t1 2 \xff\n"),
         ("analyze-routing --in {dense} --corpus {config} --out {out}", b"\xfe\xff\n"),
+        ("analyze-routing --in {moe} --corpus {corpus} --batch-size 0 --out {out}", None),
+        ("analyze-routing --in {moe} --corpus {corpus} --batch-size -3 --out {out}", None),
         ("params --config {config}", b"\xff{}"),
     ])
     def test_bad_input_prints_one_error_line(self, capsys, tmp_path, config_file, dense_dir,
-                                             corpus_file, argv, config):
+                                             moe_dir, corpus_file, argv, config):
         config_path = tmp_path / "bad.json"
         if isinstance(config, bytes):
             config_path.write_bytes(config)
         else:
             config_path.write_text(json.dumps(config))
-        paths = {"model": config_file, "dense": dense_dir, "corpus": corpus_file,
-                 "config": config_path, "out": tmp_path / "out"}
+        paths = {"model": config_file, "dense": dense_dir, "moe": moe_dir,
+                 "corpus": corpus_file, "config": config_path, "out": tmp_path / "out"}
         code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
-"""Memory: activations die at their last use, and sampling needs one chunk.
+"""Memory: activations die at their last use, evaluation keeps none, and sampling
+needs one chunk.
 
 Liveness is checked with weak references to the arrays a forward cache holds
 (the model's parameters excluded): an array whose last strong reference is
@@ -25,7 +26,13 @@ from moeup import model as model_mod
 from moeup import trainer as trainer_mod
 from moeup.config import ValidationError
 from moeup.corpus import VOCAB_SIZE, default_corpus
-from moeup.model import backward_from_cache, build_model, forward_cache, trace_from_cache
+from moeup.model import (
+    backward_from_cache,
+    build_model,
+    forward_cache,
+    lm_forward,
+    trace_from_cache,
+)
 from moeup.numerics import NORMAL_CHUNK_PAIRS, NormalParams, RngStream, sample_normal
 from moeup.trainer import TrainConfig, evaluate_loss, train
 from moeup.upcycle import from_scratch
@@ -89,12 +96,11 @@ def _alive(refs) -> int:
 def _recording_forward(previous: list, alive_at_start: list, skip_routing: bool = False):
     """A ``forward_cache`` that first counts the live arrays of the last cache."""
 
-    def forward(model, tokens):
+    def forward(model, tokens, **kwargs):
         alive_at_start.append(_alive(previous))
-        cache = forward_cache(model, tokens)
+        cache = forward_cache(model, tokens, **kwargs)
         # A routing trace keeps the router probabilities, selections and gates.
-        skip = [id(a) for layer in cache["layer_caches"]
-                for a in _arrays(layer.ffn.routing, set())] if skip_routing else []
+        skip = [id(a) for a in _arrays(cache["routing"], set())] if skip_routing else []
         assert skip or not skip_routing
         previous[:] = _refs(cache, model, skip)
         assert previous
@@ -182,6 +188,40 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
     assert len(seen) == len(experts) and seen == [0] * len(experts)
 
 
+@pytest.mark.parametrize("keep", [False, True], ids=["activation-free", "kept"])
+def test_expert_tensors_dead_when_next_expert_starts_forward(keep, monkeypatch):
+    """Hooks ``_ffn_fwd``: at each expert's start, count the live arrays of every
+    earlier expert's input rows, intermediates and output. A shared expert's
+    input is the layer input, which outlives it, so it is not counted."""
+    model = _model(CONFIGS[2])
+    shared = {id(a) for name, a in model.params.items() if ".shared." in name}
+    earlier, seen = [], []
+    real = model_mod._ffn_fwd
+
+    def ffn_fwd(w, x):
+        seen.append(_alive(earlier))
+        y, cache = real(w, x)
+        layer_input = x if id(w.gate) in shared else None
+        earlier.extend(weakref.ref(a) for a in (y, *cache) if a is not layer_input)
+        return y, cache
+
+    monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
+    cache = forward_cache(model, _tokens(), keep_activations=keep)
+    assert len(seen) > 2 * len(cache["routing"]) > 0  # several experts per layer
+    if keep:
+        assert all(alive > 0 for alive in seen[1:])
+    else:
+        assert seen == [0] * len(seen) and _alive(earlier) == 0
+
+
+def test_backward_rejects_activation_free_cache():
+    model = _model(CONFIGS[1])
+    cache = forward_cache(model, _tokens(), keep_activations=False)
+    assert set(cache) == {"tokens", "routing", "logits", "loss"}
+    with pytest.raises(ValidationError, match="keeps no activations"):
+        backward_from_cache(model, cache)
+
+
 def test_used_up_cache_is_rejected():
     model = _model(CONFIGS[1])
     cache = forward_cache(model, _tokens())
@@ -193,6 +233,64 @@ def test_used_up_cache_is_rejected():
             again(model, cache)
     fresh = backward_from_cache(model, forward_cache(model, _tokens()))
     assert all(np.array_equal(fresh[k], first[k]) for k in first)
+
+
+# ---------------------------------------------------------------------------
+# Activation-free forward
+# ---------------------------------------------------------------------------
+
+def _trace_arrays(trace) -> list[np.ndarray]:
+    return [a for layer in trace.layers for a in (layer.selected, layer.gates, layer.probs)]
+
+
+def _same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> bool:
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_activation_free_forward_is_bitwise_equal(config):
+    model = _model(config)
+    tokens = _tokens()
+    kept = forward_cache(model, tokens)
+    free = forward_cache(model, tokens, keep_activations=False)
+    assert free["loss"] == kept["loss"]
+    assert _same_bits([free["tokens"], free["logits"]], [kept["tokens"], kept["logits"]])
+    want = _trace_arrays(trace_from_cache(model, kept))
+    assert len(want) == (3 * config.num_layers if config.is_moe else 0)
+    assert _same_bits(_trace_arrays(trace_from_cache(model, free)), want)
+    out = lm_forward(model, tokens)
+    assert out.loss == kept["loss"] and _same_bits([out.logits], [kept["logits"]])
+    assert _same_bits(_trace_arrays(out.trace), want)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_evaluation_results_unchanged_without_activations(config, monkeypatch):
+    """``evaluate_loss`` and ``collect_traces`` forward without activations, and
+    give the bits they gave when every forward kept them."""
+    model = _model(config)
+    corpus = default_corpus(seq_len=16, num_sequences=12)
+
+    def run(forced: dict):
+        kept = []
+
+        def forward(model, tokens, **kwargs):
+            cache = forward_cache(model, tokens, **(kwargs | forced))
+            kept.append("layer_caches" in cache)
+            return cache
+
+        monkeypatch.setattr(trainer_mod, "forward_cache", forward)
+        monkeypatch.setattr(analysis, "forward_cache", forward)
+        loss = evaluate_loss(model, corpus, batch_size=4)
+        traces = analysis.collect_traces(model, corpus, batch_size=4) if config.is_moe else []
+        return loss, [a for trace in traces for a in _trace_arrays(trace)], kept
+
+    want_loss, want_traces, kept = run({"keep_activations": True})
+    assert kept and all(kept)
+    loss, traces, kept = run({})
+    assert kept and not any(kept)
+    assert loss == want_loss and _same_bits(traces, want_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +317,17 @@ def test_train_peak_is_one_step_of_activations():
     step = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
     whole = _peak(lambda: train(model, corpus, cfg))
     assert whole <= 1.3 * step, (whole, step)
+
+
+def test_activation_free_tile_peaks_at_a_third():
+    """One 512-token evaluation tile: without kept activations, only one
+    expert's tensors are live at a time."""
+    model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    tile = default_corpus(seq_len=64, num_sequences=8).sequences
+    kept = _peak(lambda: forward_cache(model, tile))
+    free = _peak(lambda: forward_cache(model, tile, keep_activations=False))
+    assert 3 * free <= kept, (free, kept)
 
 
 def test_from_scratch_peak_near_payload():

@@ -238,7 +238,7 @@ class TestToyLm:
         xs = rng.normal(size=(9, 16))
         from moeup.model import _moe_fwd
 
-        batched, _ = _moe_fwd(weights, xs, 2)
+        batched, _, _ = _moe_fwd(weights, xs, 2)
         for row in range(9):
             single, _, _ = moe_forward(weights, xs[row], 2)
             assert np.allclose(batched[row], single, rtol=1e-12, atol=1e-14)

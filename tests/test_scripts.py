@@ -38,4 +38,5 @@ def test_artifact_hashes_reproduce_across_processes(tmp_path):
     assert {"train_fg_drop/curve.jsonl", "train_btx/model/tensors.bin",
             "routing/routing_fractions.csv", "fg_drop/reinit_plan.json",
             "catchup_drop_vs_parent.csv", "corpora/train.txt", "corpora_17/train.txt",
-            "corpora_17/eval.txt"} <= names
+            "corpora_17/eval.txt", "pipeline/summary.json",
+            "pipeline/routing_drop.csv"} <= names

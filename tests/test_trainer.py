@@ -6,7 +6,7 @@ import pytest
 from moeup import trainer as trainer_mod
 from moeup import upcycle
 from moeup.config import ValidationError
-from moeup.corpus import default_corpus
+from moeup.corpus import Corpus, default_corpus
 from moeup.model import (
     LayerRouting,
     RoutingTrace,
@@ -308,9 +308,9 @@ def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
     model = _toy_model(toy_dense_config(), seed=11)
     shapes = []
 
-    def recording_forward(m, tokens):
+    def recording_forward(m, tokens, **kwargs):
         shapes.append(tokens.shape)
-        return forward_cache(m, tokens)
+        return forward_cache(m, tokens, **kwargs)
 
     monkeypatch.setattr("moeup.trainer.forward_cache", recording_forward)
     tiled = evaluate_loss(model, corpus, batch_size=32)
@@ -321,3 +321,23 @@ def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
     assert all(rows == 1 for rows, _ in shapes)
     with pytest.raises(ValidationError, match="batch_size"):
         evaluate_loss(model, corpus, batch_size=0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_sequences": 0}, "max_sequences"),
+    ({"max_sequences": -2}, "max_sequences"),
+    ({"seq_len": 0}, "seq_len"),
+    ({"seq_len": -1}, "seq_len"),
+])
+def test_evaluate_loss_rejects_empty_evaluations(kwargs, match):
+    corpus = default_corpus(seq_len=16, num_sequences=4)
+    model = _toy_model(toy_dense_config(), seed=11)
+    with pytest.raises(ValidationError, match=match):
+        evaluate_loss(model, corpus, **kwargs)
+
+
+def test_evaluate_loss_rejects_empty_corpus():
+    corpus = default_corpus(seq_len=16, num_sequences=4)
+    empty = Corpus(sequences=corpus.sequences[:0], domains=[])
+    with pytest.raises(ValidationError, match="empty corpus"):
+        evaluate_loss(_toy_model(toy_dense_config(), seed=11), empty)

@@ -237,6 +237,19 @@ class TestDrop:
         loaded = upcycle.load_plan(tmp_path)
         assert loaded.to_json_dict() == plan.to_json_dict()
 
+    @pytest.mark.parametrize("ratio, granularity, shared, shared_init", [
+        (0.0, 1, 0, "copy"), (0.3, 2, 1, "copy"), (0.3, 2, 1, "drop"), (1.0, 2, 1, "drop")])
+    def test_every_written_plan_loads(self, tmp_path, ratio, granularity, shared, shared_init):
+        """Plans as the drop family writes them pass the loader's checks."""
+        dense = random_checkpoint(tiny_dense_config(), seed=12)
+        config = tiny_moe_config(n=4, k=2, m=granularity, k_s=shared)
+        spec = upcycle.UpcycleSpec(method="fg-drop", ratio=ratio, seed=13,
+                                   granularity=granularity, shared_experts=shared,
+                                   shared_init=shared_init)
+        _, plan = upcycle.fine_grained_drop_upcycle(dense, config, spec)
+        upcycle.save_plan(plan, tmp_path)
+        assert upcycle.load_plan(tmp_path).to_json_dict() == plan.to_json_dict()
+
     def test_ratio_out_of_range_names_field(self):
         with pytest.raises(ValidationError, match="ratio"):
             upcycle.UpcycleSpec(method="drop", ratio=1.5)
