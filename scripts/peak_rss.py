@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Peak memory of one ``moeup init`` or ``moeup upcycle --method drop`` run.
+"""Peak memory of one ``moeup init``, ``moeup upcycle --method drop`` or
+``moeup train`` run.
 
     python3 scripts/peak_rss.py init --scale toy|152m --out DIR [--seed N]
     python3 scripts/peak_rss.py upcycle --in PARENT --out DIR [--seed N]
+    python3 scripts/peak_rss.py train --in CKPT --corpus FILE --out DIR [--steps N]
 
 ``init`` writes a from-scratch dense checkpoint of the toy config or of the
 152M config (``from_scratch`` and then ``save``). ``upcycle`` turns a dense
-parent into 8 experts, top-2, drop ratio 0.5. The command runs as
-``python3 -m moeup.cli`` in a child process, so its peak is its own; the
-script prints one JSON line with the child's exit code, wall time, peak RSS
-(``ru_maxrss`` from ``wait4``) and the size of the checkpoint it wrote, in
-MiB. The 152M run needs about 0.7 GiB for ``init`` and 1.8 GiB for
-``upcycle``, plus 0.6 and 1.6 GiB of disk.
+parent into 8 experts, top-2, drop ratio 0.5. ``train`` trains a checkpoint
+for N steps (default 20) with ``moeup train``'s other defaults: batches of
+16 x 64 tokens and global load balancing, the settings of the benchmark's MoE
+training phase. The command runs as ``python3 -m moeup.cli`` in a child
+process, so its peak is its own; the script prints one JSON line with the
+child's exit code, wall time, peak RSS (``ru_maxrss`` from ``wait4``) and the
+size of the checkpoint it wrote, in MiB. The 152M run needs about 0.7 GiB for
+``init`` and 1.8 GiB for ``upcycle``, plus 0.6 and 1.6 GiB of disk.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="input", required=True, help="dense parent checkpoint")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("train", help="time moeup train")
+    p.add_argument("--in", dest="input", required=True, help="checkpoint to train")
+    p.add_argument("--corpus", required=True, help="corpus file (domain TAB ids)")
+    p.add_argument("--out", required=True, help="output directory (model + curve.jsonl)")
+    p.add_argument("--steps", type=int, default=20)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,12 +84,17 @@ def main(argv=None) -> int:
             cli_args = ["init", "--config", str(config), "--seed", str(args.seed),
                         "--out", args.out]
             result = {"command": "init", "scale": args.scale}
-        else:
+        elif args.command == "upcycle":
             cli_args = ["upcycle", *UPCYCLE_FLAGS, "--seed", str(args.seed),
                         "--in", args.input, "--out", args.out]
             result = {"command": "upcycle"}
+        else:
+            cli_args = ["train", "--steps", str(args.steps), "--in", args.input,
+                        "--corpus", args.corpus, "--out", args.out]
+            result = {"command": "train", "steps": args.steps}
         result.update(measure(cli_args))
-    blob = Path(args.out) / "tensors.bin"
+    written = Path(args.out) / "model" if args.command == "train" else Path(args.out)
+    blob = written / "tensors.bin"
     result["payload_mib"] = round(blob.stat().st_size / MIB, 1) if blob.exists() else None
     print(json.dumps(result, sort_keys=True))
     return 0 if result["exit_code"] == 0 else 1

@@ -60,6 +60,8 @@ def collect_traces(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     if not model.config.is_moe:
         raise ValidationError("routing traces require an MoE model")
     seq_len = corpus.seq_len if seq_len is None else seq_len
+    if not 1 <= seq_len <= corpus.seq_len:
+        raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
     traces = []
     for start in range(0, corpus.num_sequences, batch_size):
         stop = min(start + batch_size, corpus.num_sequences)

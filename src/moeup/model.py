@@ -22,10 +22,15 @@ Gradients are reverse-mode via per-layer hand-written backward functions at
 64-bit precision; there is no general tape. A forward pass that a backward
 pass will follow keeps a ``LayerCache`` per layer, whose FFN part is an
 ``MoeCache`` in an MoE model, and the backward pass reads them by name,
-freeing each part at its last use. A forward pass for evaluation or routing
-traces (``keep_activations=False``) keeps none of them: inside an MoE layer
-each expert's input rows, intermediates and output die before the next expert
-runs, and only the tokens, logits, loss and routing outlive the pass.
+freeing each part at its last use. The caches keep only what backward cannot
+rebuild cheaply. An FFN keeps its input, its two GEMM outputs and the
+sigmoid; backward recomputes ``act`` and ``prod`` with the forward's
+operations, so they are bitwise the same. A routed expert keeps no copy of
+its input rows; backward regathers them from the layer input. A forward pass
+for evaluation or routing traces (``keep_activations=False``) keeps none of
+them: inside an MoE layer each expert's input rows, intermediates and output
+die before the next expert runs, and only the tokens, logits, loss and
+routing outlive the pass.
 """
 
 from __future__ import annotations
@@ -108,28 +113,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _ffn_fwd(w: FfnWeights, x: np.ndarray):
+    """Gated FFN over rows of ``x``; returns ``(y, (x, gate_pre, up_out, sig))``.
+
+    The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the input,
+    the two GEMM outputs and the sigmoid. ``act = gate_pre * sig`` and
+    ``prod = act * up_out`` die here, in one buffer; backward recomputes them.
+    """
     gate_pre = x @ w.gate
     up_out = x @ w.up
     sig = _sigmoid(gate_pre)
-    act = gate_pre * sig
-    prod = act * up_out
+    prod = gate_pre * sig  # act
+    prod *= up_out
     y = prod @ w.down
-    return y, (x, gate_pre, up_out, sig, act, prod)
+    return y, (x, gate_pre, up_out, sig)
 
 
 def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray):
-    x, gate_pre, up_out, sig, act, prod = cache
+    """Backward for :func:`_ffn_fwd`; returns ``(dx, d_gate, d_up, d_down)``.
+
+    ``act`` and ``prod`` are rebuilt by the forward's operations in the
+    forward's order, so they are bitwise the forward's. Each rebuilt buffer is
+    reused at its last use, ``prod``'s for swish' and ``act``'s for
+    ``d_up_out``, so backward allocates three (K, width) temporaries in all.
+    """
+    x, gate_pre, up_out, sig = cache
     d_prod = dy @ w.down.T
+    act = gate_pre * sig
+    prod = act * up_out
     d_down = prod.T @ dy
     # swish'(z) = sig * (1 + z * (1 - sig)), evaluated in place in that order
-    d_swish = np.subtract(1.0, sig)
+    d_swish = np.subtract(1.0, sig, out=prod)
     d_swish *= gate_pre
     d_swish += 1.0
     d_swish *= sig
-    d_gate_pre = d_prod * up_out
+    d_up_out = act  # d_prod * act: a product is the same bits either way round
+    d_up_out *= d_prod
+    d_gate_pre = d_prod
+    d_gate_pre *= up_out
     d_gate_pre *= d_swish
-    d_up_out = d_prod
-    d_up_out *= act
+    del d_swish
     d_gate = x.T @ d_gate_pre
     d_up = x.T @ d_up_out
     dx = d_gate_pre @ w.gate.T + d_up_out @ w.up.T
@@ -174,8 +196,10 @@ class MoeCache:
     logits: np.ndarray      # (N, n) router logits
     gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
     routing: LayerRouting
-    experts: list[tuple | None]  # per routed expert (rows, FFN cache, output); None if unchosen
-    shared: list[tuple]     # per shared expert, its FFN cache
+    # Per routed expert, (rows, (gate_pre, up_out, sig), output), or None if no
+    # row chose it. The FFN cache without its input: backward regathers x[rows].
+    experts: list[tuple | None]
+    shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
 
 
 def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
@@ -248,6 +272,10 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
     ``cache`` is the :class:`MoeCache` for :func:`_moe_bwd`, or None when
     ``keep`` is false: then each expert's input rows, FFN intermediates and
     output die as soon as its output is combined, before the next expert runs.
+    When kept, a routed expert's entry holds its rows, the FFN cache without
+    the gathered input ``x[rows]`` (backward regathers it from ``x``, which
+    the router gradient needs anyway) and its output, which gives the gate
+    gradient.
     """
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
@@ -268,8 +296,9 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
             fe, cache_e = _ffn_fwd(w.experts[e], x[idx])
             y[idx] += gates_full[idx, e:e + 1] * fe
             if keep:
-                expert_caches[e] = (idx, cache_e, fe)
-            del fe, cache_e  # unless kept, they die before the next expert's forward
+                expert_caches[e] = (idx, cache_e[1:], fe)
+            # The input rows always die here; the rest unless kept.
+            del fe, cache_e
     shared_caches = []
     for sw in w.shared:
         fs, cache_s = _ffn_fwd(sw, x)
@@ -290,6 +319,10 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     softmax (used by the load-balancing loss): one (n,) vector, the same for
     every row, broadcast against the (N, n) probabilities. Top-k selection
     itself is piecewise constant and carries no gradient.
+
+    A routed expert's input rows are regathered from ``cache.x``, and its
+    ``act`` and ``prod`` are rebuilt by :func:`_ffn_bwd`; its kept output
+    gives the gate gradient.
     """
     routing = cache.routing
     dx = np.zeros_like(cache.x)
@@ -301,15 +334,16 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         if cache.experts[e] is None:
             expert_grads.append(tuple(map(np.zeros_like, (ew.gate, ew.up, ew.down))))
             continue
-        idx, cache_e, fe = cache.experts[e]
+        idx, kept, fe = cache.experts[e]
         cache.experts[e] = None
         dye = dy[idx]
         d_gates_full[idx, e] = np.einsum("nd,nd->n", dye, fe)
+        del fe
         dye *= cache.gates_full[idx, e:e + 1]
-        dxe, d_gate, d_up, d_down = _ffn_bwd(ew, cache_e, dye)
+        dxe, d_gate, d_up, d_down = _ffn_bwd(ew, (cache.x[idx], *kept), dye)
         dx[idx] += dxe
         expert_grads.append((d_gate, d_up, d_down))
-        del idx, cache_e, fe, dye
+        del idx, kept, dye
     shared_grads = []
     for j, sw in enumerate(w.shared):
         dxs, d_gate, d_up, d_down = _ffn_bwd(sw, cache.shared[j], dy)

@@ -350,8 +350,9 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     if corpus.num_sequences == 0:
         raise ValidationError("cannot evaluate on an empty corpus")
     seq_len = corpus.seq_len if seq_len is None else seq_len
-    if seq_len < 1:
-        raise ValidationError(f"eval seq_len must be >= 1, got {seq_len}")
+    # One token has no next-token target, so its loss would be an empty mean.
+    if seq_len < 2:
+        raise ValidationError(f"eval seq_len must be >= 2, got {seq_len}")
     if seq_len > corpus.seq_len:
         raise ValidationError("eval seq_len exceeds corpus sequence length")
     limit = corpus.num_sequences if max_sequences is None else min(max_sequences,

@@ -166,7 +166,11 @@ def ref_attn_fwd(h, wq, wk, wv, wo, n_heads: int, head_dim: int):
 
 
 def ref_ffn_bwd(w, cache, dy: np.ndarray):
-    x, gate_pre, up_out, sig, act, prod = cache
+    """FFN backward from the ``(x, gate_pre, up_out, sig)`` cache, every step
+    out of place."""
+    x, gate_pre, up_out, sig = cache
+    act = gate_pre * sig
+    prod = act * up_out
     d_prod = dy @ w.down.T
     d_down = prod.T @ dy
     d_up_out = d_prod * act

@@ -81,6 +81,22 @@ class TestSummarizeRouting:
         with pytest.raises(ValidationError, match="batch_size"):
             collect_traces(model, corpus, batch_size=batch_size)
 
+    @pytest.mark.parametrize("seq_len", [0, -1, 17, 500])
+    def test_seq_len_out_of_corpus_range_rejected(self, seq_len):
+        ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
+        model = build_model(ckpt, max_positions=16, stream=RngStream(0))
+        corpus = default_corpus(seq_len=16, num_sequences=8)
+        with pytest.raises(ValidationError, match=r"seq_len must be in \[1, 16\]"):
+            collect_traces(model, corpus, seq_len=seq_len)
+
+    @pytest.mark.parametrize("seq_len", [1, 16])
+    def test_seq_len_bounds_accepted(self, seq_len):
+        ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
+        model = build_model(ckpt, max_positions=16, stream=RngStream(0))
+        corpus = default_corpus(seq_len=16, num_sequences=8)
+        traces = collect_traces(model, corpus, batch_size=8, seq_len=seq_len)
+        assert traces[0].layers[0].selected.shape == (8, seq_len, 2)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             summarize_routing(RoutingTrace(num_experts=4, top_k=2, layers=[]))

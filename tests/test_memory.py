@@ -25,7 +25,7 @@ from moeup import analysis
 from moeup import model as model_mod
 from moeup import trainer as trainer_mod
 from moeup.config import ValidationError
-from moeup.corpus import VOCAB_SIZE, default_corpus
+from moeup.corpus import VOCAB_SIZE, default_corpus, save_corpus
 from moeup.model import (
     backward_from_cache,
     build_model,
@@ -164,6 +164,7 @@ def _expert_refs(cache, model) -> list[list[weakref.ref]]:
     """Per expert, in backward order, the arrays only that expert's cache holds."""
     refs = []
     for layer in reversed(cache["layer_caches"]):
+        # A routed entry is (rows, (gate_pre, up_out, sig), output): all its own.
         refs.extend(_refs(e_cache, model) for e_cache in layer.ffn.experts
                     if e_cache is not None)
         # A shared expert's input is the layer input, which the router also uses.
@@ -192,26 +193,60 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
 def test_expert_tensors_dead_when_next_expert_starts_forward(keep, monkeypatch):
     """Hooks ``_ffn_fwd``: at each expert's start, count the live arrays of every
     earlier expert's input rows, intermediates and output. A shared expert's
-    input is the layer input, which outlives it, so it is not counted."""
+    input is the layer input, which outlives it, so it is not counted. A
+    routed expert's input rows die even when activations are kept."""
     model = _model(CONFIGS[2])
     shared = {id(a) for name, a in model.params.items() if ".shared." in name}
-    earlier, seen = [], []
+    earlier, routed_inputs, seen = [], [], []
     real = model_mod._ffn_fwd
 
     def ffn_fwd(w, x):
         seen.append(_alive(earlier))
         y, cache = real(w, x)
+        assert cache[0] is x
         layer_input = x if id(w.gate) in shared else None
+        if layer_input is None:
+            routed_inputs.append(weakref.ref(x))
         earlier.extend(weakref.ref(a) for a in (y, *cache) if a is not layer_input)
         return y, cache
 
     monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
     cache = forward_cache(model, _tokens(), keep_activations=keep)
     assert len(seen) > 2 * len(cache["routing"]) > 0  # several experts per layer
+    assert routed_inputs and _alive(routed_inputs) == 0
     if keep:
         assert all(alive > 0 for alive in seen[1:])
     else:
         assert seen == [0] * len(seen) and _alive(earlier) == 0
+
+
+def test_kept_expert_entry_holds_no_input_rows():
+    """A routed expert keeps its rows, exactly ``(gate_pre, up_out, sig)`` as
+    (K, width) arrays and its (K, d_h) output: no copy of its input rows, and
+    neither ``act`` nor ``prod``, which backward rebuilds."""
+    config = make_config(16, 64, 2, 2, 2, VOCAB_SIZE, n=4, k=3, m=2, k_s=1, s=16)
+    model = _model(config)
+    d_h, width = config.hidden_size, config.intermediate_size // config.granularity
+    assert width != d_h
+    cache = forward_cache(model, _tokens())
+    entries = 0
+    for layer in cache["layer_caches"]:
+        moe = layer.ffn
+        for e, entry in enumerate(moe.experts):
+            if entry is None:
+                continue
+            entries += 1
+            idx, kept, fe = entry
+            rows = idx.size
+            assert idx.dtype == np.int64 and idx.shape == (rows,)
+            assert len(_arrays(entry, set())) == 5
+            assert len(kept) == 3 and all(a.shape == (rows, width) for a in kept)
+            assert fe.shape == (rows, d_h)
+            y, ffn_cache = model_mod._ffn_fwd(layer.weights.experts[e], moe.x[idx])
+            assert _same_bits([*kept, fe], [*ffn_cache[1:], y])
+        for s_cache in moe.shared:
+            assert len(s_cache) == 4 and s_cache[0] is moe.x
+    assert entries > len(cache["layer_caches"])
 
 
 def test_backward_rejects_activation_free_cache():
@@ -320,14 +355,31 @@ def test_train_peak_is_one_step_of_activations():
 
 
 def test_activation_free_tile_peaks_at_a_third():
-    """One 512-token evaluation tile: without kept activations, only one
-    expert's tensors are live at a time."""
+    """One 512-token evaluation tile of the toy coarse MoE. Without kept
+    activations only one expert's tensors are live at a time (about 6.7 MiB);
+    the kept forward holds every expert's (about 21 MiB)."""
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     tile = default_corpus(seq_len=64, num_sequences=8).sequences
     kept = _peak(lambda: forward_cache(model, tile))
     free = _peak(lambda: forward_cache(model, tile, keep_activations=False))
     assert 3 * free <= kept, (free, kept)
+    assert free <= 8 << 20, (free, kept)
+    assert kept <= 24 << 20, (free, kept)
+
+
+def test_fine_grained_train_step_peak():
+    """One train step (forward and backward) at the ``toy-finegrained``
+    shape: 31 routed experts of width 32, top-15, one shared expert, a 16 x 64
+    batch. Kept expert entries hold no input rows, ``act`` or ``prod``, so
+    the step peaks near 59 MiB; caching ``prod`` again adds about 8 MiB."""
+    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
+    assert (config.routed_experts, config.shared_experts) == (31, 1)
+    model = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                        stream=RngStream(4))
+    tokens = default_corpus(seq_len=64, num_sequences=16).sequences
+    peak = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
+    assert peak <= 65 << 20, peak / (1 << 20)
 
 
 def test_from_scratch_peak_near_payload():
@@ -411,3 +463,13 @@ def test_peak_rss_script_on_toy_config(tmp_path):
     up = _peak_rss("upcycle", "--in", str(tmp_path / "parent"), "--out", str(tmp_path / "moe"))
     assert up["exit_code"] == 0 and up["payload_mib"] > init["payload_mib"]
     assert (tmp_path / "moe" / "reinit_plan.json").exists()
+    save_corpus(default_corpus(seq_len=64, num_sequences=32), tmp_path / "corpus.txt")
+    trained = _peak_rss("train", "--in", str(tmp_path / "moe"), "--corpus",
+                        str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "trained"),
+                        "--steps", "2")
+    assert trained["command"] == "train" and trained["steps"] == 2
+    assert trained["exit_code"] == 0 and trained["maxrss_mib"] > 0 and trained["wall_s"] > 0
+    # The trained checkpoint adds the position embedding the upcycle lacks.
+    assert trained["payload_mib"] >= up["payload_mib"]
+    curve = (tmp_path / "trained" / "curve.jsonl").read_text().splitlines()
+    assert len(curve) == 2

@@ -328,12 +328,21 @@ def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
     ({"max_sequences": -2}, "max_sequences"),
     ({"seq_len": 0}, "seq_len"),
     ({"seq_len": -1}, "seq_len"),
+    ({"seq_len": 1}, "seq_len"),
 ])
 def test_evaluate_loss_rejects_empty_evaluations(kwargs, match):
     corpus = default_corpus(seq_len=16, num_sequences=4)
     model = _toy_model(toy_dense_config(), seed=11)
     with pytest.raises(ValidationError, match=match):
         evaluate_loss(model, corpus, **kwargs)
+
+
+def test_evaluate_loss_rejects_one_token_corpus():
+    """One-token sequences have no next-token target: no loss to report."""
+    corpus = default_corpus(seq_len=16, num_sequences=4)
+    short = Corpus(sequences=corpus.sequences[:, :1].copy(), domains=corpus.domains)
+    with pytest.raises(ValidationError, match="seq_len must be >= 2, got 1"):
+        evaluate_loss(_toy_model(toy_dense_config(), seed=11), short)
 
 
 def test_evaluate_loss_rejects_empty_corpus():
