@@ -71,8 +71,7 @@ def _commands(out: Path) -> list[list[str]]:
         commands.append([*CLI, "train", "--in", str(out / name), "--corpus", train_txt,
                          *TRAIN_FLAGS, "--balance", balance, "--out", str(out / f"train_{name}")])
     commands.append([*CLI, "analyze-routing", "--in", str(out / "train_drop" / "model"),
-                     "--corpus", str(corpus / "eval.txt"), "--batch-size", "4",
-                     "--out", str(out / "routing")])
+                     "--corpus", str(corpus / "eval.txt"), "--out", str(out / "routing")])
     commands.append([*CLI, "catch-up", "--base", str(out / "train_drop" / "curve.jsonl"),
                      "--other", str(out / "train_parent" / "curve.jsonl"), "--window", "1",
                      "--out", str(out / "catchup_drop_vs_parent.csv")])

@@ -157,7 +157,7 @@ def main() -> None:
                    "layers": [asdict(layer) for layer in report.layers]},
                   fh, indent=2, sort_keys=True)
     for name, model in trained_models.items():
-        summary = summarize_routing(collect_traces(model, held_out, batch_size=32))
+        summary = summarize_routing(collect_traces(model, held_out))
         routing_fractions_csv(summary, out / f"routing_{name}.csv")
         layer_entropy_csv(summary, out / f"entropy_{name}.csv")
     for name, curve in curves.items():

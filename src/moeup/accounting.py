@@ -139,8 +139,8 @@ def flops_forward(config: ModelConfig, seq_len: int | None = None) -> FlopsBreak
 
 def training_flops(config: ModelConfig, total_tokens: int | float) -> float:
     """Total training FLOPs: 3x forward per token times the token budget."""
-    if total_tokens < 0:
-        raise ValidationError(f"total_tokens must be >= 0, got {total_tokens}")
+    if not 0 <= total_tokens < float("inf"):  # NaN fails too
+        raise ValidationError(f"total_tokens must be finite and >= 0, got {total_tokens}")
     breakdown = flops_forward(config)
     return float(breakdown.training_per_token) * float(total_tokens)
 

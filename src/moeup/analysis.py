@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -27,9 +26,9 @@ import numpy as np
 
 from .config import ValidationError
 from .corpus import Corpus
-from .model import RoutingTrace, ToyLm, forward_cache, trace_from_cache
+from .model import RoutingTrace, ToyLm, trace_from_cache
 from .numerics import RngStream
-from .trainer import LossCurve
+from .trainer import LossCurve, forward_tiles
 from .upcycle import ReinitPlan
 
 
@@ -48,79 +47,58 @@ class RoutingSummary:
     tokens_per_domain: dict[str, int] = field(default_factory=dict)
 
 
-def collect_traces(model: ToyLm, corpus: Corpus, batch_size: int = 32,
+def collect_traces(model: ToyLm, corpus: Corpus, *,
                    seq_len: int | None = None) -> list[RoutingTrace]:
-    """Run the model over the corpus in order and keep every routing trace.
+    """Routing traces of the model over the corpus in order, one per tile of
+    :func:`moeup.trainer.forward_tiles`.
 
-    The forward passes keep no activations; each trace holds only its batch's
-    routing arrays.
+    Each trace holds only its tile's routing arrays. Routing is per token, so
+    the traces' arrays are bitwise those of one forward per sequence.
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if not model.config.is_moe:
         raise ValidationError("routing traces require an MoE model")
-    seq_len = corpus.seq_len if seq_len is None else seq_len
-    if not 1 <= seq_len <= corpus.seq_len:
-        raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
-    traces = []
-    for start in range(0, corpus.num_sequences, batch_size):
-        stop = min(start + batch_size, corpus.num_sequences)
-        batch = corpus.sequences[start:stop, :seq_len]
-        traces.append(trace_from_cache(model, forward_cache(model, batch, keep_activations=False),
-                                       corpus.domains[start:stop]))
-    return traces
+    def trace(rows: slice, result: dict) -> RoutingTrace:
+        return trace_from_cache(model, result, corpus.domains[rows])
+
+    return forward_tiles(model, corpus, trace, seq_len=seq_len)
 
 
 def summarize_routing(trace: RoutingTrace | list[RoutingTrace]) -> RoutingSummary:
     """Per-(layer, domain) expert assignment fractions and per-layer entropy.
 
-    Fractions are normalized by assignments (top_k per token). Domains with
-    no tokens are omitted with a warning. Traces without domain labels are
-    pooled under the single domain ``"all"``.
+    Fractions are normalized by assignments (top_k per token). Traces without
+    domain labels are pooled under the single domain ``"all"``.
     """
     traces = trace if isinstance(trace, list) else [trace]
     if not traces or not traces[0].layers:
         raise ValidationError("empty routing trace")
-    n = traces[0].num_experts
-    k = traces[0].top_k
-    num_layers = len(traces[0].layers)
+    n, k, num_layers = traces[0].num_experts, traces[0].top_k, len(traces[0].layers)
     for t in traces:
         if t.num_experts != n or t.top_k != k or len(t.layers) != num_layers:
             raise ValidationError("traces disagree on routing shape")
 
-    domains: list[str] = sorted({d for t in traces
-                                 for d in (t.domains or ["all"] * t.layers[0].selected.shape[0])})
-    counts = {(layer, d): np.zeros(n, dtype=np.int64)
-              for layer in range(num_layers) for d in domains}
-    tokens_per_domain = {d: 0 for d in domains}
-
+    counts: dict[tuple[int, str], np.ndarray] = {}  # (layer, domain) -> assignments
+    tokens_per_domain: dict[str, int] = {}
     for t in traces:
-        batch = t.layers[0].selected.shape[0]
-        labels = t.domains if t.domains is not None else ["all"] * batch
-        label_arr = np.asarray(labels)
-        for d in domains:
-            rows = np.nonzero(label_arr == d)[0]
-            if rows.size == 0:
-                continue
-            tokens_per_domain[d] += rows.size * t.layers[0].selected.shape[1]
-            for layer_idx, layer in enumerate(t.layers):
-                sel = layer.selected[rows].reshape(-1)
-                counts[(layer_idx, d)] += np.bincount(sel, minlength=n)
+        batch, seq_len = t.layers[0].selected.shape[:2]
+        labels = np.asarray(t.domains if t.domains is not None else ["all"] * batch)
+        for d in np.unique(labels).tolist():
+            rows = np.nonzero(labels == d)[0]
+            tokens_per_domain[d] = tokens_per_domain.get(d, 0) + rows.size * seq_len
+            for i, layer in enumerate(t.layers):
+                assigned = np.bincount(layer.selected[rows].reshape(-1), minlength=n)
+                counts[(i, d)] = counts.get((i, d), 0) + assigned
 
-    summary = RoutingSummary(num_experts=n, top_k=k, tokens_per_domain=tokens_per_domain)
-    for d in domains:
-        if tokens_per_domain[d] == 0:
-            warnings.warn(f"domain '{d}' has no tokens; omitted from routing summary")
-    for layer in range(num_layers):
-        pooled = np.zeros(n, dtype=np.int64)
-        for d in domains:
-            c = counts[(layer, d)]
-            pooled += c
-            if tokens_per_domain[d] > 0:
-                summary.fractions[(layer, d)] = c / (k * tokens_per_domain[d])
+    summary = RoutingSummary(num_experts=n, top_k=k,
+                             tokens_per_domain=dict(sorted(tokens_per_domain.items())))
+    for (i, d), c in sorted(counts.items()):
+        summary.fractions[(i, d)] = c / (k * tokens_per_domain[d])
+    for i in range(num_layers):
+        pooled = sum((c for (layer, _), c in counts.items() if layer == i),
+                     np.zeros(n, dtype=np.int64))
         p = pooled / pooled.sum()
         nonzero = p[p > 0]
-        summary.entropy[layer] = float(-(nonzero * np.log(nonzero)).sum())
+        summary.entropy[i] = float(-(nonzero * np.log(nonzero)).sum())
     return summary
 
 
@@ -188,6 +166,8 @@ def overlap_report(plan: ReinitPlan, k: int = 2, max_subsets: int = 1000,
     """
     if plan is None or not plan.layers:
         raise ValidationError("reinit plan is missing or empty")
+    if max_subsets < 1:
+        raise ValidationError(f"max_subsets must be >= 1, got {max_subsets}")
     dim = plan.intermediate_size
     report = OverlapReport(ratio=plan.ratio, dimension=dim)
     stream = RngStream(subset_seed)

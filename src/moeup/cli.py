@@ -3,8 +3,8 @@
 Every subcommand prints one machine-readable JSON document to stdout and
 human-readable progress text to stderr. Exit codes: 0 success, 1 validation
 error, 2 I/O or artifact error. All randomness is controlled by ``--seed``;
-re-running a command with identical flags produces bitwise-identical output
-artifacts (no timestamps are ever written). Unknown flags are rejected.
+re-running a command with identical flags and BLAS thread count gives
+bitwise-identical output artifacts (no timestamps). Unknown flags are rejected.
 
 Config files are JSON, either flat ``ModelConfig`` fields or sections named
 ``model`` / ``train`` / ``upcycle`` mirroring the dataclass field names;
@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from . import accounting, analysis, checkpoint, corpus as corpus_mod, trainer, upcycle
-from .config import ModelConfig, ValidationError, load_config_file, model_config_from_file
+from .config import (ModelConfig, ValidationError, load_config_file, model_config_from_dict,
+                     model_config_from_file)
 from .model import build_model, model_to_checkpoint
 from .numerics import RngStream
 
@@ -98,7 +99,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory for CSV files")
-    p.add_argument("--batch-size", type=int, default=32)
 
     p = sub.add_parser("analyze-overlap", help="retained-overlap report for a reinit plan")
     p.add_argument("--plan", required=True, help="reinit_plan.json or its directory")
@@ -133,15 +133,15 @@ def _cmd_init(args) -> dict:
     }
 
 
-def _from_config(cls, config_path: str | None, section_name: str, flags: dict,
+def _from_config(cls, file: dict, section_name: str, flags: dict,
                  defaults: dict | None = None):
-    """Build the dataclass ``cls`` from ``defaults``, then a config file section,
-    then the flags that were set (unset flags are ``None``).
+    """Build the dataclass ``cls`` from ``defaults``, then a section of the loaded
+    config ``file``, then the flags that were set (unset flags are ``None``).
 
     Fields set by none of them keep the dataclass default. Unknown section
     keys and wrong-typed values raise ``ValidationError``.
     """
-    section = {} if config_path is None else load_config_file(config_path).get(section_name, {})
+    section = file.get(section_name, {})
     if not isinstance(section, dict):
         raise ValidationError(f"'{section_name}' section must be a JSON object")
     unknown = set(section) - {f.name for f in fields(cls)}
@@ -155,9 +155,10 @@ def _from_config(cls, config_path: str | None, section_name: str, flags: dict,
         raise ValidationError(f"invalid {section_name} config: {exc}") from exc
 
 
-def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec) -> ModelConfig:
-    if args.config is not None and "model" in load_config_file(args.config):
-        return model_config_from_file(args.config)
+def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec,
+                   file: dict) -> ModelConfig:
+    if "model" in file:
+        return model_config_from_dict(file)
     experts = args.experts if args.experts is not None else 8
     topk = args.topk if args.topk is not None else 2
     return replace(parent, num_experts=experts, top_k=topk, granularity=spec.granularity,
@@ -165,7 +166,8 @@ def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec) -> Mode
 
 
 def _cmd_upcycle(args) -> dict:
-    spec = _from_config(upcycle.UpcycleSpec, args.config, "upcycle", {
+    file = {} if args.config is None else load_config_file(args.config)  # read once
+    spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", {
         "method": args.method, "ratio": args.ratio, "seed": args.seed,
         "noise_sigma": args.noise_sigma, "noise_fraction": args.noise_fraction,
         "granularity": args.granularity, "shared_experts": args.shared,
@@ -175,13 +177,13 @@ def _cmd_upcycle(args) -> dict:
     if spec.method == "scratch":
         if args.config is None:
             raise ValidationError("--method scratch requires --config with a model section")
-        config = model_config_from_file(args.config)
+        config = model_config_from_dict(file)
         ckpt = upcycle.from_scratch(config, seed=spec.seed)
     else:
         if args.input is None:
             raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
         parent = checkpoint.load(args.input)
-        config = _target_config(parent.config, args, spec)
+        config = _target_config(parent.config, args, spec, file)
         if spec.method == "naive":
             ckpt = upcycle.naive_upcycle(parent, config, seed=spec.seed)
         elif spec.method == "rnu":
@@ -190,13 +192,11 @@ def _cmd_upcycle(args) -> dict:
             ckpt, plan = upcycle.drop_upcycle(parent, config, spec)
         elif spec.method == "fg-drop":
             ckpt, plan = upcycle.fine_grained_drop_upcycle(parent, config, spec)
-        elif spec.method == "btx":
+        else:  # btx
             if not args.branches:
                 raise ValidationError("--method btx requires --branches")
             branches = [checkpoint.load(p) for p in args.branches.split(",") if p]
             ckpt = upcycle.btx_merge(parent, branches, config, seed=spec.seed)
-        else:  # pragma: no cover - choices are validated by argparse
-            raise ValidationError(f"unknown method {spec.method!r}")
     checkpoint.save(ckpt, args.out)
     result = {
         "command": "upcycle", "method": spec.method, "spec": asdict(spec),
@@ -221,17 +221,22 @@ def _train_config(args) -> trainer.TrainConfig:
         "tail_steps": args.tail, "balance_mode": args.balance,
         "balance_coeff": args.balance_coeff, "seed": args.seed,
     }
+    file = {} if args.config is None else load_config_file(args.config)  # read once
     if args.tokens is not None:
         if args.steps is not None:
             raise ValidationError("pass either --steps or --tokens, not both")
+        if args.tokens < 1:
+            raise ValidationError(f"--tokens must be >= 1, got {args.tokens}")
         # The step count follows from the batch shape: read that first, with
         # step counts that cannot fail validation.
         zero_steps = dict.fromkeys(("total_steps", "warmup_steps", "tail_steps"), 0)
-        probe = _from_config(trainer.TrainConfig, args.config, "train",
-                             flags | zero_steps, _TRAIN_REQUIRED)
-        per_step = probe.batch_size * probe.seq_len
-        flags["total_steps"] = max(1, -(-int(args.tokens) // per_step))
-    return _from_config(trainer.TrainConfig, args.config, "train", flags, _TRAIN_REQUIRED)
+        probe = _from_config(trainer.TrainConfig, file, "train", flags | zero_steps,
+                             _TRAIN_REQUIRED)
+        flags["total_steps"] = -(-args.tokens // (probe.batch_size * probe.seq_len))
+    config = _from_config(trainer.TrainConfig, file, "train", flags, _TRAIN_REQUIRED)
+    if config.total_steps < 1:
+        raise ValidationError(f"total_steps must be >= 1, got {config.total_steps}")
+    return config
 
 
 def _cmd_train(args) -> dict:
@@ -285,8 +290,7 @@ def _cmd_analyze_routing(args) -> dict:
     ckpt = checkpoint.load(args.input)
     data = corpus_mod.load_corpus(args.corpus)
     model = build_model(ckpt, max_positions=data.seq_len, stream=RngStream(0))
-    traces = analysis.collect_traces(model, data, batch_size=args.batch_size)
-    summary = analysis.summarize_routing(traces)
+    summary = analysis.summarize_routing(analysis.collect_traces(model, data))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fractions_csv = out / "routing_fractions.csv"
@@ -358,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         result = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except ValidationError as exc:
+    except (ValidationError, trainer.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (checkpoint.CheckpointError, OSError) as exc:

@@ -149,7 +149,11 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def model_config_from_file(path: str | Path) -> ModelConfig:
-    data = load_config_file(path)
+    return model_config_from_dict(load_config_file(path))
+
+
+def model_config_from_dict(data: dict) -> ModelConfig:
+    """The ``ModelConfig`` of a loaded config file: its ``model`` section or flat fields."""
     section = data.get("model", data)
     if not isinstance(section, dict):
         raise ValidationError("'model' section must be a JSON object")

@@ -41,7 +41,7 @@ from .model import (
 from .numerics import RngStream
 
 BALANCE_MODES = ("global", "layerwise", "off")
-# Most tokens one evaluation forward pass holds (see :func:`evaluate_loss`).
+# Most tokens one evaluation forward pass holds (see :func:`forward_tiles`).
 EVAL_TILE_TOKENS = 512
 
 
@@ -72,8 +72,8 @@ class TrainConfig:
                             "seq_len", "seed"))
         if self.min_lr > self.max_lr:
             raise ValidationError(f"min_lr ({self.min_lr}) must be <= max_lr ({self.max_lr})")
-        if self.min_lr < 0:
-            raise ValidationError("learning rates must be >= 0")
+        if not (0 <= self.min_lr and self.max_lr < math.inf):  # NaN fails too
+            raise ValidationError("learning rates must be finite and >= 0")
         if self.total_steps < 0 or self.warmup_steps < 0 or self.tail_steps < 0:
             raise ValidationError("step counts must be >= 0")
         if self.warmup_steps + self.tail_steps > self.total_steps:
@@ -83,12 +83,12 @@ class TrainConfig:
         if self.seq_len < 2:
             raise ValidationError(f"seq_len must be >= 2, got {self.seq_len}")
         for name in ("weight_decay", "grad_clip", "balance_coeff"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValidationError("adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValidationError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.balance_mode not in BALANCE_MODES:
             raise ValidationError(f"balance_mode must be one of {BALANCE_MODES}")
 
@@ -328,39 +328,50 @@ def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, state: Ad
     return total_loss, lm_loss, balance_loss
 
 
-def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
-                  seq_len: int | None = None, max_sequences: int | None = None) -> float:
-    """Mean next-token loss over the corpus, in deterministic order.
+def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None = None,
+                  max_sequences: int | None = None, max_rows: int | None = None) -> list:
+    """``per_tile(rows, result)`` for each tile of the corpus, in order: the one
+    walk behind :func:`evaluate_loss` and routing traces. Returns their values.
 
-    ``batch_size`` is an upper bound on the sequences per forward pass. Each
-    pass also holds at most ``EVAL_TILE_TOKENS`` tokens (one sequence at
-    least), so that its temporaries are reused from the heap rather than
-    faulted in fresh from the operating system on every pass. The tile size
-    changes only how per-sequence losses are grouped before summation.
-
-    No backward pass follows, so each tile's forward keeps no activations
-    (``keep_activations=False``): within an MoE layer each expert's tensors
-    die before the next expert runs, and only the tile's logits and loss
-    outlive its forward. The loss is bitwise that of the default pass.
+    A tile is a slice ``rows`` of the first ``max_sequences`` sequences, cut to
+    ``seq_len`` tokens (by default all of both). It holds at most ``max_rows``
+    sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. ``result``
+    is its ``forward_cache(..., keep_activations=False)``, and dies when
+    ``per_tile`` returns: the next tile's forward reuses its memory.
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if max_sequences is not None and max_sequences < 1:
         raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
     if corpus.num_sequences == 0:
         raise ValidationError("cannot evaluate on an empty corpus")
     seq_len = corpus.seq_len if seq_len is None else seq_len
+    if not 1 <= seq_len <= corpus.seq_len:
+        raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
+    limit = min(max_sequences or corpus.num_sequences, corpus.num_sequences)
+    step = max(1, min(max_rows or limit, EVAL_TILE_TOKENS // seq_len))
+    tiles = (slice(start, min(start + step, limit)) for start in range(0, limit, step))
+    return [per_tile(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
+                                         keep_activations=False)) for rows in tiles]
+
+
+def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
+                  seq_len: int | None = None, max_sequences: int | None = None) -> float:
+    """Mean next-token loss over the corpus, in deterministic order.
+
+    The corpus is walked by :func:`forward_tiles`, with ``batch_size`` as an
+    upper bound on the sequences per tile. The tile size changes only how
+    per-sequence losses are grouped before summation; the loss is bitwise that
+    of a pass that keeps its activations.
+    """
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    seq_len = corpus.seq_len if seq_len is None else seq_len
     # One token has no next-token target, so its loss would be an empty mean.
     if seq_len < 2:
         raise ValidationError(f"eval seq_len must be >= 2, got {seq_len}")
-    if seq_len > corpus.seq_len:
-        raise ValidationError("eval seq_len exceeds corpus sequence length")
-    limit = corpus.num_sequences if max_sequences is None else min(max_sequences,
-                                                                   corpus.num_sequences)
-    rows = max(1, min(batch_size, EVAL_TILE_TOKENS // seq_len))
+    tiles = forward_tiles(model, corpus, lambda rows, out: (rows.stop - rows.start, out["loss"]),
+                          seq_len=seq_len, max_sequences=max_sequences, max_rows=batch_size)
     total, count = 0.0, 0
-    for start in range(0, limit, rows):
-        batch = corpus.sequences[start:min(start + rows, limit), :seq_len]
-        total += forward_cache(model, batch, keep_activations=False)["loss"] * batch.shape[0]
-        count += batch.shape[0]
+    for rows, loss in tiles:
+        total += loss * rows
+        count += rows
     return total / count

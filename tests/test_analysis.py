@@ -69,17 +69,9 @@ class TestSummarizeRouting:
         ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
         model = build_model(ckpt, max_positions=16, stream=RngStream(0))
         corpus = default_corpus(seq_len=16, num_sequences=48)
-        summary = summarize_routing(collect_traces(model, corpus, batch_size=16))
+        summary = summarize_routing(collect_traces(model, corpus))
         for vec in summary.fractions.values():
             assert abs(vec.sum() - 1.0) < 1e-9
-
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_non_positive_batch_size_rejected(self, batch_size):
-        ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
-        model = build_model(ckpt, max_positions=16, stream=RngStream(0))
-        corpus = default_corpus(seq_len=16, num_sequences=8)
-        with pytest.raises(ValidationError, match="batch_size"):
-            collect_traces(model, corpus, batch_size=batch_size)
 
     @pytest.mark.parametrize("seq_len", [0, -1, 17, 500])
     def test_seq_len_out_of_corpus_range_rejected(self, seq_len):
@@ -94,7 +86,7 @@ class TestSummarizeRouting:
         ckpt = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2), seed=1)
         model = build_model(ckpt, max_positions=16, stream=RngStream(0))
         corpus = default_corpus(seq_len=16, num_sequences=8)
-        traces = collect_traces(model, corpus, batch_size=8, seq_len=seq_len)
+        traces = collect_traces(model, corpus, seq_len=seq_len)
         assert traces[0].layers[0].selected.shape == (8, seq_len, 2)
 
     def test_empty_trace_rejected(self):

@@ -23,6 +23,10 @@ _POINT = {"tokens_processed": 64, "train_loss": 1.0, "lm_loss": 1.0, "balance_lo
           "lr": 1e-3}
 
 
+# A short MoE train run on the 16-token corpus; a table row appends its flags.
+_TRAIN = "train --in {moe} --corpus {corpus} --out {out} --batch-size 4 --seq-len 16"
+
+
 def _plan_with(experts=None, shared=()) -> dict:
     """``_PLAN`` with its layer's expert entries replaced (None keeps them)."""
     layer = _PLAN["layers"][0]
@@ -164,9 +168,22 @@ class TestValidationAndExitCodes:
          json.dumps(_POINT | {"tokens_processed": "x"}).encode()),
         ("train --in {dense} --corpus {config} --out {out}", b"alpha\t1 2 \xff\n"),
         ("analyze-routing --in {dense} --corpus {config} --out {out}", b"\xfe\xff\n"),
-        ("analyze-routing --in {moe} --corpus {corpus} --batch-size 0 --out {out}", None),
-        ("analyze-routing --in {moe} --corpus {corpus} --batch-size -3 --out {out}", None),
         ("params --config {config}", b"\xff{}"),
+        # Routing traces walk the corpus in tiles of their own: no batch size.
+        ("analyze-routing --in {moe} --corpus {corpus} --batch-size 8 --out {out}", None),
+        # A run of no steps has no curve; --tokens must ask for at least one.
+        (f"{_TRAIN} --steps 0", None),
+        (f"{_TRAIN} --tokens -5", None),
+        (f"{_TRAIN} --tokens 0", None),
+        # Non-finite learning rates and balance coefficient.
+        (f"{_TRAIN} --max-lr nan --min-lr nan", None),
+        (f"{_TRAIN} --balance-coeff nan", None),
+        (f"{_TRAIN} --max-lr inf --min-lr 0", None),
+        # Values that would print NaN or Infinity, which is not JSON.
+        ("flops --config {model} --tokens nan", None),
+        ("flops --config {model} --tokens inf", None),
+        ("analyze-overlap --plan {config} --max-subsets 0", _PLAN),
+        ("analyze-overlap --plan {config} --max-subsets -1", _PLAN),
     ])
     def test_bad_input_prints_one_error_line(self, capsys, tmp_path, config_file, dense_dir,
                                              moe_dir, corpus_file, argv, config):
@@ -180,6 +197,40 @@ class TestValidationAndExitCodes:
         code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_diverging_run_ends_with_one_error_line(self, capsys, tmp_path, moe_dir,
+                                                     corpus_file):
+        argv = _TRAIN.format(moe=moe_dir, corpus=corpus_file, out=tmp_path / "out").split()
+        code, payload, err = _run(capsys, argv + ["--steps", "6", "--max-lr", "1e30",
+                                                  "--min-lr", "0"])
+        assert code == 1 and payload is None and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: non-finite loss at step ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "upcycle --method drop --config {config} --in {dense} --out {out}",
+        "upcycle --method scratch --config {config} --out {out}",
+        "train --config {config} --in {dense} --corpus {corpus} --tokens 128 --out {out}",
+    ])
+    def test_config_file_is_read_once(self, capsys, monkeypatch, tmp_path, dense_dir,
+                                      corpus_file, argv):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "model": make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16).to_dict(),
+            "upcycle": {"ratio": 0.25},
+            "train": {"batch_size": 4, "seq_len": 16}}))
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.extend([file] if str(file) == str(config_path) else [])
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        paths = {"config": config_path, "dense": dense_dir, "corpus": corpus_file,
+                 "out": tmp_path / "out"}
+        code, _, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
+        assert code == 0, err
+        assert len(opened) == 1
 
     def test_well_formed_plan_is_analyzed(self, capsys, tmp_path):
         path = tmp_path / "plan.json"

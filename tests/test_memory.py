@@ -130,12 +130,44 @@ def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
 
 
 def test_collect_traces_keeps_only_routing(monkeypatch):
-    corpus = default_corpus(seq_len=16, num_sequences=12)
+    # 80 sequences of 16 tokens make three tiles of at most 32 sequences.
+    corpus = default_corpus(seq_len=16, num_sequences=80)
     previous, alive = [], []
-    monkeypatch.setattr(analysis, "forward_cache",
+    monkeypatch.setattr(trainer_mod, "forward_cache",
                         _recording_forward(previous, alive, skip_routing=True))
-    traces = analysis.collect_traces(_model(CONFIGS[2]), corpus, batch_size=4)
-    assert len(traces) == 3 and alive == [0, 0, 0]
+    traces = analysis.collect_traces(_model(CONFIGS[2]), corpus)
+    assert [t.layers[0].selected.shape[0] for t in traces] == [32, 32, 16]
+    assert alive == [0, 0, 0]
+
+
+def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
+    """At the ``toy-finegrained`` shape (31 routed experts top-15, one shared),
+    the tiled traces hold bitwise the routing of one forward per sequence, and
+    no tile holds more than ``EVAL_TILE_TOKENS`` tokens."""
+    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
+    model = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                        stream=RngStream(4))
+    corpus = default_corpus(seq_len=64, num_sequences=20)
+    shapes = []
+
+    def forward(model, tokens, **kwargs):
+        shapes.append(tokens.shape)
+        return forward_cache(model, tokens, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "forward_cache", forward)
+    traces = analysis.collect_traces(model, corpus)
+    assert shapes == [(8, 64), (8, 64), (4, 64)]
+    assert all(rows * seq <= trainer_mod.EVAL_TILE_TOKENS for rows, seq in shapes)
+    singles = [trace_from_cache(model, forward_cache(model, corpus.sequences[i:i + 1],
+                                                     keep_activations=False))
+               for i in range(corpus.num_sequences)]
+
+    def stacked(trace_list):
+        return [np.concatenate([_trace_arrays(t)[i] for t in trace_list])
+                for i in range(3 * config.num_layers)]
+
+    assert _same_bits(stacked(traces), stacked(singles))
+    assert [d for t in traces for d in t.domains] == corpus.domains
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
@@ -316,9 +348,8 @@ def test_evaluation_results_unchanged_without_activations(config, monkeypatch):
             return cache
 
         monkeypatch.setattr(trainer_mod, "forward_cache", forward)
-        monkeypatch.setattr(analysis, "forward_cache", forward)
         loss = evaluate_loss(model, corpus, batch_size=4)
-        traces = analysis.collect_traces(model, corpus, batch_size=4) if config.is_moe else []
+        traces = analysis.collect_traces(model, corpus) if config.is_moe else []
         return loss, [a for trace in traces for a in _trace_arrays(trace)], kept
 
     want_loss, want_traces, kept = run({"keep_activations": True})
