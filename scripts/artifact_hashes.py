@@ -15,10 +15,8 @@ DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
 CLI command computes, and its routing CSVs come from ``collect_traces``. It
 prints one JSON line mapping each file under DIR (a relative path) to its
 SHA-256, so two code versions can be checked for byte-identical artifacts by
-comparing two lines.
-
-The children run with BLAS on one thread: MoE training bits depend on the
-BLAS thread count, so the map is comparable only at a fixed count.
+comparing two lines. The map does not depend on the core count or on
+``MOEUP_THREADS``.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ def run_all(out: Path) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     (out / "dense.json").write_text(json.dumps(DENSE, sort_keys=True), encoding="utf-8")
     (out / "moe.json").write_text(json.dumps({"model": MOE}, sort_keys=True), encoding="utf-8")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for command in _commands(out):
         proc = subprocess.run(command, env=env, stdout=subprocess.DEVNULL,

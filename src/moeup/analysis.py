@@ -254,6 +254,8 @@ def catch_up(base: LossCurve, other: LossCurve, smooth_window: int = 5,
     """
     if not base.points or not other.points:
         raise ValidationError("catch-up requires two non-empty curves")
+    if smooth_window < 1:
+        raise ValidationError(f"smoothing window must be >= 1, got {smooth_window}")
     base_tokens = base.tokens()
     base_loss = _smooth(base.losses(which), smooth_window)
     other_tokens = other.tokens().astype(np.float64)

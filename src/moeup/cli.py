@@ -3,14 +3,17 @@
 Every subcommand prints one machine-readable JSON document to stdout and
 human-readable progress text to stderr. Exit codes: 0 success, 1 validation
 error, 2 I/O or artifact error. All randomness is controlled by ``--seed``;
-re-running a command with identical flags and BLAS thread count gives
-bitwise-identical output artifacts (no timestamps). Unknown flags are rejected.
+re-running a command with identical flags gives bitwise-identical output
+artifacts (no timestamps), on any core count where numpy's bundled OpenBLAS
+is pinned to one thread (``moeup.util.pin_blas_threads``), and otherwise at
+the same BLAS thread count. Unknown flags are rejected.
 
 Config files are JSON, either flat ``ModelConfig`` fields or sections named
 ``model`` / ``train`` / ``upcycle`` mirroring the dataclass field names;
 flags override file values, and the effective config is echoed into every
 JSON result. The ``MOEUP_THREADS`` environment variable caps internal
-parallelism (default 1).
+parallelism (by default, the number of CPUs the process may run on); results
+do not depend on it.
 """
 
 from __future__ import annotations

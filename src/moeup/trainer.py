@@ -39,6 +39,7 @@ from .model import (
     trace_from_cache,
 )
 from .numerics import RngStream
+from .util import parallel_map
 
 BALANCE_MODES = ("global", "layerwise", "off")
 # Most tokens one evaluation forward pass holds (see :func:`forward_tiles`).
@@ -135,6 +136,8 @@ class LossCurve:
                                                          for v in values):
                         raise ValidationError("tokens_processed must be an integer and "
                                               "the other fields numbers")
+                    if not all(map(math.isfinite, values)):
+                        raise ValidationError("values must be finite")
                     curve.append(point)
                 except (TypeError, ValueError) as exc:  # bad JSON, fields or values
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
@@ -279,6 +282,9 @@ def _sample_batch(corpus: Corpus, config: TrainConfig, stream: RngStream, step: 
     return tokens, domains
 
 
+# A diverging run overflows on its way to a non-finite loss; the
+# TrainingDiverged it ends with is the one report of that.
+@np.errstate(all="ignore")
 def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, LossCurve]:
     """Train in place for ``total_steps`` steps; returns the model and its curve."""
     if corpus.seq_len < config.seq_len:
@@ -330,14 +336,17 @@ def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, state: Ad
 
 def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None = None,
                   max_sequences: int | None = None, max_rows: int | None = None) -> list:
-    """``per_tile(rows, result)`` for each tile of the corpus, in order: the one
-    walk behind :func:`evaluate_loss` and routing traces. Returns their values.
+    """``per_tile(rows, result)`` for each tile of the corpus: the one walk
+    behind :func:`evaluate_loss` and routing traces. Returns their values in
+    tile order.
 
     A tile is a slice ``rows`` of the first ``max_sequences`` sequences, cut to
     ``seq_len`` tokens (by default all of both). It holds at most ``max_rows``
     sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. ``result``
     is its ``forward_cache(..., keep_activations=False)``, and dies when
-    ``per_tile`` returns: the next tile's forward reuses its memory.
+    ``per_tile`` returns: a later tile's forward reuses its memory. Tiles run
+    on the thread pool, at most ``thread_cap()`` at a time, so ``per_tile``
+    must not depend on the order of calls.
     """
     if max_sequences is not None and max_sequences < 1:
         raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
@@ -348,9 +357,12 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
         raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
     limit = min(max_sequences or corpus.num_sequences, corpus.num_sequences)
     step = max(1, min(max_rows or limit, EVAL_TILE_TOKENS // seq_len))
-    tiles = (slice(start, min(start + step, limit)) for start in range(0, limit, step))
-    return [per_tile(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
-                                         keep_activations=False)) for rows in tiles]
+    def tile(rows: slice):
+        return per_tile(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
+                                            keep_activations=False))
+
+    return parallel_map(tile, (slice(start, min(start + step, limit))
+                               for start in range(0, limit, step)))
 
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,

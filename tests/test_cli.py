@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,13 @@ class TestValidationAndExitCodes:
         ("catch-up --base {config} --other {config}", b'{"tokens_processed": 64}\n'),
         ("catch-up --base {config} --other {config}",
          json.dumps(_POINT | {"tokens_processed": "x"}).encode()),
+        # Non-finite curve values, and smoothing windows under one point.
+        ("catch-up --base {config} --other {config}", b'{"tokens_processed": 64, '
+         b'"train_loss": NaN, "lm_loss": 1.0, "balance_loss": 0.0, "lr": 0.001}\n'),
+        ("catch-up --base {config} --other {config}",
+         json.dumps(_POINT | {"lr": float("inf")}).encode()),
+        ("catch-up --base {config} --other {config} --window 0", _POINT),
+        ("catch-up --base {config} --other {config} --window -3", _POINT),
         ("train --in {dense} --corpus {config} --out {out}", b"alpha\t1 2 \xff\n"),
         ("analyze-routing --in {dense} --corpus {config} --out {out}", b"\xfe\xff\n"),
         ("params --config {config}", b"\xff{}"),
@@ -201,10 +209,17 @@ class TestValidationAndExitCodes:
     def test_diverging_run_ends_with_one_error_line(self, capsys, tmp_path, moe_dir,
                                                      corpus_file):
         argv = _TRAIN.format(moe=moe_dir, corpus=corpus_file, out=tmp_path / "out").split()
-        code, payload, err = _run(capsys, argv + ["--steps", "6", "--max-lr", "1e30",
-                                                  "--min-lr", "0"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, payload, err = _run(capsys, argv + ["--steps", "6", "--max-lr", "1e30",
+                                                      "--min-lr", "0"])
         assert code == 1 and payload is None and "Traceback" not in err
-        assert err.splitlines()[-1].startswith("error: non-finite loss at step ")
+        # No numpy RuntimeWarning, from this thread or a pool thread: stderr is
+        # the progress line and one error line.
+        assert [str(w.message) for w in caught] == []
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("training for 6 steps")
+        assert lines[1].startswith("error: non-finite loss at step ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, is_dataclass
@@ -122,6 +123,7 @@ def test_step_cache_dead_when_next_forward_starts(config, monkeypatch):
 
 
 def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # tiles one at a time, in order
     corpus = default_corpus(seq_len=16, num_sequences=12)
     previous, alive = [], []
     monkeypatch.setattr(trainer_mod, "forward_cache", _recording_forward(previous, alive))
@@ -129,7 +131,31 @@ def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
     assert alive == [0, 0, 0]
 
 
+def test_eval_tiles_in_flight_bounded_by_threads(monkeypatch):
+    """On the thread pool, a tile's forward starts while at most
+    ``threads - 1`` earlier tiles still hold their activation-free caches."""
+    threads = 2
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    corpus = default_corpus(seq_len=16, num_sequences=40)
+    lock = threading.Lock()
+    finished, alive_at_start = [], []
+
+    def forward(model, tokens, **kwargs):
+        with lock:
+            alive_at_start.append(sum(_alive(refs) > 0 for refs in finished))
+        cache = forward_cache(model, tokens, **kwargs)
+        with lock:
+            finished.append(_refs(cache, model))
+        return cache
+
+    monkeypatch.setattr(trainer_mod, "forward_cache", forward)
+    evaluate_loss(_model(CONFIGS[1]), corpus, batch_size=4)
+    assert len(alive_at_start) == 10 and max(alive_at_start) <= threads - 1
+    assert sum(_alive(refs) for refs in finished) == 0
+
+
 def test_collect_traces_keeps_only_routing(monkeypatch):
+    monkeypatch.setenv("MOEUP_THREADS", "1")
     # 80 sequences of 16 tokens make three tiles of at most 32 sequences.
     corpus = default_corpus(seq_len=16, num_sequences=80)
     previous, alive = [], []
@@ -144,6 +170,7 @@ def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
     """At the ``toy-finegrained`` shape (31 routed experts top-15, one shared),
     the tiled traces hold bitwise the routing of one forward per sequence, and
     no tile holds more than ``EVAL_TILE_TOKENS`` tokens."""
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # forwards recorded in tile order
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
                         stream=RngStream(4))
@@ -206,6 +233,7 @@ def _expert_refs(cache, model) -> list[list[weakref.ref]]:
 
 
 def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # experts one at a time, in order
     model = _model(CONFIGS[2])
     cache = forward_cache(model, _tokens())
     experts = _expert_refs(cache, model)
@@ -221,12 +249,49 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
     assert len(seen) == len(experts) and seen == [0] * len(experts)
 
 
+def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
+    """On the thread pool, an expert's backward starts while at most
+    ``threads - 1`` earlier experts (in backward order) still hold a cache.
+    The toy coarse MoE on 512 tokens has experts big enough for the pool."""
+    threads = 2
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    cache = forward_cache(model, default_corpus(seq_len=64, num_sequences=8).sequences)
+    experts = _expert_refs(cache, model)
+    order = []  # each expert's gate weight, in the order of ``experts``
+    for layer in reversed(cache["layer_caches"]):
+        order.extend(id(w.gate) for w, entry in zip(layer.weights.experts, layer.ffn.experts)
+                     if entry is not None)
+        order.extend(id(w.gate) for w in layer.weights.shared)
+    assert len(order) == len(experts)
+    lock = threading.Lock()
+    seen, on_pool = [], []
+    real = model_mod._ffn_bwd
+
+    def ffn_bwd(w, ffn_cache, dy):
+        with lock:
+            earlier = experts[:order.index(id(w.gate))]
+            seen.append(sum(_alive(refs) > 0 for refs in earlier))
+            on_pool.append(threading.current_thread() is not threading.main_thread())
+        return real(w, ffn_cache, dy)
+
+    monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
+    backward_from_cache(model, cache)
+    assert all(on_pool)
+    assert len(seen) == len(experts) and max(seen) <= threads - 1
+    assert sum(_alive(refs) for refs in experts) == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("keep", [False, True], ids=["activation-free", "kept"])
-def test_expert_tensors_dead_when_next_expert_starts_forward(keep, monkeypatch):
+def test_expert_tensors_dead_when_next_expert_starts_forward(keep, threads, monkeypatch):
     """Hooks ``_ffn_fwd``: at each expert's start, count the live arrays of every
     earlier expert's input rows, intermediates and output. A shared expert's
     input is the layer input, which outlives it, so it is not counted. A
-    routed expert's input rows die even when activations are kept."""
+    routed expert's input rows die even when activations are kept. An
+    activation-free pass runs its experts one at a time on any thread count."""
+    monkeypatch.setenv("MOEUP_THREADS", threads)
     model = _model(CONFIGS[2])
     shared = {id(a) for name, a in model.params.items() if ".shared." in name}
     earlier, routed_inputs, seen = [], [], []

@@ -1,15 +1,34 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from moeup import upcycle
-from moeup.util import parallel_map, thread_cap
+from moeup import analysis, checkpoint, upcycle
+from moeup.corpus import VOCAB_SIZE, default_corpus, save_corpus
+from moeup import model as model_mod
+from moeup.model import build_model
+from moeup.numerics import RngStream
+from moeup.trainer import TrainConfig, evaluate_loss, train
+from moeup.util import ordered_map, parallel_map, thread_cap
 
-from conftest import random_checkpoint, tiny_dense_config, tiny_moe_config
+from conftest import (
+    make_config,
+    random_checkpoint,
+    tiny_dense_config,
+    tiny_moe_config,
+    toy_dense_config,
+    toy_moe_config,
+)
 
 
 def test_thread_cap_default_and_env(monkeypatch):
     monkeypatch.delenv("MOEUP_THREADS", raising=False)
-    assert thread_cap() == 1
+    assert thread_cap() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("MOEUP_THREADS", "4")
     assert thread_cap() == 4
     monkeypatch.setenv("MOEUP_THREADS", "0")
@@ -25,13 +44,201 @@ def test_parallel_map_preserves_order(monkeypatch):
     assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
 
 
+def test_nested_map_runs_inline(monkeypatch):
+    """A map inside a pool task runs on that task's thread, so tasks never
+    wait on the pool they occupy."""
+    monkeypatch.setenv("MOEUP_THREADS", "2")
+
+    def task(i):
+        outer = threading.get_ident()
+        inner = parallel_map(lambda j: (threading.get_ident(), i * 10 + j), range(3))
+        assert all(ident == outer for ident, _ in inner)
+        return [value for _, value in inner], outer != main
+
+    main = threading.get_ident()
+    results = parallel_map(task, range(4))
+    assert [values for values, _ in results] == [[10 * i + j for j in range(3)]
+                                                 for i in range(4)]
+    assert all(on_worker for _, on_worker in results)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_window_holds_at_most_thread_cap_tasks(threads, monkeypatch):
+    """A task starts only when fewer than ``thread_cap()`` items are submitted
+    and not yet taken. Each task waits until the window is full, which it
+    can only be if the map keeps ``thread_cap()`` items in flight."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    items = 12
+    state = threading.Condition()
+    taken, started, in_window = [0], [0], []
+
+    def task(i):
+        with state:
+            started[0] += 1
+            in_window.append(started[0] - taken[0])
+            state.notify_all()
+            assert state.wait_for(lambda: started[0] >= min(taken[0] + threads, items),
+                                  timeout=30), "the window never filled"
+        return i
+
+    for i, value in enumerate(ordered_map(task, range(items))):
+        assert value == i
+        with state:
+            taken[0] += 1
+    assert len(in_window) == items
+    assert max(in_window) == threads
+
+
+def test_abandoned_map_leaves_no_task_running(monkeypatch):
+    monkeypatch.setenv("MOEUP_THREADS", "2")
+    running = []
+
+    def task(i):
+        running.append(i)
+        time.sleep(0.01)
+        running.remove(i)
+        if i == 1:
+            raise KeyError(i)
+        return i
+
+    with pytest.raises(KeyError):
+        list(ordered_map(task, range(6)))
+    assert running == []
+
+
+def test_tasks_see_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setenv("MOEUP_THREADS", "2")
+    with np.errstate(over="raise"):
+        states = parallel_map(lambda _: np.geterr()["over"], range(4))
+    assert states == ["raise"] * 4
+
+
 def test_upcycle_results_independent_of_thread_cap(monkeypatch):
     dense = random_checkpoint(tiny_dense_config(), seed=77)
     spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=78)
-    monkeypatch.delenv("MOEUP_THREADS", raising=False)
+    monkeypatch.setenv("MOEUP_THREADS", "1")
     serial, serial_plan = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
     monkeypatch.setenv("MOEUP_THREADS", "4")
     threaded, threaded_plan = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
     for name in serial.tensors:
         assert np.array_equal(serial.tensors[name], threaded.tensors[name]), name
     assert serial_plan.to_json_dict() == threaded_plan.to_json_dict()
+
+
+def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
+    """Eight threads on fewer cores, switching as often as the interpreter
+    allows: an MoE layer's forward and backward still give the serial bits,
+    so no result is lost or combined out of order."""
+    model = build_model(random_checkpoint(toy_moe_config(n=8, k=4), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    layer = model.layer_moe(0)
+    rng = np.random.default_rng(0)
+    x, dy = rng.normal(size=(2, 1024, 64))
+    assert model_mod._expert_map(layer, len(x), 4) is ordered_map
+
+    def run(threads: str):
+        monkeypatch.setenv("MOEUP_THREADS", threads)
+        y, _, cache = model_mod._moe_fwd(layer, x, 4)
+        dx, d_router, experts, _ = model_mod._moe_bwd(layer, cache, dy, None)
+        return [y, dx, d_router, *(g for grads in experts for g in grads)]
+
+    want = run("1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = run("8")
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# The two layouts of the benchmark: 4 coarse experts top-2, and 31 routed
+# experts of width 32 top-15 plus one shared expert.
+LAYOUTS = {
+    "coarse": toy_moe_config(),
+    "finegrained": make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64),
+}
+
+
+@pytest.mark.parametrize("layout, batch", [("coarse", 16), ("finegrained", 16),
+                                           ("finegrained", 48)])
+def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
+    """Evaluation, routing traces and a 3-step train give the same bits on one
+    thread and on two. Evaluation runs its tiles on the pool; training runs
+    its experts there unless they are too small, as fine-grained experts are
+    at a batch of 16 sequences and are not at 48."""
+    config = LAYOUTS[layout]
+    ckpt = random_checkpoint(config, seed=3)
+    corpus = default_corpus(seq_len=64, num_sequences=batch + 8)
+    cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=3, warmup_steps=1,
+                      batch_size=batch, seq_len=64, seed=5)
+    layer = build_model(ckpt, max_positions=64, stream=RngStream(4)).layer_moe(0)
+    pooled = model_mod._expert_map(layer, batch * 64, config.top_k)
+    assert (pooled is ordered_map) == (layout == "coarse" or batch == 48)
+
+    def run(threads: str):
+        monkeypatch.setenv("MOEUP_THREADS", threads)
+        model = build_model(ckpt, max_positions=64, stream=RngStream(4))
+        loss = evaluate_loss(model, corpus, batch_size=8)
+        traces = analysis.collect_traces(model, corpus)
+        routing = [a for t in traces for layer in t.layers
+                   for a in (layer.selected, layer.gates, layer.probs)]
+        model, curve = train(model, corpus, cfg)
+        return loss, routing, curve.points, model.params
+
+    want = run("1")
+    got = run("2")
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) > 0
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1], want[1]))
+    assert got[2] == want[2]
+    assert got[3].keys() == want[3].keys()
+    assert all(got[3][name].tobytes() == want[3][name].tobytes() for name in want[3])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TRAIN_STEPS = 12  # the shortest run whose parameters differed across BLAS thread counts
+UPCYCLES = {
+    "coarse": ["--method", "drop", "--experts", "4", "--topk", "2"],
+    "finegrained": ["--method", "fg-drop", "--experts", "4", "--granularity", "8",
+                    "--shared", "1", "--topk", "15"],
+}
+
+
+def _cli(args, threads=None) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items() if k != "MOEUP_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env |= {"OPENBLAS_NUM_THREADS": threads, "MOEUP_THREADS": threads}
+    return subprocess.Popen([sys.executable, "-m", "moeup.cli", *map(str, args)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def _finish(procs) -> None:
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+
+
+def _files(path: Path) -> dict:
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("layout", sorted(UPCYCLES))
+def test_train_bitwise_across_blas_and_pool_threads(layout, tmp_path):
+    """``moeup train`` of an upcycled MoE writes the same bytes with BLAS and
+    the pool on one thread each and on two each: the program pins BLAS to one
+    thread, so neither count reaches the arithmetic."""
+    checkpoint.save(upcycle.from_scratch(toy_dense_config(), seed=1), tmp_path / "parent")
+    save_corpus(default_corpus(seq_len=64), tmp_path / "train.txt")
+    _finish([_cli(["upcycle", *UPCYCLES[layout], "--ratio", "0.5", "--seed", "2",
+                   "--in", tmp_path / "parent", "--out", tmp_path / "moe"])])
+    runs = {threads: tmp_path / f"train_{threads}" for threads in ("1", "2")}
+    _finish([_cli(["train", "--in", tmp_path / "moe", "--corpus", tmp_path / "train.txt",
+                   "--steps", TRAIN_STEPS, "--batch-size", "16", "--seq-len", "64",
+                   "--seed", "3", "--out", out], threads) for threads, out in runs.items()])
+    one, two = (_files(out) for out in runs.values())
+    assert "curve.jsonl" in one and any(name.startswith("model/") for name in one)
+    assert one == two
