@@ -3,12 +3,15 @@
 
     python3 scripts/artifact_hashes.py --out DIR
 
-Writes toy model configs into DIR and small corpora of two shapes (16 and 17
-tokens per sequence) with ``scripts/make_corpus.py``, then runs, each as
-``python3 -m moeup.cli`` in a child process: ``init`` of a dense parent and of
-a btx branch; ``upcycle`` with naive, drop, rnu, fg-drop (shared expert and
+Writes toy model configs into DIR and small corpora of three shapes (16, 17
+and 64 tokens per sequence) with ``scripts/make_corpus.py``, then runs, each
+as ``python3 -m moeup.cli`` in a child process: ``init`` of a dense parent and
+of a btx branch; ``upcycle`` with naive, drop, rnu, fg-drop (shared expert and
 scale factor), btx and scratch; a 3-step ``train`` of the dense parent and of
-three MoE checkpoints, under both balance modes; ``analyze-routing`` of a
+three MoE checkpoints, under both balance modes; a 2-step ``train`` of a
+second dense parent and of its drop upcycle on batches of 16 x 64 tokens,
+which run attention, the dense FFN and the experts in two tiles of 8
+sequences each, all big enough for the thread pool; ``analyze-routing`` of a
 trained MoE; and ``catch-up`` of the trained parent's curve against the
 trained drop's. Last, a short ``scripts/run_toy_pipeline.py`` run writes into
 DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
@@ -37,6 +40,11 @@ MOE = DENSE | {"num_experts": 4, "top_k": 2}
 MOE_FLAGS = ["--experts", "4", "--topk", "2"]
 TRAIN_FLAGS = ["--steps", "3", "--batch-size", "4", "--seq-len", "16", "--warmup", "1",
                "--seed", "7"]
+# Two tiles of 8 x 64 tokens: per tile 512 x 2 x 64 attention scores and
+# 512 x 64 FFN activations, each at least the pool's 2^15 elements.
+TILED_DENSE = DENSE | {"seq_len": 64}
+TILED_TRAIN_FLAGS = ["--steps", "2", "--batch-size", "16", "--seq-len", "64", "--warmup", "1",
+                     "--seed", "8"]
 CLI = [sys.executable, "-m", "moeup.cli"]
 
 
@@ -63,7 +71,18 @@ def _commands(out: Path) -> list[list[str]]:
          "--out", str(out / "btx")],
         [*CLI, "upcycle", "--method", "scratch", "--config", moe, "--seed", "3",
          "--out", str(out / "scratch")],
+        [sys.executable, str(ROOT / "scripts" / "make_corpus.py"),
+         "--out", str(out / "corpora_64"),
+         "--seq-len", "64", "--train-sequences", "32", "--eval-sequences", "8"],
+        [*CLI, "init", "--config", str(out / "dense_64.json"), "--seed", "4",
+         "--out", str(out / "parent_64")],
+        [*CLI, "upcycle", "--in", str(out / "parent_64"), "--method", "drop", *MOE_FLAGS,
+         "--ratio", "0.5", "--seed", "5", "--out", str(out / "drop_64")],
     ]
+    for name in ("parent_64", "drop_64"):
+        commands.append([*CLI, "train", "--in", str(out / name),
+                         "--corpus", str(out / "corpora_64" / "train.txt"), *TILED_TRAIN_FLAGS,
+                         "--out", str(out / f"train_{name}")])
     for name, balance in [("parent", "global"), ("drop", "global"), ("fg_drop", "layerwise"),
                           ("btx", "layerwise")]:
         commands.append([*CLI, "train", "--in", str(out / name), "--corpus", train_txt,
@@ -83,6 +102,7 @@ def run_all(out: Path) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     (out / "dense.json").write_text(json.dumps(DENSE, sort_keys=True), encoding="utf-8")
     (out / "moe.json").write_text(json.dumps({"model": MOE}, sort_keys=True), encoding="utf-8")
+    (out / "dense_64.json").write_text(json.dumps(TILED_DENSE, sort_keys=True), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for command in _commands(out):

@@ -30,6 +30,7 @@ from .config import (ModelConfig, ValidationError, load_config_file, model_confi
                      model_config_from_file)
 from .model import build_model, model_to_checkpoint
 from .numerics import RngStream
+from .util import thread_cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,13 +245,16 @@ def _train_config(args) -> trainer.TrainConfig:
 
 def _cmd_train(args) -> dict:
     cfg = _train_config(args)
+    out = Path(args.out)
+    # Checked before any work; created only once training has succeeded.
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"--out {out} exists and is not a directory")
     ckpt = checkpoint.load(args.input)
     data = corpus_mod.load_corpus(args.corpus)
     model = build_model(ckpt, max_positions=cfg.seq_len, stream=RngStream(cfg.seed))
     _info(f"training for {cfg.total_steps} steps "
           f"({cfg.total_steps * cfg.batch_size * cfg.seq_len} tokens)")
     model, curve = trainer.train(model, data, cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trained = model_to_checkpoint(
         model, metadata=dict(ckpt.metadata) | {"trained_steps": cfg.total_steps,
@@ -362,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        thread_cap()  # a bad MOEUP_THREADS fails here, before any work
         result = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

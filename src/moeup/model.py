@@ -37,6 +37,29 @@ on the thread pool of :func:`moeup.util.ordered_map`, if they are big enough
 to gain from a second thread. Each expert computes exactly what it would in a
 serial loop, and the calling thread combines the results in expert order, so
 every result is bitwise the same at any thread count.
+
+Work whose rows are whole sequences runs in tiles on the same pool:
+attention's per-sequence core (projections, scores, mask, softmax, context
+and their gradients), the dense FFN and shared experts, forward and
+backward. The tile plan depends only on shapes (:func:`_tiles`): the
+:func:`sequence_tiles` rule of evaluation, at most ``EVAL_TILE_TOKENS``
+tokens of whole sequences per tile, used only if even the last tile holds
+``_POOL_MIN_ELEMENTS``; otherwise the work runs whole. On one thread, or
+inside a pool task, the same tiles run inline, so the bits do not depend on
+the thread count. Each tile writes its rows of preallocated outputs; every
+sum over rows (the weight gradients, the norm gains, the loss and the
+embedding scatter) stays one whole-array call. Routed experts stay whole,
+since they are already the pool's unit.
+
+The tiled results equal those of an untiled pass because numpy's bundled
+OpenBLAS gives each row of a GEMM the same bits whatever the number of rows
+it is called with, if that number is not too small. Pieces of 64 or more
+rows matched the whole GEMM bitwise (K from 32 to 256, plain and transposed
+right operand, up to 1,536 rows); 17-row pieces against a transposed
+operand, single rows and a 17-column split of ``x.T @ P`` did not.
+``tests/test_kernels_bitwise.py`` checks the premise where it runs. A shape
+whose last tile has fewer rows is still bitwise the same at any thread
+count, but may differ in the last bits from an untiled pass.
 """
 
 from __future__ import annotations
@@ -57,6 +80,52 @@ _LN_EPS = 1e-6
 # threads costs more than it frees. On 2 cores, 8 experts of 512 rows gained
 # nothing at width 32 and 1.4-1.7x at width 64.
 _POOL_MIN_ELEMENTS = 1 << 15
+# Most tokens one tile holds: an evaluation forward pass, or one piece of a
+# train step's attention or FFN on the thread pool (see :func:`sequence_tiles`).
+EVAL_TILE_TOKENS = 512
+
+
+# ---------------------------------------------------------------------------
+# Tiles
+# ---------------------------------------------------------------------------
+
+def sequence_tiles(sequences: int, seq_len: int, max_sequences: int | None = None) -> list[slice]:
+    """Consecutive slices of ``sequences`` sequences of ``seq_len`` tokens, each
+    of at most ``EVAL_TILE_TOKENS`` tokens and ``max_sequences`` sequences, and
+    of one sequence at least. The plan depends on nothing but these numbers."""
+    step = max(1, min(max_sequences or sequences, EVAL_TILE_TOKENS // seq_len))
+    return [slice(start, min(start + step, sequences)) for start in range(0, sequences, step)]
+
+
+def _pool_worthy(rows: float, per_row: int) -> bool:
+    """Whether a piece of ``rows`` rows of ``per_row`` elements is big enough
+    for the thread pool."""
+    return rows * per_row >= _POOL_MIN_ELEMENTS
+
+
+def _tiles(sequences: int, seq_len: int, per_token: int) -> list[slice]:
+    """The sequence tiles of a train step's per-sequence work, holding
+    ``per_token`` elements per token: those of :func:`sequence_tiles` if even
+    the last, smallest one is big enough for the pool, else one whole slice."""
+    tiles = sequence_tiles(sequences, seq_len)
+    if len(tiles) > 1 and _pool_worthy((tiles[-1].stop - tiles[-1].start) * seq_len, per_token):
+        return tiles
+    return [slice(0, sequences)]
+
+
+def _row_tiles(rows: int, seq_len: int | None, per_row: int) -> list[slice]:
+    """:func:`_tiles` as slices of rows, for rows that are whole sequences of
+    ``seq_len`` tokens; one whole slice when ``seq_len`` is None."""
+    if seq_len is None:
+        return [slice(0, rows)]
+    return [slice(s.start * seq_len, s.stop * seq_len)
+            for s in _tiles(rows // seq_len, seq_len, per_row)]
+
+
+def _tile_map(fn, items, tiles: list[slice]) -> list:
+    """``[fn(item) for item in items]``: on the thread pool when the work is
+    split into several ``tiles``, else on the calling thread."""
+    return list((ordered_map if len(tiles) > 1 else map)(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -105,71 +174,100 @@ class MoeLayerWeights:
 # Elementwise pieces
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, branch-free and bitwise equal to the two-branch form.
 
     With ``e = exp(-|z|)`` (never overflows) the value is ``1 / (1 + e)`` for
     ``z >= 0`` and ``e / (1 + e)`` otherwise. The numerator is picked as
     ``max(e, z >= 0)``: ``e <= 1`` for z >= 0 and ``e >= 0`` otherwise, and a
     NaN ``e`` propagates. This avoids a data-dependent select, which costs a
-    branch mispredict per element when signs are random.
+    branch mispredict per element when signs are random. ``out``, if given,
+    receives the result.
     """
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.maximum(e, z >= 0)
+    num = np.maximum(e, z >= 0, out=out)
     e += 1.0
     num /= e
     return num
 
 
-def _ffn_fwd(w: FfnWeights, x: np.ndarray):
+def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
     """Gated FFN over rows of ``x``; returns ``(y, (x, gate_pre, up_out, sig))``.
 
     The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the input,
     the two GEMM outputs and the sigmoid. ``act = gate_pre * sig`` and
     ``prod = act * up_out`` die here, in one buffer; backward recomputes them.
+    With ``seq_len``, the rows are whole sequences of that many tokens, and
+    they run in tiles (:func:`_row_tiles`), each writing its rows of the
+    outputs; a routed expert's rows run whole.
     """
-    gate_pre = x @ w.gate
-    up_out = x @ w.up
-    sig = _sigmoid(gate_pre)
-    prod = gate_pre * sig  # act
-    prod *= up_out
-    y = prod @ w.down
+    tiles = _row_tiles(len(x), seq_len, w.width)
+    if len(tiles) == 1:
+        return _ffn_rows(w, x)
+    outs = [np.empty((len(x), w.down.shape[1]))] + [np.empty((len(x), w.width)) for _ in range(3)]
+
+    def rows(r: slice):
+        _ffn_rows(w, x[r], [a[r] for a in outs])
+
+    _tile_map(rows, tiles, tiles)
+    y, gate_pre, up_out, sig = outs
     return y, (x, gate_pre, up_out, sig)
 
 
-def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray):
+def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 4):
+    """:func:`_ffn_fwd` on rows ``x``, its results written into ``out``
+    (``y``, ``gate_pre``, ``up_out``, ``sig``) where given, else new arrays."""
+    y, gate_pre, up_out, sig = out
+    gate_pre = np.matmul(x, w.gate, out=gate_pre)
+    up_out = np.matmul(x, w.up, out=up_out)
+    sig = _sigmoid(gate_pre, out=sig)
+    prod = gate_pre * sig  # act
+    prod *= up_out
+    return np.matmul(prod, w.down, out=y), (x, gate_pre, up_out, sig)
+
+
+def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     """Backward for :func:`_ffn_fwd`; returns ``(dx, d_gate, d_up, d_down)``.
 
     ``act`` and ``prod`` are rebuilt by the forward's operations in the
     forward's order, so they are bitwise the forward's. The cache is used up:
     swish' is built in ``gate_pre``'s buffer and ``d_prod`` written into
-    ``sig``'s, and ``act``'s buffer becomes ``d_up_out``. Backward allocates
-    two (K, width) temporaries in all, ``act`` and ``prod``.
+    ``sig``'s, ``act``'s buffer becomes ``d_up_out``, and ``prod``'s, once it
+    has given ``d_down``, holds ``1 - sig``. Backward allocates two (K, width)
+    temporaries in all, ``act`` and ``prod``. With ``seq_len`` the rows run in
+    the forward's tiles, after ``act`` and ``prod`` are rebuilt whole; the
+    weight gradients, sums over all rows, are whole GEMMs.
     """
     x, gate_pre, up_out, sig = cache
+    tiles = _row_tiles(len(x), seq_len, w.width)
     act = gate_pre * sig
     prod = act * up_out
     d_down = prod.T @ dy
-    # swish'(z) = sig * (1 + z * (1 - sig)), evaluated in place in that order;
-    # a product is the same bits either way round.
-    one_minus_sig = np.subtract(1.0, sig, out=prod)
-    d_swish = gate_pre
-    d_swish *= one_minus_sig
-    del prod, one_minus_sig
-    d_swish += 1.0
-    d_swish *= sig
-    d_prod = np.matmul(dy, w.down.T, out=sig)
-    d_up_out = act
-    d_up_out *= d_prod
-    d_gate_pre = d_prod
-    d_gate_pre *= up_out
-    d_gate_pre *= d_swish
-    del d_swish
-    d_gate = x.T @ d_gate_pre
-    d_up = x.T @ d_up_out
-    dx = d_gate_pre @ w.gate.T + d_up_out @ w.up.T
+    dx = np.empty_like(dy)
+
+    def rows(r: slice):
+        # swish'(z) = sig * (1 + z * (1 - sig)), evaluated in place in that
+        # order, with 1 - sig in prod's spent rows; a product is the same bits
+        # either way round.
+        d_swish = gate_pre[r]
+        d_swish *= np.subtract(1.0, sig[r], out=prod[r])
+        d_swish += 1.0
+        d_swish *= sig[r]
+        d_prod = np.matmul(dy[r], w.down.T, out=sig[r])
+        d_up_out = act[r]
+        d_up_out *= d_prod
+        d_gate_pre = d_prod
+        d_gate_pre *= up_out[r]
+        d_gate_pre *= d_swish
+        dx_rows = np.matmul(d_gate_pre, w.gate.T, out=dx[r])
+        dx_rows += d_up_out @ w.up.T
+
+    _tile_map(rows, tiles, tiles)
+    del prod
+    # sig holds d_gate_pre and act d_up_out.
+    d_gate, d_up = _tile_map(lambda grad: x.T @ grad, (sig, act), tiles)
     return dx, d_gate, d_up, d_down
 
 
@@ -284,11 +382,11 @@ def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_mas
 def _expert_map(w: MoeLayerWeights, rows: int, k: int):
     """``ordered_map`` for a layer whose experts are big enough to run on the
     thread pool, else ``map``; either gives the results in expert order."""
-    mean_rows = rows * k / w.num_experts
-    return ordered_map if mean_rows * w.experts[0].width >= _POOL_MIN_ELEMENTS else map
+    return ordered_map if _pool_worthy(rows * k / w.num_experts, w.experts[0].width) else map
 
 
-def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
+def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
+             seq_len: int | None = None):
     """Batched MoE forward over rows of ``x`` (N, d_h); returns ``(y, routing, cache)``.
 
     ``cache`` is the :class:`MoeCache` for :func:`_moe_bwd`, or None when
@@ -297,7 +395,7 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
     When kept, a routed expert's entry holds its rows, the FFN cache without
     the gathered input ``x[rows]`` (backward regathers it from ``x``, which
     the router gradient needs anyway) and its output, which gives the gate
-    gradient.
+    gradient. ``seq_len`` tiles the shared experts as in :func:`_ffn_fwd`.
     """
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
@@ -313,7 +411,7 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
     def run(e: int):
         """Expert ``e``'s output, or shared expert ``e - n``'s; None if unused."""
         if e >= n:
-            return _ffn_fwd(w.shared[e - n], x)
+            return _ffn_fwd(w.shared[e - n], x, seq_len)
         idx = np.nonzero(selmask[:, e])[0]
         if not idx.size:
             return None
@@ -352,7 +450,8 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True):
     return y, routing, MoeCache(x, logits, gates_full, routing, expert_caches, shared_caches)
 
 
-def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None):
+def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None,
+             seq_len: int | None = None):
     """Backward for :func:`_moe_fwd`.
 
     ``d_probs`` optionally injects an upstream gradient on the full router
@@ -362,7 +461,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
 
     A routed expert's input rows are regathered from ``cache.x``, and its
     ``act`` and ``prod`` are rebuilt by :func:`_ffn_bwd`; its kept output
-    gives the gate gradient.
+    gives the gate gradient. ``seq_len`` is the forward's.
     """
     routing = cache.routing
     n = w.num_experts
@@ -372,7 +471,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         cache entry, which it takes out of the layer cache and uses up."""
         if e >= n:
             entry, cache.shared[e - n] = cache.shared[e - n], None
-            return _ffn_bwd(w.shared[e - n], entry, dy)
+            return _ffn_bwd(w.shared[e - n], entry, dy, seq_len)
         entry, cache.experts[e] = cache.experts[e], None
         ew = w.experts[e]
         if entry is None:
@@ -465,45 +564,71 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
+    """Causal attention over ``h`` (B, T, d_h); returns ``(out, cache)``.
+
+    The sequences run in the tiles of :func:`_tiles`, each writing its
+    sequences of the preallocated outputs.
+    """
     b, t, _ = h.shape
-    q = _split_heads(h @ wq, n_heads, head_dim)
-    k = _split_heads(h @ wk, n_heads, head_dim)
-    v = _split_heads(h @ wv, n_heads, head_dim)
+    proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
+    q, k, v = (_split_heads(a, n_heads, head_dim) for a in proj)
+    attn = np.empty((b, n_heads, t, t))
+    merged = np.empty((b, t, n_heads * head_dim))
+    out = np.empty((b, t, wo.shape[1]))
     scale = 1.0 / np.sqrt(head_dim)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= scale
-    # A masked copy rather than an added -inf bias: inf + -inf would be NaN.
-    np.copyto(scores, -np.inf, where=_causal_mask(t))
-    attn = softmax(scores, axis=-1)
-    ctx = attn @ v
-    merged = _merge_heads(ctx)
-    out = merged @ wo
+
+    def seqs(s: slice):
+        for w, a in zip((wq, wk, wv), proj):
+            np.matmul(h[s], w, out=a[s])
+        scores = np.matmul(q[s], k[s].transpose(0, 1, 3, 2), out=attn[s])
+        scores *= scale
+        # A masked copy rather than an added -inf bias: inf + -inf would be NaN.
+        np.copyto(scores, -np.inf, where=_causal_mask(t))
+        softmax(scores, axis=-1, out=scores)
+        np.matmul(scores, v[s], out=_split_heads(merged[s], n_heads, head_dim))
+        np.matmul(merged[s], wo, out=out[s])
+
+    tiles = _tiles(b, t, n_heads * t)
+    _tile_map(seqs, tiles, tiles)
     return out, (h, q, k, v, attn, merged, scale)
 
 
 def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
+    """Backward for :func:`_attn_fwd`; returns ``(dh, d_wq, d_wk, d_wv, d_wo)``.
+
+    The sequences run in the forward's tiles; the weight gradients, sums over
+    all tokens, are whole GEMMs.
+    """
     h, q, k, v, attn, merged, scale = cache
-    b, t, _ = h.shape
+    b, t, d_h = h.shape
     n_heads, head_dim = q.shape[1], q.shape[3]
-    h2 = h.reshape(b * t, -1)
+    tiles = _tiles(b, t, n_heads * t)
+    # d(q), d(k) and d(v) with heads merged; C order, so that rows reshape to views.
+    d_proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
+    dh = np.empty((b, t, d_h))
 
-    d_merged = dy @ wo.T
-    d_wo = merged.reshape(b * t, -1).T @ dy.reshape(b * t, -1)
-    d_ctx = _split_heads(d_merged, n_heads, head_dim)
-    d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ d_ctx
-    inner = np.sum(attn * d_attn, axis=-1, keepdims=True)
-    d_scores = attn * (d_attn - inner)
-    dq = (d_scores @ k) * scale
-    dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
+    def seqs(s: slice):
+        dq, dk, dv = (_split_heads(a[s], n_heads, head_dim) for a in d_proj)
+        d_ctx = _split_heads(dy[s] @ wo.T, n_heads, head_dim)
+        d_attn = d_ctx @ v[s].transpose(0, 1, 3, 2)
+        np.matmul(attn[s].transpose(0, 1, 3, 2), d_ctx, out=dv)
+        # attn * (d_attn - inner), built in the buffer of attn * d_attn.
+        d_scores = attn[s] * d_attn
+        inner = np.sum(d_scores, axis=-1, keepdims=True)
+        np.subtract(d_attn, inner, out=d_scores)
+        del d_attn
+        d_scores *= attn[s]
+        np.multiply(d_scores @ k[s], scale, out=dq)
+        np.multiply(d_scores.transpose(0, 1, 3, 2) @ q[s], scale, out=dk)
+        dq2, dk2, dv2 = (a[s].reshape(-1, a.shape[2]) for a in d_proj)
+        dh2 = np.matmul(dq2, wq.T, out=dh[s].reshape(-1, d_h))
+        dh2 += dk2 @ wk.T
+        dh2 += dv2 @ wv.T
 
-    dq2 = _merge_heads(dq).reshape(b * t, -1)
-    dk2 = _merge_heads(dk).reshape(b * t, -1)
-    dv2 = _merge_heads(dv).reshape(b * t, -1)
-    d_wq = h2.T @ dq2
-    d_wk = h2.T @ dk2
-    d_wv = h2.T @ dv2
-    dh = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(b, t, -1)
+    _tile_map(seqs, tiles, tiles)
+    h2, dy2 = h.reshape(b * t, -1), dy.reshape(b * t, -1)
+    pairs = [(h2, a.reshape(b * t, -1)) for a in d_proj] + [(merged.reshape(b * t, -1), dy2)]
+    d_wq, d_wk, d_wv, d_wo = _tile_map(lambda pair: pair[0].T @ pair[1], pairs, tiles)
     return dh, d_wq, d_wk, d_wv, d_wo
 
 
@@ -655,11 +780,11 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
         flat = h2.reshape(b * t, -1)
         if cfg.is_moe:
             weights = model.layer_moe(i)
-            y, routing, ffn_cache = _moe_fwd(weights, flat, cfg.top_k, keep_activations)
+            y, routing, ffn_cache = _moe_fwd(weights, flat, cfg.top_k, keep_activations, t)
             routings.append(routing)
         else:
             weights = model.layer_ffn(i)
-            y, ffn_cache = _ffn_fwd(weights, flat)
+            y, ffn_cache = _ffn_fwd(weights, flat, t)
         x = x + y.reshape(b, t, -1)
         if keep_activations:
             layer_caches.append(LayerCache(ln1, attn_cache, ln2, ffn_cache, weights))
@@ -785,14 +910,14 @@ def backward_from_cache(model: ToyLm, cache: dict,
             cache["routing"][i] = None  # the MoeCache holds the only other reference
             d_probs = None if router_prob_grads is None else router_prob_grads[i]
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
-                layer.weights, layer.ffn, dsub, d_probs)
+                layer.weights, layer.ffn, dsub, d_probs, t)
             grads[f"layers.{i}.router"] = d_router
             for e, expert_grad in enumerate(expert_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"), expert_grad))
             for j, shared_grad in enumerate(shared_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.shared.{j}"), shared_grad))
         else:
-            dh2_flat, *ffn_grad = _ffn_bwd(layer.weights, layer.ffn, dsub)
+            dh2_flat, *ffn_grad = _ffn_bwd(layer.weights, layer.ffn, dsub, t)
             grads.update(zip(ffn_slot_names(f"layers.{i}.ffn"), ffn_grad))
         dh2 = dh2_flat.reshape(b, t, -1)
         dx_ffn, grads[f"layers.{i}.ffn_norm"] = _layernorm_bwd(layer.ffn_norm, dh2)

@@ -131,10 +131,13 @@ def sample_indices_without_replacement(stream: RngStream, population: int, take:
     return np.sort(chosen.astype(np.int64))
 
 
-def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (max-subtraction, 64-bit)."""
+def softmax(values: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` (max-subtraction, 64-bit).
+
+    ``out``, if given, receives the result and may be ``values`` itself.
+    """
     v = np.asarray(values, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
+    shifted = np.subtract(v, np.max(v, axis=axis, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= np.sum(shifted, axis=axis, keepdims=True)
     return shifted

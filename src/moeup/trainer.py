@@ -32,18 +32,18 @@ import numpy as np
 from .config import ValidationError, require_ints, text_lines
 from .corpus import Corpus
 from .model import (
+    EVAL_TILE_TOKENS,
     RoutingTrace,
     ToyLm,
     backward_from_cache,
     forward_cache,
+    sequence_tiles,
     trace_from_cache,
 )
 from .numerics import RngStream
 from .util import parallel_map
 
 BALANCE_MODES = ("global", "layerwise", "off")
-# Most tokens one evaluation forward pass holds (see :func:`forward_tiles`).
-EVAL_TILE_TOKENS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -341,7 +341,8 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
     tile order.
 
     A tile is a slice ``rows`` of the first ``max_sequences`` sequences, cut to
-    ``seq_len`` tokens (by default all of both). It holds at most ``max_rows``
+    ``seq_len`` tokens (by default all of both), from
+    :func:`moeup.model.sequence_tiles`: it holds at most ``max_rows``
     sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. ``result``
     is its ``forward_cache(..., keep_activations=False)``, and dies when
     ``per_tile`` returns: a later tile's forward reuses its memory. Tiles run
@@ -356,13 +357,12 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
     if not 1 <= seq_len <= corpus.seq_len:
         raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
     limit = min(max_sequences or corpus.num_sequences, corpus.num_sequences)
-    step = max(1, min(max_rows or limit, EVAL_TILE_TOKENS // seq_len))
+
     def tile(rows: slice):
         return per_tile(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
                                             keep_activations=False))
 
-    return parallel_map(tile, (slice(start, min(start + step, limit))
-                               for start in range(0, limit, step)))
+    return parallel_map(tile, sequence_tiles(limit, seq_len, max_rows))
 
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,

@@ -128,9 +128,13 @@ def ref_dense_lm_loss(params: dict, config, tokens: np.ndarray) -> float:
 # bit for bit.
 # ---------------------------------------------------------------------------
 
-def ref_sigmoid_array(z: np.ndarray) -> np.ndarray:
+def ref_sigmoid_array(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    result = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def ref_softmax_array(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -165,9 +169,40 @@ def ref_attn_fwd(h, wq, wk, wv, wo, n_heads: int, head_dim: int):
     return merged @ wo, (h, q, k, v, attn, merged, scale)
 
 
-def ref_ffn_bwd(w, cache, dy: np.ndarray):
+def ref_attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
+    """Attention backward over the whole batch at once, every step out of place."""
+    from moeup.model import _merge_heads, _split_heads
+
+    h, q, k, v, attn, merged, scale = cache
+    b, t, _ = h.shape
+    n_heads, head_dim = q.shape[1], q.shape[3]
+    h2 = h.reshape(b * t, -1)
+    d_wo = merged.reshape(b * t, -1).T @ dy.reshape(b * t, -1)
+    d_ctx = _split_heads(dy @ wo.T, n_heads, head_dim)
+    d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ d_ctx
+    inner = np.sum(attn * d_attn, axis=-1, keepdims=True)
+    d_scores = attn * (d_attn - inner)
+    dq = (d_scores @ k) * scale
+    dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
+    dq2, dk2, dv2 = (_merge_heads(d).reshape(b * t, -1) for d in (dq, dk, dv))
+    dh = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(b, t, -1)
+    return dh, h2.T @ dq2, h2.T @ dk2, h2.T @ dv2, d_wo
+
+
+def ref_ffn_fwd(w, x: np.ndarray):
+    """Gated FFN over all rows at once, every step out of place; returns
+    ``(y, (x, gate_pre, up_out, sig))``."""
+    gate_pre = x @ w.gate
+    up_out = x @ w.up
+    sig = ref_sigmoid_array(gate_pre)
+    return (gate_pre * sig * up_out) @ w.down, (x, gate_pre, up_out, sig)
+
+
+def ref_ffn_bwd(w, cache, dy: np.ndarray, seq_len: int | None = None):
     """FFN backward from the ``(x, gate_pre, up_out, sig)`` cache, every step
-    out of place."""
+    out of place and over all rows at once: ``seq_len``, which tiles the
+    package's kernel, is ignored."""
     x, gate_pre, up_out, sig = cache
     act = gate_pre * sig
     prod = act * up_out

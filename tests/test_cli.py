@@ -192,9 +192,20 @@ class TestValidationAndExitCodes:
         ("flops --config {model} --tokens inf", None),
         ("analyze-overlap --plan {config} --max-subsets 0", _PLAN),
         ("analyze-overlap --plan {config} --max-subsets -1", _PLAN),
+        # A bad thread cap fails every command before any work: a leading
+        # NAME=value word sets an environment variable.
+        ("MOEUP_THREADS=abc train --in {dense} --corpus {corpus} --out {out}", None),
+        (f"MOEUP_THREADS=abc {_TRAIN}", None),
+        ("MOEUP_THREADS=abc upcycle --method drop --in {dense} --out {out}", None),
+        ("MOEUP_THREADS=abc init --config {model} --out {out}", None),
+        ("MOEUP_THREADS=abc analyze-routing --in {moe} --corpus {corpus} --out {out}", None),
+        ("MOEUP_THREADS=abc params --config {model}", None),
     ])
-    def test_bad_input_prints_one_error_line(self, capsys, tmp_path, config_file, dense_dir,
-                                             moe_dir, corpus_file, argv, config):
+    def test_bad_input_prints_one_error_line(self, capsys, monkeypatch, tmp_path, config_file,
+                                             dense_dir, moe_dir, corpus_file, argv, config):
+        words = argv.split()
+        while "=" in words[0]:
+            monkeypatch.setenv(*words.pop(0).split("=", 1))
         config_path = tmp_path / "bad.json"
         if isinstance(config, bytes):
             config_path.write_bytes(config)
@@ -202,9 +213,22 @@ class TestValidationAndExitCodes:
             config_path.write_text(json.dumps(config))
         paths = {"model": config_file, "dense": dense_dir, "moe": moe_dir,
                  "corpus": corpus_file, "config": config_path, "out": tmp_path / "out"}
-        code, payload, err = _run(capsys, [arg.format(**paths) for arg in argv.split()])
+        code, payload, err = _run(capsys, [arg.format(**paths) for arg in words])
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not paths["out"].exists()
+
+    def test_train_out_that_is_a_file_fails_before_training(self, capsys, tmp_path, moe_dir,
+                                                            corpus_file):
+        out = tmp_path / "out"
+        out.write_text("keep")
+        argv = _TRAIN.format(moe=moe_dir, corpus=corpus_file, out=out).split()
+        code, payload, err = _run(capsys, argv + ["--steps", "2"])
+        assert code == 2 and payload is None
+        # One error line and no progress line: no step ran.
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a directory" in err
+        assert out.read_text() == "keep"
 
     def test_diverging_run_ends_with_one_error_line(self, capsys, tmp_path, moe_dir,
                                                      corpus_file):

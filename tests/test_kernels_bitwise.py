@@ -17,6 +17,7 @@ from moeup import trainer as trainer_mod
 from moeup.corpus import VOCAB_SIZE, default_corpus
 from moeup.model import (
     FfnWeights,
+    _attn_bwd,
     _attn_fwd,
     _ffn_bwd,
     _ffn_fwd,
@@ -33,10 +34,12 @@ from moeup.trainer import AdamWState, TrainConfig, adamw_step, clip_gradients, c
 from conftest import random_checkpoint, tiny_dense_config, tiny_moe_config
 from reference_impl import (
     ref_adamw_step,
+    ref_attn_bwd,
     ref_attn_fwd,
     ref_balance_loss_and_grads,
     ref_clip_gradients,
     ref_ffn_bwd,
+    ref_ffn_fwd,
     ref_layernorm_fwd,
     ref_sigmoid_array,
     ref_softmax_array,
@@ -121,6 +124,44 @@ def test_ffn_backward_bitwise():
     assert len(got) == len(want) == 4
     for g, r in zip(got, want):
         assert _same_bits(g, r)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
+    """Attention and the FFN over 9 sequences of 64 tokens run in two tiles,
+    of 8 sequences and of 1 (a 64-row tail), and give the bits of the
+    whole-batch forms, forward and backward, on one thread or two. At 8 heads
+    and FFN width 512 even the tail tile is big enough for the pool. Equality
+    rests on OpenBLAS giving a GEMM's rows the same bits whatever the row
+    count, which held for pieces of 64 rows or more."""
+    monkeypatch.setenv("MOEUP_THREADS", threads)
+    b, t, n_heads, head_dim, width = 9, 64, 8, 8, 512
+    d_h = n_heads * head_dim
+    assert model_mod._tiles(b, t, n_heads * t) == [slice(0, 8), slice(8, 9)]
+    assert model_mod._row_tiles(b * t, t, width) == [slice(0, 512), slice(512, 576)]
+    rng = np.random.default_rng(8)
+    h, dy = rng.normal(size=(2, b, t, d_h))
+    weights = [rng.normal(scale=0.3, size=(d_h, d_h)) for _ in range(4)]
+
+    out, cache = _attn_fwd(h, *weights, n_heads, head_dim)
+    ref_out, ref_cache = ref_attn_fwd(h, *weights, n_heads, head_dim)
+    assert _same_bits(out, ref_out)
+    for got, want in zip(cache[:-1], ref_cache[:-1], strict=True):
+        assert _same_bits(got, want)
+    for got, want in zip(_attn_bwd(cache, *weights, dy), ref_attn_bwd(ref_cache, *weights, dy),
+                         strict=True):
+        assert _same_bits(got, want)
+
+    w = FfnWeights(*(rng.normal(scale=0.2, size=s) for s in ((d_h, width), (d_h, width),
+                                                             (width, d_h))))
+    x, dy = h.reshape(b * t, d_h), dy.reshape(b * t, d_h)
+    y, cache = _ffn_fwd(w, x, t)
+    ref_y, ref_cache = ref_ffn_fwd(w, x)
+    assert _same_bits(y, ref_y)
+    for got, want in zip(cache, ref_cache, strict=True):
+        assert _same_bits(got, want)
+    for got, want in zip(_ffn_bwd(w, cache, dy, t), ref_ffn_bwd(w, ref_cache, dy), strict=True):
+        assert _same_bits(got, want)
 
 
 def test_clip_and_adamw_bitwise():

@@ -44,6 +44,7 @@ from conftest import (
     random_checkpoint,
     tiny_dense_config,
     tiny_moe_config,
+    toy_dense_config,
     toy_moe_config,
 )
 
@@ -240,9 +241,9 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
     seen = []
     real = model_mod._ffn_bwd
 
-    def ffn_bwd(w, ffn_cache, dy):
+    def ffn_bwd(w, ffn_cache, dy, *seq_len):
         seen.append(sum(_alive(refs) for refs in experts[:len(seen)]))
-        return real(w, ffn_cache, dy)
+        return real(w, ffn_cache, dy, *seq_len)
 
     monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
     backward_from_cache(model, cache)
@@ -269,18 +270,65 @@ def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
     seen, on_pool = [], []
     real = model_mod._ffn_bwd
 
-    def ffn_bwd(w, ffn_cache, dy):
+    def ffn_bwd(w, ffn_cache, dy, *seq_len):
         with lock:
             earlier = experts[:order.index(id(w.gate))]
             seen.append(sum(_alive(refs) > 0 for refs in earlier))
             on_pool.append(threading.current_thread() is not threading.main_thread())
-        return real(w, ffn_cache, dy)
+        return real(w, ffn_cache, dy, *seq_len)
 
     monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
     backward_from_cache(model, cache)
     assert all(on_pool)
     assert len(seen) == len(experts) and max(seen) <= threads - 1
     assert sum(_alive(refs) for refs in experts) == 0
+
+
+def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
+    """A dense train step of 16 x 64 tokens runs attention and the FFN in
+    tiles of 8 sequences on the thread pool, forward and backward. A tile
+    writes its rows of preallocated outputs and returns nothing, so its
+    temporaries live only while it runs. At most ``thread_cap()`` tiles run
+    at once, so each thread past the first adds at most one tile's
+    temporaries to the peak: a few of its (8, 4, 64, 64) score-sized arrays,
+    measured at 2.3 MiB."""
+    threads = 2
+    model = build_model(random_checkpoint(toy_dense_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    tokens = default_corpus(seq_len=64, num_sequences=16).sequences
+    lock = threading.Lock()
+    running, most, tiles = [0], [0], []
+    real = model_mod.ordered_map
+
+    def counting_map(fn, items):
+        def task(item):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                result = fn(item)
+            finally:
+                with lock:
+                    running[0] -= 1
+            if isinstance(item, slice):
+                tiles.append((threading.current_thread() is threading.main_thread(), result))
+            return result
+
+        return real(task, items)
+
+    monkeypatch.setattr(model_mod, "ordered_map", counting_map)
+    peaks = {}
+    for count in ("1", str(threads)):
+        monkeypatch.setenv("MOEUP_THREADS", count)
+        tiles.clear()
+        peaks[count] = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
+        # Per layer: attention and FFN forward, FFN and attention backward.
+        assert len(tiles) == 2 * 4 * model.config.num_layers
+        assert all(result is None for _, result in tiles)
+        assert all(on_main for on_main, _ in tiles) == (count == "1")
+    assert most[0] <= threads
+    tile_scores = 8 * model.config.num_heads * 64 * 64 * 8
+    assert peaks[str(threads)] <= peaks["1"] + (threads - 1) * 3 * tile_scores, peaks
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -297,9 +345,9 @@ def test_expert_tensors_dead_when_next_expert_starts_forward(keep, threads, monk
     earlier, routed_inputs, seen = [], [], []
     real = model_mod._ffn_fwd
 
-    def ffn_fwd(w, x):
+    def ffn_fwd(w, x, *seq_len):
         seen.append(_alive(earlier))
-        y, cache = real(w, x)
+        y, cache = real(w, x, *seq_len)
         assert cache[0] is x
         layer_input = x if id(w.gate) in shared else None
         if layer_input is None:

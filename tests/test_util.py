@@ -153,35 +153,68 @@ def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-# The two layouts of the benchmark: 4 coarse experts top-2, and 31 routed
-# experts of width 32 top-15 plus one shared expert.
+def test_tiled_step_bitwise_under_thread_stress(monkeypatch):
+    """Eight threads on fewer cores, switching as often as the interpreter
+    allows: the tiles of a dense step (64 sequences, so 8 tiles of 8 per
+    layer) write disjoint rows of shared buffers, and the step's loss and
+    gradients are the serial bits."""
+    model = build_model(random_checkpoint(toy_dense_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    tokens = default_corpus(seq_len=64, num_sequences=64).sequences
+    assert len(model_mod._tiles(64, 64, model.config.num_heads * 64)) == 8
+
+    def run(threads: str):
+        monkeypatch.setenv("MOEUP_THREADS", threads)
+        cache = model_mod.forward_cache(model, tokens)
+        return cache["loss"], model_mod.backward_from_cache(model, cache)
+
+    want_loss, want = run("1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            loss, got = run("8")
+            assert loss == want_loss and got.keys() == want.keys()
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# The three models of the benchmark: the dense parent, 4 coarse experts
+# top-2, and 31 routed experts of width 32 top-15 plus one shared expert.
 LAYOUTS = {
+    "dense": toy_dense_config(),
     "coarse": toy_moe_config(),
     "finegrained": make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64),
 }
 
 
-@pytest.mark.parametrize("layout, batch", [("coarse", 16), ("finegrained", 16),
+@pytest.mark.parametrize("layout, batch", [("dense", 16), ("coarse", 16), ("finegrained", 16),
                                            ("finegrained", 48)])
 def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     """Evaluation, routing traces and a 3-step train give the same bits on one
-    thread and on two. Evaluation runs its tiles on the pool; training runs
-    its experts there unless they are too small, as fine-grained experts are
-    at a batch of 16 sequences and are not at 48."""
+    thread and on two. Evaluation runs its tiles on the pool. Training runs
+    attention and the dense FFN in two tiles of 8 sequences there, and
+    experts unless they are too small, as fine-grained experts are at a
+    batch of 16 sequences and are not at 48."""
     config = LAYOUTS[layout]
     ckpt = random_checkpoint(config, seed=3)
     corpus = default_corpus(seq_len=64, num_sequences=batch + 8)
     cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=3, warmup_steps=1,
                       batch_size=batch, seq_len=64, seed=5)
-    layer = build_model(ckpt, max_positions=64, stream=RngStream(4)).layer_moe(0)
-    pooled = model_mod._expert_map(layer, batch * 64, config.top_k)
-    assert (pooled is ordered_map) == (layout == "coarse" or batch == 48)
+    assert len(model_mod._tiles(batch, 64, config.num_heads * 64)) == batch // 8
+    if config.is_moe:
+        layer = build_model(ckpt, max_positions=64, stream=RngStream(4)).layer_moe(0)
+        pooled = model_mod._expert_map(layer, batch * 64, config.top_k)
+        assert (pooled is ordered_map) == (layout == "coarse" or batch == 48)
+    else:
+        assert len(model_mod._row_tiles(batch * 64, 64, config.intermediate_size)) == 2
 
     def run(threads: str):
         monkeypatch.setenv("MOEUP_THREADS", threads)
         model = build_model(ckpt, max_positions=64, stream=RngStream(4))
         loss = evaluate_loss(model, corpus, batch_size=8)
-        traces = analysis.collect_traces(model, corpus)
+        traces = analysis.collect_traces(model, corpus) if config.is_moe else []
         routing = [a for t in traces for layer in t.layers
                    for a in (layer.selected, layer.gates, layer.probs)]
         model, curve = train(model, corpus, cfg)
@@ -190,7 +223,7 @@ def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     want = run("1")
     got = run("2")
     assert got[0] == want[0]
-    assert len(got[1]) == len(want[1]) > 0
+    assert len(got[1]) == len(want[1]) and (len(want[1]) > 0) == config.is_moe
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1], want[1]))
     assert got[2] == want[2]
     assert got[3].keys() == want[3].keys()
