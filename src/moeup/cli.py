@@ -126,7 +126,17 @@ def _build_parser() -> _Parser:
 # Command handlers
 # ---------------------------------------------------------------------------
 
+def _out_dir(path: str) -> Path:
+    """``--out`` as a path, checked before any work: it must not be a file.
+    Commands create the directory only once their work has succeeded."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"--out {out} exists and is not a directory")
+    return out
+
+
 def _cmd_init(args) -> dict:
+    _out_dir(args.out)
     config = model_config_from_file(args.config)
     ckpt = upcycle.from_scratch(config, seed=args.seed)
     checkpoint.save(ckpt, args.out)
@@ -170,6 +180,7 @@ def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec,
 
 
 def _cmd_upcycle(args) -> dict:
+    _out_dir(args.out)
     file = {} if args.config is None else load_config_file(args.config)  # read once
     spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", {
         "method": args.method, "ratio": args.ratio, "seed": args.seed,
@@ -177,6 +188,8 @@ def _cmd_upcycle(args) -> dict:
         "granularity": args.granularity, "shared_experts": args.shared,
         "shared_init": args.shared_init, "scale_factor": args.scale_factor,
     })
+    if spec.method == "naive":  # drop upcycling at ratio 0, and built as such
+        spec = replace(spec, ratio=0.0)
     plan = None
     if spec.method == "scratch":
         if args.config is None:
@@ -188,11 +201,9 @@ def _cmd_upcycle(args) -> dict:
             raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
         parent = checkpoint.load(args.input)
         config = _target_config(parent.config, args, spec, file)
-        if spec.method == "naive":
-            ckpt = upcycle.naive_upcycle(parent, config, seed=spec.seed)
-        elif spec.method == "rnu":
+        if spec.method == "rnu":
             ckpt = upcycle.random_noise_upcycle(parent, config, spec)
-        elif spec.method == "drop":
+        elif spec.method in ("naive", "drop"):
             ckpt, plan = upcycle.drop_upcycle(parent, config, spec)
         elif spec.method == "fg-drop":
             ckpt, plan = upcycle.fine_grained_drop_upcycle(parent, config, spec)
@@ -244,14 +255,12 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _cmd_train(args) -> dict:
+    out = _out_dir(args.out)
     cfg = _train_config(args)
-    out = Path(args.out)
-    # Checked before any work; created only once training has succeeded.
-    if out.exists() and not out.is_dir():
-        raise NotADirectoryError(f"--out {out} exists and is not a directory")
     ckpt = checkpoint.load(args.input)
     data = corpus_mod.load_corpus(args.corpus)
     model = build_model(ckpt, max_positions=cfg.seq_len, stream=RngStream(cfg.seed))
+    trainer.check_train_inputs(model, data, cfg)
     _info(f"training for {cfg.total_steps} steps "
           f"({cfg.total_steps * cfg.batch_size * cfg.seq_len} tokens)")
     model, curve = trainer.train(model, data, cfg)
@@ -294,11 +303,11 @@ def _cmd_params(args) -> dict:
 
 
 def _cmd_analyze_routing(args) -> dict:
+    out = _out_dir(args.out)
     ckpt = checkpoint.load(args.input)
     data = corpus_mod.load_corpus(args.corpus)
     model = build_model(ckpt, max_positions=data.seq_len, stream=RngStream(0))
     summary = analysis.summarize_routing(analysis.collect_traces(model, data))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fractions_csv = out / "routing_fractions.csv"
     entropy_csv = out / "layer_entropy.csv"

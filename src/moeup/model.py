@@ -32,23 +32,26 @@ them: inside an MoE layer each expert's input rows, intermediates and output
 die before the next expert runs, and only the tokens, logits, loss and
 routing outlive the pass.
 
-When activations are kept, an MoE layer's experts run, forward and backward,
-on the thread pool of :func:`moeup.util.ordered_map`, if they are big enough
-to gain from a second thread. Each expert computes exactly what it would in a
-serial loop, and the calling thread combines the results in expert order, so
-every result is bitwise the same at any thread count.
+All parallel work goes through :func:`moeup.util.ordered_map`, whose
+``pool`` flag says whether the work is big enough to gain from a second
+thread; where it is false, and on one thread or inside a pool task, the same
+items run inline, so the bits do not depend on the thread count. When
+activations are kept, an MoE layer's experts run on the pool, forward and
+backward, if they hold ``_POOL_MIN_ELEMENTS`` on average. Each expert
+computes exactly what it would in a serial loop, and the calling thread
+combines the results in expert order.
 
 Work whose rows are whole sequences runs in tiles on the same pool:
 attention's per-sequence core (projections, scores, mask, softmax, context
 and their gradients), the dense FFN and shared experts, forward and
-backward. The tile plan depends only on shapes (:func:`_tiles`): the
-:func:`sequence_tiles` rule of evaluation, at most ``EVAL_TILE_TOKENS``
-tokens of whole sequences per tile, used only if even the last tile holds
-``_POOL_MIN_ELEMENTS``; otherwise the work runs whole. On one thread, or
-inside a pool task, the same tiles run inline, so the bits do not depend on
-the thread count. Each tile writes its rows of preallocated outputs; every
-sum over rows (the weight gradients, the norm gains, the loss and the
-embedding scatter) stays one whole-array call. Routed experts stay whole,
+backward. :func:`_tiles` is the one tile plan, and it depends only on
+shapes: the :func:`sequence_tiles` rule of evaluation, at most
+``EVAL_TILE_TOKENS`` tokens of whole sequences per tile, used only if even
+the last tile holds ``_POOL_MIN_ELEMENTS``; otherwise the work runs whole.
+Each tile writes its rows of preallocated outputs; every sum over rows (the
+weight gradients, the norm gains, the loss and the embedding scatter) stays
+one whole-array call, and a layer's independent weight gradients run as
+whole tasks on the pool when its rows were tiled. Routed experts stay whole,
 since they are already the pool's unit.
 
 The tiled results equal those of an untiled pass because numpy's bundled
@@ -97,35 +100,18 @@ def sequence_tiles(sequences: int, seq_len: int, max_sequences: int | None = Non
     return [slice(start, min(start + step, sequences)) for start in range(0, sequences, step)]
 
 
-def _pool_worthy(rows: float, per_row: int) -> bool:
-    """Whether a piece of ``rows`` rows of ``per_row`` elements is big enough
-    for the thread pool."""
-    return rows * per_row >= _POOL_MIN_ELEMENTS
-
-
-def _tiles(sequences: int, seq_len: int, per_token: int) -> list[slice]:
-    """The sequence tiles of a train step's per-sequence work, holding
-    ``per_token`` elements per token: those of :func:`sequence_tiles` if even
-    the last, smallest one is big enough for the pool, else one whole slice."""
-    tiles = sequence_tiles(sequences, seq_len)
-    if len(tiles) > 1 and _pool_worthy((tiles[-1].stop - tiles[-1].start) * seq_len, per_token):
-        return tiles
-    return [slice(0, sequences)]
-
-
-def _row_tiles(rows: int, seq_len: int | None, per_row: int) -> list[slice]:
-    """:func:`_tiles` as slices of rows, for rows that are whole sequences of
-    ``seq_len`` tokens; one whole slice when ``seq_len`` is None."""
-    if seq_len is None:
-        return [slice(0, rows)]
-    return [slice(s.start * seq_len, s.stop * seq_len)
-            for s in _tiles(rows // seq_len, seq_len, per_row)]
-
-
-def _tile_map(fn, items, tiles: list[slice]) -> list:
-    """``[fn(item) for item in items]``: on the thread pool when the work is
-    split into several ``tiles``, else on the calling thread."""
-    return list((ordered_map if len(tiles) > 1 else map)(fn, items))
+def _tiles(rows: int, seq_len: int | None, per_row: int) -> list[slice]:
+    """The row tiles of a train step's per-sequence work, whose ``rows`` rows
+    (tokens) are whole sequences of ``seq_len`` tokens and hold ``per_row``
+    elements each: the :func:`sequence_tiles` of those sequences, as row
+    slices, if even the last, smallest one holds ``_POOL_MIN_ELEMENTS``; else
+    one whole slice, as also when ``seq_len`` is None."""
+    if seq_len is not None:
+        tiles = [slice(s.start * seq_len, s.stop * seq_len)
+                 for s in sequence_tiles(rows // seq_len, seq_len)]
+        if len(tiles) > 1 and (tiles[-1].stop - tiles[-1].start) * per_row >= _POOL_MIN_ELEMENTS:
+            return tiles
+    return [slice(0, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +186,10 @@ def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
     the two GEMM outputs and the sigmoid. ``act = gate_pre * sig`` and
     ``prod = act * up_out`` die here, in one buffer; backward recomputes them.
     With ``seq_len``, the rows are whole sequences of that many tokens, and
-    they run in tiles (:func:`_row_tiles`), each writing its rows of the
+    they run in tiles (:func:`_tiles`), each writing its rows of the
     outputs; a routed expert's rows run whole.
     """
-    tiles = _row_tiles(len(x), seq_len, w.width)
+    tiles = _tiles(len(x), seq_len, w.width)
     if len(tiles) == 1:
         return _ffn_rows(w, x)
     outs = [np.empty((len(x), w.down.shape[1]))] + [np.empty((len(x), w.width)) for _ in range(3)]
@@ -211,7 +197,7 @@ def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
     def rows(r: slice):
         _ffn_rows(w, x[r], [a[r] for a in outs])
 
-    _tile_map(rows, tiles, tiles)
+    list(ordered_map(rows, tiles))
     y, gate_pre, up_out, sig = outs
     return y, (x, gate_pre, up_out, sig)
 
@@ -241,7 +227,7 @@ def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     weight gradients, sums over all rows, are whole GEMMs.
     """
     x, gate_pre, up_out, sig = cache
-    tiles = _row_tiles(len(x), seq_len, w.width)
+    tiles = _tiles(len(x), seq_len, w.width)
     act = gate_pre * sig
     prod = act * up_out
     d_down = prod.T @ dy
@@ -264,10 +250,10 @@ def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
         dx_rows = np.matmul(d_gate_pre, w.gate.T, out=dx[r])
         dx_rows += d_up_out @ w.up.T
 
-    _tile_map(rows, tiles, tiles)
+    list(ordered_map(rows, tiles))
     del prod
-    # sig holds d_gate_pre and act d_up_out.
-    d_gate, d_up = _tile_map(lambda grad: x.T @ grad, (sig, act), tiles)
+    # sig holds d_gate_pre and act d_up_out; as whole tasks, on the pool if the rows were tiled.
+    d_gate, d_up = ordered_map(lambda grad: x.T @ grad, (sig, act), len(tiles) > 1)
     return dx, d_gate, d_up, d_down
 
 
@@ -306,13 +292,13 @@ class MoeCache:
     """What :func:`_moe_fwd` keeps for :func:`_moe_bwd`."""
 
     x: np.ndarray           # (N, d_h) layer input
-    logits: np.ndarray      # (N, n) router logits
     gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
     routing: LayerRouting
     # Per routed expert, (rows, (gate_pre, up_out, sig), output), or None if no
     # row chose it. The FFN cache without its input: backward regathers x[rows].
     experts: list[tuple | None]
     shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
+    pooled: bool            # whether the experts ran on the thread pool
 
 
 def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
@@ -379,12 +365,6 @@ def decompose_moe_output(w: MoeLayerWeights, x: np.ndarray, k: int, retained_mas
     return lhs, rhs
 
 
-def _expert_map(w: MoeLayerWeights, rows: int, k: int):
-    """``ordered_map`` for a layer whose experts are big enough to run on the
-    thread pool, else ``map``; either gives the results in expert order."""
-    return ordered_map if _pool_worthy(rows * k / w.num_experts, w.experts[0].width) else map
-
-
 def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
              seq_len: int | None = None):
     """Batched MoE forward over rows of ``x`` (N, d_h); returns ``(y, routing, cache)``.
@@ -419,15 +399,17 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
         # The input rows die here, even when the rest is kept.
         return idx, cache_e[1:], fe, gates_full[idx, e:e + 1] * fe
 
-    # Experts run on the thread pool when activations are kept; an
-    # activation-free pass runs them one at a time, so that each expert's
-    # tensors die before the next starts (evaluation parallelizes over tiles).
-    # Either way their outputs are added in expert order, bitwise as in a loop.
+    # Experts run on the thread pool when activations are kept and they hold
+    # _POOL_MIN_ELEMENTS on average; an activation-free pass runs them one at
+    # a time, so that each expert's tensors die before the next starts
+    # (evaluation parallelizes over tiles). Either way their outputs are added
+    # in expert order, bitwise as in a loop.
     y = np.zeros_like(x)
     expert_caches: list[tuple | None] = [None] * n
     shared_caches = []
     tasks = range(n + len(w.shared))
-    outputs = (_expert_map(w, len(x), k) if keep else map)(run, tasks)
+    pool = keep and len(x) * k / n * w.experts[0].width >= _POOL_MIN_ELEMENTS
+    outputs = ordered_map(run, tasks, pool)
     # Not enumerate(outputs): it would hold each output until the next is made.
     for e in tasks:
         out = next(outputs)
@@ -447,7 +429,7 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     routing = LayerRouting(sel, gates_sel, probs)
     if not keep:
         return y, routing, None
-    return y, routing, MoeCache(x, logits, gates_full, routing, expert_caches, shared_caches)
+    return y, routing, MoeCache(x, gates_full, routing, expert_caches, shared_caches, pool)
 
 
 def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None,
@@ -485,14 +467,14 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         dxe, *grads = _ffn_bwd(ew, (cache.x[idx], *kept), dye)
         return idx, d_gates, dxe, tuple(grads)
 
-    # Experts run on the thread pool, as in the forward pass; their input
-    # gradients are added and their gate gradients written here, in expert
-    # order, bitwise as in a loop.
+    # Experts run on the thread pool if they did in the forward pass; their
+    # input gradients are added and their gate gradients written here, in
+    # expert order, bitwise as in a loop.
     dx = np.zeros_like(cache.x)
     d_gates_full = np.zeros_like(cache.gates_full)
     expert_grads, shared_grads = [], []
     tasks = range(n + len(w.shared))
-    outputs = _expert_map(w, len(cache.x), routing.selected.shape[1])(run, tasks)
+    outputs = ordered_map(run, tasks, cache.pooled)
     for e in tasks:  # as in _moe_fwd, each output dies before the next is made
         out = next(outputs)
         if e >= n:
@@ -512,7 +494,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     d_gates_sel = np.take_along_axis(d_gates_full, routing.selected, axis=-1)
     inner = np.sum(routing.gates * d_gates_sel, axis=-1, keepdims=True)
     d_gate_logits = routing.gates * (d_gates_sel - inner)
-    d_logits = np.zeros_like(cache.logits)
+    d_logits = np.zeros_like(cache.gates_full)
     np.put_along_axis(d_logits, routing.selected, d_gate_logits, axis=-1)
     if d_probs is not None:
         inner_p = np.sum(routing.probs * d_probs, axis=-1, keepdims=True)
@@ -567,7 +549,8 @@ def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
     """Causal attention over ``h`` (B, T, d_h); returns ``(out, cache)``.
 
     The sequences run in the tiles of :func:`_tiles`, each writing its
-    sequences of the preallocated outputs.
+    sequences of the preallocated outputs; a tile's row slice of the
+    flattened (B * T) tokens gives its sequences.
     """
     b, t, _ = h.shape
     proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
@@ -588,8 +571,8 @@ def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
         np.matmul(scores, v[s], out=_split_heads(merged[s], n_heads, head_dim))
         np.matmul(merged[s], wo, out=out[s])
 
-    tiles = _tiles(b, t, n_heads * t)
-    _tile_map(seqs, tiles, tiles)
+    list(ordered_map(seqs, [slice(r.start // t, r.stop // t)
+                            for r in _tiles(b * t, t, n_heads * t)]))
     return out, (h, q, k, v, attn, merged, scale)
 
 
@@ -602,7 +585,7 @@ def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
     h, q, k, v, attn, merged, scale = cache
     b, t, d_h = h.shape
     n_heads, head_dim = q.shape[1], q.shape[3]
-    tiles = _tiles(b, t, n_heads * t)
+    tiles = [slice(r.start // t, r.stop // t) for r in _tiles(b * t, t, n_heads * t)]
     # d(q), d(k) and d(v) with heads merged; C order, so that rows reshape to views.
     d_proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
     dh = np.empty((b, t, d_h))
@@ -625,10 +608,10 @@ def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
         dh2 += dk2 @ wk.T
         dh2 += dv2 @ wv.T
 
-    _tile_map(seqs, tiles, tiles)
+    list(ordered_map(seqs, tiles))
     h2, dy2 = h.reshape(b * t, -1), dy.reshape(b * t, -1)
     pairs = [(h2, a.reshape(b * t, -1)) for a in d_proj] + [(merged.reshape(b * t, -1), dy2)]
-    d_wq, d_wk, d_wv, d_wo = _tile_map(lambda pair: pair[0].T @ pair[1], pairs, tiles)
+    d_wq, d_wk, d_wv, d_wo = ordered_map(lambda pair: pair[0].T @ pair[1], pairs, len(tiles) > 1)
     return dh, d_wq, d_wk, d_wv, d_wo
 
 

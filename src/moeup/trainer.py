@@ -282,11 +282,9 @@ def _sample_batch(corpus: Corpus, config: TrainConfig, stream: RngStream, step: 
     return tokens, domains
 
 
-# A diverging run overflows on its way to a non-finite loss; the
-# TrainingDiverged it ends with is the one report of that.
-@np.errstate(all="ignore")
-def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, LossCurve]:
-    """Train in place for ``total_steps`` steps; returns the model and its curve."""
+def check_train_inputs(model: ToyLm, corpus: Corpus, config: TrainConfig) -> None:
+    """Raise ``ValidationError`` unless the corpus sequences and the model's
+    position table both hold ``config.seq_len`` tokens."""
     if corpus.seq_len < config.seq_len:
         raise ValidationError(
             f"corpus sequences ({corpus.seq_len} tokens) are shorter than train seq_len "
@@ -295,6 +293,14 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
         raise ValidationError(
             f"train seq_len ({config.seq_len}) exceeds the model's position table "
             f"({model.max_positions})")
+
+
+# A diverging run overflows on its way to a non-finite loss; the
+# TrainingDiverged it ends with is the one report of that.
+@np.errstate(all="ignore")
+def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, LossCurve]:
+    """Train in place for ``total_steps`` steps; returns the model and its curve."""
+    check_train_inputs(model, corpus, config)
     stream = RngStream(config.seed)
     state = AdamWState.for_params(model.params)
     curve = LossCurve()

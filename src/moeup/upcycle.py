@@ -460,7 +460,7 @@ def drop_upcycle(dense: Checkpoint, config: ModelConfig,
     copied; routers are freshly initialized. This is fine-grained drop
     upcycling at granularity 1 without shared experts, and is built by it.
     """
-    _require_coarse(config, "drop upcycling")
+    _require_coarse(config, f"{spec.method} upcycling")
     return fine_grained_drop_upcycle(dense, config, spec)
 
 

@@ -91,20 +91,20 @@ def _get_pool(size: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def ordered_map(fn, items):
+def ordered_map(fn, items, pool: bool = True):
     """Yield ``fn(item)`` for each item, in input order, from the thread pool.
 
     At most ``thread_cap()`` items are in flight: submitted and not yet
     yielded. The next item is submitted only when the oldest result has been
     taken, so a caller that drops each result before taking the next bounds
     the live results as well. Each call runs in a copy of the caller's
-    ``contextvars`` context and under its numpy error state. With a cap
-    of 1, a single item, or inside a pool task, items run inline one at a
-    time. Only functions whose results do not depend on scheduling belong
-    here.
+    ``contextvars`` context and under its numpy error state. When ``pool``
+    is false, for a single item, at a cap of 1 or inside a pool task, items
+    run inline one at a time, each when it is taken, as with ``map``. Only
+    functions whose results do not depend on scheduling belong here.
     """
     items = list(items)
-    cap = thread_cap()
+    cap = thread_cap() if pool else 1
     if cap <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
         yield from map(fn, items)
         return

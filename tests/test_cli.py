@@ -3,9 +3,11 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moeup import checkpoint as cp
+from moeup import upcycle
 from moeup.cli import main
 from moeup.corpus import default_corpus, save_corpus
 
@@ -70,6 +72,15 @@ def moe_dir(tmp_path):
     moe = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16), seed=1)
     cp.save(moe, tmp_path / "moe")
     return tmp_path / "moe"
+
+
+@pytest.fixture
+def trained_dir(tmp_path):
+    """A dense checkpoint with a 16-row position table, as training leaves one."""
+    dense = random_checkpoint(make_config(16, 32, 2, 2, 2, 96, s=16), seed=1)
+    dense.tensors[cp.POSITION_SLOT] = np.zeros((16, 16), dtype=np.float32)
+    cp.save(dense, tmp_path / "trained")
+    return tmp_path / "trained"
 
 
 @pytest.fixture
@@ -183,6 +194,11 @@ class TestValidationAndExitCodes:
         (f"{_TRAIN} --steps 0", None),
         (f"{_TRAIN} --tokens -5", None),
         (f"{_TRAIN} --tokens 0", None),
+        # Sequences longer than the corpus's, or than the model's position
+        # table, fail before the progress line.
+        (f"{_TRAIN} --seq-len 32", None),
+        ("train --in {trained} --corpus {config} --out {out} --seq-len 32",
+         b"alpha\t" + b" 1" * 32 + b"\n"),
         # Non-finite learning rates and balance coefficient.
         (f"{_TRAIN} --max-lr nan --min-lr nan", None),
         (f"{_TRAIN} --balance-coeff nan", None),
@@ -202,7 +218,8 @@ class TestValidationAndExitCodes:
         ("MOEUP_THREADS=abc params --config {model}", None),
     ])
     def test_bad_input_prints_one_error_line(self, capsys, monkeypatch, tmp_path, config_file,
-                                             dense_dir, moe_dir, corpus_file, argv, config):
+                                             dense_dir, moe_dir, trained_dir, corpus_file,
+                                             argv, config):
         words = argv.split()
         while "=" in words[0]:
             monkeypatch.setenv(*words.pop(0).split("=", 1))
@@ -212,20 +229,29 @@ class TestValidationAndExitCodes:
         else:
             config_path.write_text(json.dumps(config))
         paths = {"model": config_file, "dense": dense_dir, "moe": moe_dir,
-                 "corpus": corpus_file, "config": config_path, "out": tmp_path / "out"}
+                 "trained": trained_dir, "corpus": corpus_file, "config": config_path,
+                 "out": tmp_path / "out"}
         code, payload, err = _run(capsys, [arg.format(**paths) for arg in words])
         assert code == 1 and payload is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not paths["out"].exists()
 
-    def test_train_out_that_is_a_file_fails_before_training(self, capsys, tmp_path, moe_dir,
-                                                            corpus_file):
+    @pytest.mark.parametrize("argv", [
+        "init --config {model} --out {out}",
+        f"{_TRAIN} --steps 2",
+        # A missing --in: the --out check comes before any load.
+        "upcycle --method drop --in {missing} --out {out}",
+        "analyze-routing --in {missing} --corpus {corpus} --out {out}",
+    ], ids=["init", "train", "upcycle", "analyze-routing"])
+    def test_train_out_that_is_a_file_fails_before_training(self, capsys, tmp_path, argv,
+                                                            config_file, moe_dir, corpus_file):
         out = tmp_path / "out"
         out.write_text("keep")
-        argv = _TRAIN.format(moe=moe_dir, corpus=corpus_file, out=out).split()
-        code, payload, err = _run(capsys, argv + ["--steps", "2"])
+        code, payload, err = _run(capsys, argv.format(
+            model=config_file, moe=moe_dir, corpus=corpus_file, missing=tmp_path / "missing",
+            out=out).split())
         assert code == 2 and payload is None
-        # One error line and no progress line: no step ran.
+        # One error line and no progress line: no work ran.
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not a directory" in err
         assert out.read_text() == "keep"
@@ -382,6 +408,22 @@ class TestArtifactPipeline:
                      "--in", str(dense_dir), "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
         assert _dir_digest(dense_dir) == before
+
+    def test_naive_echoes_the_spec_it_builds(self, capsys, tmp_path, dense_dir):
+        """Naive upcycling is drop upcycling at ratio 0: a --ratio is overridden,
+        the echoed spec agrees with the metadata, and the plan drops nothing."""
+        code, payload, _ = _run(capsys, [
+            "upcycle", "--method", "naive", "--ratio", "0.7", "--seed", "3", "--experts", "4",
+            "--topk", "2", "--in", str(dense_dir), "--out", str(tmp_path / "naive")])
+        assert code == 0
+        assert payload["spec"]["ratio"] == payload["metadata"]["ratio"] == 0.0
+        built = cp.load(tmp_path / "naive")
+        want = upcycle.naive_upcycle(cp.load(dense_dir), built.config, seed=3)
+        assert built.tensors.keys() == want.tensors.keys()
+        assert all(np.array_equal(built.tensors[name], want.tensors[name])
+                   for name in want.tensors)
+        plan = upcycle.load_plan(tmp_path / "naive")
+        assert all(e.dropped.size == 0 for layer in plan.layers for e in layer.experts)
 
     def test_btx_via_cli(self, capsys, tmp_path):
         for i in range(4):

@@ -137,8 +137,8 @@ def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", threads)
     b, t, n_heads, head_dim, width = 9, 64, 8, 8, 512
     d_h = n_heads * head_dim
-    assert model_mod._tiles(b, t, n_heads * t) == [slice(0, 8), slice(8, 9)]
-    assert model_mod._row_tiles(b * t, t, width) == [slice(0, 512), slice(512, 576)]
+    assert model_mod._tiles(b * t, t, n_heads * t) == [slice(0, 512), slice(512, 576)]
+    assert model_mod._tiles(b * t, t, width) == [slice(0, 512), slice(512, 576)]
     rng = np.random.default_rng(8)
     h, dy = rng.normal(size=(2, b, t, d_h))
     weights = [rng.normal(scale=0.3, size=(d_h, d_h)) for _ in range(4)]

@@ -300,7 +300,7 @@ def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
     running, most, tiles = [0], [0], []
     real = model_mod.ordered_map
 
-    def counting_map(fn, items):
+    def counting_map(fn, items, pool=True):
         def task(item):
             with lock:
                 running[0] += 1
@@ -314,7 +314,7 @@ def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
                 tiles.append((threading.current_thread() is threading.main_thread(), result))
             return result
 
-        return real(task, items)
+        return real(task, items, pool)
 
     monkeypatch.setattr(model_mod, "ordered_map", counting_map)
     peaks = {}

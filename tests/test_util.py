@@ -89,6 +89,25 @@ def test_window_holds_at_most_thread_cap_tasks(threads, monkeypatch):
     assert max(in_window) == threads
 
 
+def test_map_off_the_pool_runs_inline_when_taken(monkeypatch):
+    """With ``pool=False`` every item runs on the calling thread, even at a
+    cap of 8, and, as with ``map``, each only when its result is taken."""
+    monkeypatch.setenv("MOEUP_THREADS", "8")
+    main = threading.get_ident()
+    ran = []
+
+    def task(i):
+        ran.append((i, threading.get_ident()))
+        return i * i
+
+    results = ordered_map(task, range(6), pool=False)
+    assert ran == []
+    for i, value in enumerate(results):
+        assert value == i * i
+        assert ran == [(j, main) for j in range(i + 1)]
+    assert len(ran) == 6
+
+
 def test_abandoned_map_leaves_no_task_running(monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", "2")
     running = []
@@ -125,6 +144,28 @@ def test_upcycle_results_independent_of_thread_cap(monkeypatch):
     assert serial_plan.to_json_dict() == threaded_plan.to_json_dict()
 
 
+def _experts_pooled(monkeypatch, layer, rows: int, k: int) -> bool:
+    """Whether an MoE layer's experts run on the thread pool for ``rows``
+    rows: the ``pool`` flag of the expert map (the one map over a ``range``)
+    in ``_moe_fwd`` with activations kept, which ``_moe_bwd`` repeats. An
+    activation-free forward never pools them."""
+    real, flags = model_mod.ordered_map, []
+
+    def spy(fn, items, pool=True):
+        if isinstance(items, range):
+            flags.append(pool)
+        return real(fn, items, pool)
+
+    monkeypatch.setattr(model_mod, "ordered_map", spy)
+    x = np.random.default_rng(1).normal(size=(rows, layer.router.shape[0]))
+    model_mod._moe_fwd(layer, x, k, keep=False)
+    _, _, cache = model_mod._moe_fwd(layer, x, k)
+    model_mod._moe_bwd(layer, cache, x, None)
+    monkeypatch.setattr(model_mod, "ordered_map", real)
+    assert len(flags) == 3 and flags[0] is False and flags[1] == flags[2], flags
+    return flags[1]
+
+
 def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
     """Eight threads on fewer cores, switching as often as the interpreter
     allows: an MoE layer's forward and backward still give the serial bits,
@@ -134,7 +175,7 @@ def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
     layer = model.layer_moe(0)
     rng = np.random.default_rng(0)
     x, dy = rng.normal(size=(2, 1024, 64))
-    assert model_mod._expert_map(layer, len(x), 4) is ordered_map
+    assert _experts_pooled(monkeypatch, layer, len(x), 4)
 
     def run(threads: str):
         monkeypatch.setenv("MOEUP_THREADS", threads)
@@ -161,7 +202,7 @@ def test_tiled_step_bitwise_under_thread_stress(monkeypatch):
     model = build_model(random_checkpoint(toy_dense_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     tokens = default_corpus(seq_len=64, num_sequences=64).sequences
-    assert len(model_mod._tiles(64, 64, model.config.num_heads * 64)) == 8
+    assert len(model_mod._tiles(64 * 64, 64, model.config.num_heads * 64)) == 8
 
     def run(threads: str):
         monkeypatch.setenv("MOEUP_THREADS", threads)
@@ -202,13 +243,13 @@ def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     corpus = default_corpus(seq_len=64, num_sequences=batch + 8)
     cfg = TrainConfig(max_lr=3e-3, min_lr=3e-4, total_steps=3, warmup_steps=1,
                       batch_size=batch, seq_len=64, seed=5)
-    assert len(model_mod._tiles(batch, 64, config.num_heads * 64)) == batch // 8
+    assert len(model_mod._tiles(batch * 64, 64, config.num_heads * 64)) == batch // 8
     if config.is_moe:
         layer = build_model(ckpt, max_positions=64, stream=RngStream(4)).layer_moe(0)
-        pooled = model_mod._expert_map(layer, batch * 64, config.top_k)
-        assert (pooled is ordered_map) == (layout == "coarse" or batch == 48)
+        pooled = _experts_pooled(monkeypatch, layer, batch * 64, config.top_k)
+        assert pooled == (layout == "coarse" or batch == 48)
     else:
-        assert len(model_mod._row_tiles(batch * 64, 64, config.intermediate_size)) == 2
+        assert len(model_mod._tiles(batch * 64, 64, config.intermediate_size)) == 2
 
     def run(threads: str):
         monkeypatch.setenv("MOEUP_THREADS", threads)
