@@ -9,9 +9,11 @@ as ``python3 -m moeup.cli`` in a child process: ``init`` of a dense parent and
 of a btx branch; ``upcycle`` with naive, drop, rnu, fg-drop (shared expert and
 scale factor), btx and scratch; a 3-step ``train`` of the dense parent and of
 three MoE checkpoints, under both balance modes; a 2-step ``train`` of a
-second dense parent and of its drop upcycle on batches of 16 x 64 tokens,
-which run attention, the dense FFN and the experts in two tiles of 8
-sequences each, all big enough for the thread pool; ``analyze-routing`` of a
+second dense parent, of its drop upcycle and of its fg-drop upcycle (7
+routed experts of width 32, top-3, and one shared expert) on batches of
+16 x 64 tokens, which on two threads run attention and the dense FFN in two
+tiles of 8 sequences each and the experts in two contiguous groups, all on
+the thread pool; ``analyze-routing`` of a
 trained MoE; and ``catch-up`` of the trained parent's curve against the
 trained drop's. Last, a short ``scripts/run_toy_pipeline.py`` run writes into
 DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
@@ -78,8 +80,11 @@ def _commands(out: Path) -> list[list[str]]:
          "--out", str(out / "parent_64")],
         [*CLI, "upcycle", "--in", str(out / "parent_64"), "--method", "drop", *MOE_FLAGS,
          "--ratio", "0.5", "--seed", "5", "--out", str(out / "drop_64")],
+        [*CLI, "upcycle", "--in", str(out / "parent_64"), "--method", "fg-drop",
+         "--experts", "4", "--topk", "3", "--granularity", "2", "--shared", "1",
+         "--ratio", "0.5", "--seed", "6", "--out", str(out / "fg_drop_64")],
     ]
-    for name in ("parent_64", "drop_64"):
+    for name in ("parent_64", "drop_64", "fg_drop_64"):
         commands.append([*CLI, "train", "--in", str(out / name),
                          "--corpus", str(out / "corpora_64" / "train.txt"), *TILED_TRAIN_FLAGS,
                          "--out", str(out / f"train_{name}")])

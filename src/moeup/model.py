@@ -36,10 +36,16 @@ All parallel work goes through :func:`moeup.util.ordered_map`, whose
 ``pool`` flag says whether the work is big enough to gain from a second
 thread; where it is false, and on one thread or inside a pool task, the same
 items run inline, so the bits do not depend on the thread count. When
-activations are kept, an MoE layer's experts run on the pool, forward and
-backward, if they hold ``_POOL_MIN_ELEMENTS`` on average. Each expert
-computes exactly what it would in a serial loop, and the calling thread
-combines the results in expert order.
+activations are kept, an MoE layer's experts, routed then shared, run on the
+pool, forward and backward, in at most ``thread_cap()`` contiguous groups
+balanced by rows x width (:func:`_expert_plan`), one task per group, if the
+average group holds ``_POOL_MIN_ELEMENTS``. The plan follows from the
+routing counts alone, and backward reuses the forward's. A group's experts
+run one after another on its thread, each computing exactly what it would
+in a serial loop; the calling thread weights and combines their outputs in
+expert order while later groups run. Otherwise, as in evaluation and at
+``MOEUP_THREADS=1``, each expert is its own item, run inline, and its
+tensors die before the next expert starts.
 
 Work whose rows are whole sequences runs in tiles on the same pool:
 attention's per-sequence core (projections, scores, mask, softmax, context
@@ -51,8 +57,9 @@ the last tile holds ``_POOL_MIN_ELEMENTS``; otherwise the work runs whole.
 Each tile writes its rows of preallocated outputs; every sum over rows (the
 weight gradients, the norm gains, the loss and the embedding scatter) stays
 one whole-array call, and a layer's independent weight gradients run as
-whole tasks on the pool when its rows were tiled. Routed experts stay whole,
-since they are already the pool's unit.
+whole tasks on the pool when its rows were tiled. Routed experts stay whole;
+their groups are the pool's unit. A shared expert inside a group runs its
+tiles inline, with the same bits.
 
 The tiled results equal those of an untiled pass because numpy's bundled
 OpenBLAS gives each row of a GEMM the same bits whatever the number of rows
@@ -68,20 +75,26 @@ count, but may differ in the last bits from an untiled pass.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .checkpoint import POSITION_SLOT, Checkpoint, ffn_slot_names
 from .config import ModelConfig, ValidationError
 from .numerics import NormalParams, RngStream, sample_normal, softmax, top_k_batch
-from .util import ordered_map, setup_process
+from .util import ordered_map, setup_process, thread_cap
 
 _LN_EPS = 1e-6
 # Work goes to the thread pool only in pieces whose arrays hold at least this
 # many elements: smaller numpy calls are so short that handing the GIL between
-# threads costs more than it frees. On 2 cores, 8 experts of 512 rows gained
-# nothing at width 32 and 1.4-1.7x at width 64.
+# threads costs more than it frees. On 2 cores, 8 experts of 512 rows, one
+# task each, gained nothing at width 32 and 1.4-1.7x at width 64. A task that
+# runs a group of experts pays one hand-off for the group: 31 experts of
+# about 495 rows at width 32 and a shared one, in two groups of about 260k
+# elements, raised the toy fine-grained MoE training throughput by about 16%
+# on 2 cores.
 _POOL_MIN_ELEMENTS = 1 << 15
 # Most tokens one tile holds: an evaluation forward pass, or one piece of a
 # train step's attention or FFN on the thread pool (see :func:`sequence_tiles`).
@@ -112,6 +125,59 @@ def _tiles(rows: int, seq_len: int | None, per_row: int) -> list[slice]:
         if len(tiles) > 1 and (tiles[-1].stop - tiles[-1].start) * per_row >= _POOL_MIN_ELEMENTS:
             return tiles
     return [slice(0, rows)]
+
+
+class ExpertPlan(NamedTuple):
+    """An MoE layer's experts as units of work, the arguments of its
+    :func:`~moeup.util.ordered_map` calls: routed experts first, then shared."""
+
+    groups: list[range]  # contiguous, in expert order, each expert in exactly one
+    pooled: bool         # whether the groups run on the thread pool
+
+
+def _expert_plan(rows: list[int], widths: list[int], cap: int) -> ExpertPlan:
+    """The units of work of experts with ``rows`` rows and ``widths`` widths,
+    in expert order.
+
+    At most ``cap`` contiguous groups, cut where the running total of rows x
+    width comes nearest each ``1 / cap`` of the whole, go to the thread pool if
+    the average group holds ``_POOL_MIN_ELEMENTS``. Otherwise, and at a cap of
+    1, each expert is its own group, run inline. The plan depends only on
+    these numbers, never on scheduling.
+    """
+    singles = ExpertPlan([range(e, e + 1) for e in range(len(rows))], False)
+    if cap <= 1:
+        return singles
+    work = list(itertools.accumulate(r * w for r, w in zip(rows, widths, strict=True)))
+    total = work[-1] if work else 0
+    starts = [0]
+    for j in range(1, min(cap, len(work))):
+        cuts = range(starts[-1] + 1, len(work))
+        if not cuts:
+            break
+        # In integers: the cut whose work before it is nearest total * j / cap.
+        starts.append(min(cuts, key=lambda s: abs(work[s - 1] * cap - total * j)))
+    if total < len(starts) * _POOL_MIN_ELEMENTS:
+        return singles
+    return ExpertPlan([range(a, b) for a, b in zip(starts, [*starts[1:], len(work)])], True)
+
+
+def _expert_outputs(run, plan: ExpertPlan):
+    """Yield ``(e, run(e))`` for every expert of ``plan``, in expert order.
+
+    Each group is one :func:`~moeup.util.ordered_map` item, whose experts
+    run one after another on one thread. Each output is handed on once and
+    dropped here, so a caller that drops it too before taking the next holds
+    only the outputs of groups in flight; when each expert is its own group,
+    run inline, one output at a time.
+    """
+    outputs = ordered_map(lambda group: [run(e) for e in group], *plan)
+    for group in plan.groups:
+        results = next(outputs)
+        results.reverse()
+        for e in group:
+            yield e, results.pop()
+        del results
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +364,7 @@ class MoeCache:
     # row chose it. The FFN cache without its input: backward regathers x[rows].
     experts: list[tuple | None]
     shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
-    pooled: bool            # whether the experts ran on the thread pool
+    plan: ExpertPlan        # the forward's expert plan, which backward follows
 
 
 def moe_forward(w: MoeLayerWeights, x: np.ndarray, k: int):
@@ -397,22 +463,20 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
             return None
         fe, cache_e = _ffn_fwd(w.experts[e], x[idx])
         # The input rows die here, even when the rest is kept.
-        return idx, cache_e[1:], fe, gates_full[idx, e:e + 1] * fe
+        return idx, cache_e[1:], fe
 
-    # Experts run on the thread pool when activations are kept and they hold
-    # _POOL_MIN_ELEMENTS on average; an activation-free pass runs them one at
-    # a time, so that each expert's tensors die before the next starts
-    # (evaluation parallelizes over tiles). Either way their outputs are added
-    # in expert order, bitwise as in a loop.
+    # Experts run in groups on the thread pool when activations are kept and
+    # the groups are big enough (_expert_plan); an activation-free pass runs
+    # them one at a time, so that each expert's tensors die before the next
+    # starts (evaluation parallelizes over tiles). Either way each output is
+    # weighted and added here, in expert order, bitwise as in a loop; the
+    # weighted copy lives only for its own addition.
     y = np.zeros_like(x)
     expert_caches: list[tuple | None] = [None] * n
     shared_caches = []
-    tasks = range(n + len(w.shared))
-    pool = keep and len(x) * k / n * w.experts[0].width >= _POOL_MIN_ELEMENTS
-    outputs = ordered_map(run, tasks, pool)
-    # Not enumerate(outputs): it would hold each output until the next is made.
-    for e in tasks:
-        out = next(outputs)
+    plan = _expert_plan([*np.count_nonzero(selmask, axis=0).tolist(), *[len(x)] * len(w.shared)],
+                        [f.width for f in (*w.experts, *w.shared)], thread_cap() if keep else 1)
+    for e, out in _expert_outputs(run, plan):
         if e >= n:
             fs, cache_s = out
             y += fs
@@ -420,16 +484,16 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
                 shared_caches.append(cache_s)
             del fs, cache_s
         elif out is not None:
-            idx, kept, fe, weighted = out
-            y[idx] += weighted
+            idx, kept, fe = out
+            y[idx] += gates_full[idx, e:e + 1] * fe
             if keep:
-                expert_caches[e] = (idx, kept, fe)
-            del idx, kept, fe, weighted
-        del out
+                expert_caches[e] = out
+            del idx, kept, fe
+        del out  # before the next expert runs
     routing = LayerRouting(sel, gates_sel, probs)
     if not keep:
         return y, routing, None
-    return y, routing, MoeCache(x, gates_full, routing, expert_caches, shared_caches, pool)
+    return y, routing, MoeCache(x, gates_full, routing, expert_caches, shared_caches, plan)
 
 
 def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None,
@@ -467,16 +531,12 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         dxe, *grads = _ffn_bwd(ew, (cache.x[idx], *kept), dye)
         return idx, d_gates, dxe, tuple(grads)
 
-    # Experts run on the thread pool if they did in the forward pass; their
-    # input gradients are added and their gate gradients written here, in
-    # expert order, bitwise as in a loop.
+    # Experts run in the forward's groups; their input gradients are added and
+    # their gate gradients written here, in expert order, bitwise as in a loop.
     dx = np.zeros_like(cache.x)
     d_gates_full = np.zeros_like(cache.gates_full)
     expert_grads, shared_grads = [], []
-    tasks = range(n + len(w.shared))
-    outputs = ordered_map(run, tasks, cache.pooled)
-    for e in tasks:  # as in _moe_fwd, each output dies before the next is made
-        out = next(outputs)
+    for e, out in _expert_outputs(run, cache.plan):  # as in _moe_fwd
         if e >= n:
             dxs, *grads = out
             dx += dxs

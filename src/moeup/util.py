@@ -108,15 +108,15 @@ def ordered_map(fn, items, pool: bool = True):
     if cap <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
         yield from map(fn, items)
         return
-    pool = _get_pool(cap)
+    executor = _get_pool(cap)
     errors = np.geterr()
     window: deque = deque()
     try:
         for item in items:
             if len(window) == cap:
                 yield window.popleft().result()
-            window.append(pool.submit(_run_task, contextvars.copy_context(), errors,
-                                      fn, item))
+            window.append(executor.submit(_run_task, contextvars.copy_context(), errors,
+                                          fn, item))
         while window:
             yield window.popleft().result()
     finally:  # an abandoned or failed map leaves no task running behind it

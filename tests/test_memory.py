@@ -251,36 +251,52 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
 
 
 def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
-    """On the thread pool, an expert's backward starts while at most
-    ``threads - 1`` earlier experts (in backward order) still hold a cache.
-    The toy coarse MoE on 512 tokens has experts big enough for the pool."""
+    """On the thread pool, experts run in contiguous groups, one group per
+    task, and an expert's backward starts while at most the experts of
+    ``threads - 1`` earlier groups (in backward order) still hold a cache.
+    The earlier experts of its own group have used up their activations;
+    only their row indices, which their results carry back to the calling
+    thread, may still be live. The toy coarse MoE on 512 tokens has experts
+    big enough for the pool."""
     threads = 2
     monkeypatch.setenv("MOEUP_THREADS", str(threads))
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     cache = forward_cache(model, default_corpus(seq_len=64, num_sequences=8).sequences)
     experts = _expert_refs(cache, model)
-    order = []  # each expert's gate weight, in the order of ``experts``
-    for layer in reversed(cache["layer_caches"]):
-        order.extend(id(w.gate) for w, entry in zip(layer.weights.experts, layer.ffn.experts)
-                     if entry is not None)
-        order.extend(id(w.gate) for w in layer.weights.shared)
-    assert len(order) == len(experts)
+    # Per used expert, in backward order: its gate weight, its group and the
+    # activations its cache entry holds (the entry without its rows or input).
+    order, group_of, activations = [], [], []
+    for i, layer in enumerate(reversed(cache["layer_caches"])):
+        weights = (*layer.weights.experts, *layer.weights.shared)
+        entries = (*layer.ffn.experts, *layer.ffn.shared)
+        assert layer.ffn.plan.pooled and 1 < len(layer.ffn.plan.groups) <= threads
+        for g, group in enumerate(layer.ffn.plan.groups):
+            for e in group:
+                if entries[e] is not None:
+                    order.append(id(weights[e].gate))
+                    group_of.append((i, g))
+                    activations.append(_refs(entries[e][1:], model))
+    del entries  # the cache's own references must be the last
+    assert len(order) == len(experts) and all(activations)
     lock = threading.Lock()
     seen, on_pool = [], []
     real = model_mod._ffn_bwd
 
     def ffn_bwd(w, ffn_cache, dy, *seq_len):
         with lock:
-            earlier = experts[:order.index(id(w.gate))]
-            seen.append(sum(_alive(refs) > 0 for refs in earlier))
+            me = order.index(id(w.gate))
+            live = {group_of[j] for j in range(me) if _alive(activations[j]) > 0}
+            seen.append((group_of[me] in live, len(live)))
             on_pool.append(threading.current_thread() is not threading.main_thread())
         return real(w, ffn_cache, dy, *seq_len)
 
     monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
     backward_from_cache(model, cache)
     assert all(on_pool)
-    assert len(seen) == len(experts) and max(seen) <= threads - 1
+    assert len(seen) == len(experts)
+    assert not any(own for own, _ in seen)
+    assert max(groups for _, groups in seen) <= threads - 1
     assert sum(_alive(refs) for refs in experts) == 0
 
 

@@ -40,4 +40,5 @@ def test_artifact_hashes_reproduce_across_processes(tmp_path):
             "catchup_drop_vs_parent.csv", "corpora/train.txt", "corpora_17/train.txt",
             "corpora_17/eval.txt", "pipeline/summary.json",
             "pipeline/routing_drop.csv", "train_parent_64/model/tensors.bin",
-            "train_drop_64/model/tensors.bin", "train_drop_64/curve.jsonl"} <= names
+            "train_drop_64/model/tensors.bin", "train_drop_64/curve.jsonl",
+            "train_fg_drop_64/model/tensors.bin", "train_fg_drop_64/curve.jsonl"} <= names

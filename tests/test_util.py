@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeup import analysis, checkpoint, upcycle
 from moeup.corpus import VOCAB_SIZE, default_corpus, save_corpus
@@ -144,54 +146,111 @@ def test_upcycle_results_independent_of_thread_cap(monkeypatch):
     assert serial_plan.to_json_dict() == threaded_plan.to_json_dict()
 
 
-def _experts_pooled(monkeypatch, layer, rows: int, k: int) -> bool:
+def _experts_pooled(monkeypatch, layer, rows: int, k: int, threads: str = "2") -> bool:
     """Whether an MoE layer's experts run on the thread pool for ``rows``
-    rows: the ``pool`` flag of the expert map (the one map over a ``range``)
-    in ``_moe_fwd`` with activations kept, which ``_moe_bwd`` repeats. An
+    rows at ``threads`` threads: the ``pool`` flag of the expert map in
+    ``_moe_fwd`` with activations kept, which ``_moe_bwd`` repeats over the
+    same groups. The expert map is the one whose items are groups of experts
+    (ranges); the tile and weight-gradient maps take slices and arrays. An
     activation-free forward never pools them."""
-    real, flags = model_mod.ordered_map, []
+    real, calls = model_mod.ordered_map, []
 
     def spy(fn, items, pool=True):
-        if isinstance(items, range):
-            flags.append(pool)
+        items = list(items)
+        if items and all(isinstance(item, range) for item in items):
+            calls.append((items, pool))
         return real(fn, items, pool)
 
     monkeypatch.setattr(model_mod, "ordered_map", spy)
+    monkeypatch.setenv("MOEUP_THREADS", threads)
     x = np.random.default_rng(1).normal(size=(rows, layer.router.shape[0]))
     model_mod._moe_fwd(layer, x, k, keep=False)
     _, _, cache = model_mod._moe_fwd(layer, x, k)
     model_mod._moe_bwd(layer, cache, x, None)
     monkeypatch.setattr(model_mod, "ordered_map", real)
-    assert len(flags) == 3 and flags[0] is False and flags[1] == flags[2], flags
-    return flags[1]
+    monkeypatch.delenv("MOEUP_THREADS")
+    assert len(calls) == 3 and calls[0][1] is False and calls[1] == calls[2], calls
+    assert calls[1] == tuple(cache.plan)
+    return calls[1][1]
+
+
+# The layers of the stress test, with their top-k and sequence length: 8
+# coarse experts, top-4; and a fine-grained layer of 31 routed experts and one
+# shared expert of width 64, top-15, whose shared expert runs in two tiles of
+# 512 rows (2^15 elements each) inside its group.
+STRESS_LAYERS = [
+    (toy_moe_config(n=8, k=4), 4, None),
+    (make_config(64, 512, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64), 15, 64),
+]
 
 
 def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
     """Eight threads on fewer cores, switching as often as the interpreter
     allows: an MoE layer's forward and backward still give the serial bits,
     so no result is lost or combined out of order."""
-    model = build_model(random_checkpoint(toy_moe_config(n=8, k=4), seed=3), max_positions=64,
-                        stream=RngStream(4))
-    layer = model.layer_moe(0)
     rng = np.random.default_rng(0)
     x, dy = rng.normal(size=(2, 1024, 64))
-    assert _experts_pooled(monkeypatch, layer, len(x), 4)
 
-    def run(threads: str):
+    def run(layer, k, seq_len, threads: str):
         monkeypatch.setenv("MOEUP_THREADS", threads)
-        y, _, cache = model_mod._moe_fwd(layer, x, 4)
-        dx, d_router, experts, _ = model_mod._moe_bwd(layer, cache, dy, None)
-        return [y, dx, d_router, *(g for grads in experts for g in grads)]
+        y, _, cache = model_mod._moe_fwd(layer, x, k, seq_len=seq_len)
+        groups = cache.plan.groups
+        dx, d_router, experts, shared = model_mod._moe_bwd(layer, cache, dy, None, seq_len)
+        grads = [g for grads in (*experts, *shared) for g in grads]
+        return groups, [y, dx, d_router, *grads]
 
-    want = run("1")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            got = run("8")
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
-    finally:
-        sys.setswitchinterval(interval)
+    for config, k, seq_len in STRESS_LAYERS:
+        layer = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                            stream=RngStream(4)).layer_moe(0)
+        assert _experts_pooled(monkeypatch, layer, len(x), k, threads="8")
+        if seq_len is not None:
+            assert len(model_mod._tiles(len(x), seq_len, layer.shared[0].width)) == 2
+        serial, want = run(layer, k, seq_len, "1")
+        assert len(serial) == layer.num_experts + len(layer.shared)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                groups, got = run(layer, k, seq_len, "8")
+                assert 1 < len(groups) <= 8
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@given(rows=st.lists(st.integers(0, 4096), min_size=1, max_size=40),
+       widths=st.data(), cap=st.integers(1, 12))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_expert_plan_covers_each_expert_once_in_order(rows, widths, cap):
+    """For any routing counts, widths and cap, the plan's groups are
+    contiguous, in expert order, cover every expert exactly once, and number
+    at most ``cap`` on the pool; off the pool, and at a cap of 1, each expert
+    is its own group."""
+    widths = widths.draw(st.lists(st.integers(1, 512), min_size=len(rows), max_size=len(rows)))
+    plan = model_mod._expert_plan(rows, widths, cap)
+    assert [e for group in plan.groups for e in group] == list(range(len(rows)))
+    assert all(group.step == 1 and len(group) > 0 for group in plan.groups)
+    if plan.pooled:
+        assert cap > 1 and len(plan.groups) <= cap
+        work = sum(r * w for r, w in zip(rows, widths))
+        assert work >= len(plan.groups) * model_mod._POOL_MIN_ELEMENTS
+    else:
+        assert all(len(group) == 1 for group in plan.groups)
+    if cap == 1:
+        assert not plan.pooled
+
+
+def test_expert_plan_balances_work():
+    """The groups are cut where the running work comes nearest each share:
+    four equal experts make two groups of two, and a fine-grained layer's
+    31 routed experts and its shared expert (the work of two) split at the
+    expert nearest half the work."""
+    assert model_mod._expert_plan([512] * 4, [256] * 4, 2) == ([range(0, 2), range(2, 4)], True)
+    plan = model_mod._expert_plan([495] * 31 + [1024], [32] * 32, 2)
+    assert plan == ([range(0, 17), range(17, 32)], True)
+    # Too little work for two groups: each expert alone, inline.
+    assert model_mod._expert_plan([8] * 4, [32] * 4, 2) == ([range(e, e + 1) for e in range(4)],
+                                                           False)
 
 
 def test_tiled_step_bitwise_under_thread_stress(monkeypatch):
@@ -235,9 +294,8 @@ LAYOUTS = {
 def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     """Evaluation, routing traces and a 3-step train give the same bits on one
     thread and on two. Evaluation runs its tiles on the pool. Training runs
-    attention and the dense FFN in two tiles of 8 sequences there, and
-    experts unless they are too small, as fine-grained experts are at a
-    batch of 16 sequences and are not at 48."""
+    attention and the dense FFN in two tiles of 8 sequences there, and the
+    experts, coarse or fine-grained, in two contiguous groups."""
     config = LAYOUTS[layout]
     ckpt = random_checkpoint(config, seed=3)
     corpus = default_corpus(seq_len=64, num_sequences=batch + 8)
@@ -246,8 +304,7 @@ def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     assert len(model_mod._tiles(batch * 64, 64, config.num_heads * 64)) == batch // 8
     if config.is_moe:
         layer = build_model(ckpt, max_positions=64, stream=RngStream(4)).layer_moe(0)
-        pooled = _experts_pooled(monkeypatch, layer, batch * 64, config.top_k)
-        assert pooled == (layout == "coarse" or batch == 48)
+        assert _experts_pooled(monkeypatch, layer, batch * 64, config.top_k)
     else:
         assert len(model_mod._tiles(batch * 64, 64, config.intermediate_size)) == 2
 
