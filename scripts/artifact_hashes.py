@@ -14,7 +14,9 @@ routed experts of width 32, top-3, and one shared expert) on batches of
 16 x 64 tokens, which on two threads run attention and the dense FFN in two
 tiles of 8 sequences each and the experts in two contiguous groups, all on
 the thread pool; ``analyze-routing`` of a
-trained MoE; and ``catch-up`` of the trained parent's curve against the
+trained MoE, and of the trained fg-drop upcycle over the 32 x 64-token
+training corpus, whose evaluation forwards each span two tiles of 8
+sequences; and ``catch-up`` of the trained parent's curve against the
 trained drop's. Last, a short ``scripts/run_toy_pipeline.py`` run writes into
 DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
 CLI command computes, and its routing CSVs come from ``collect_traces``. It
@@ -94,6 +96,9 @@ def _commands(out: Path) -> list[list[str]]:
                          *TRAIN_FLAGS, "--balance", balance, "--out", str(out / f"train_{name}")])
     commands.append([*CLI, "analyze-routing", "--in", str(out / "train_drop" / "model"),
                      "--corpus", str(corpus / "eval.txt"), "--out", str(out / "routing")])
+    commands.append([*CLI, "analyze-routing", "--in", str(out / "train_fg_drop_64" / "model"),
+                     "--corpus", str(out / "corpora_64" / "train.txt"),
+                     "--out", str(out / "routing_fg_drop_64")])
     commands.append([*CLI, "catch-up", "--base", str(out / "train_drop" / "curve.jsonl"),
                      "--other", str(out / "train_parent" / "curve.jsonl"), "--window", "1",
                      "--out", str(out / "catchup_drop_vs_parent.csv")])

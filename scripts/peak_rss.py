@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Peak memory of one ``moeup init``, ``moeup upcycle --method drop`` or
-``moeup train`` run.
+"""Peak memory of one ``moeup init``, ``moeup upcycle --method drop``,
+``moeup train`` or ``moeup analyze-routing`` run.
 
     python3 scripts/peak_rss.py init --scale toy|152m --out DIR [--seed N]
     python3 scripts/peak_rss.py upcycle --in PARENT --out DIR [--seed N]
     python3 scripts/peak_rss.py train --in CKPT --corpus FILE --out DIR [--steps N]
+    python3 scripts/peak_rss.py analyze-routing --in CKPT --corpus FILE --out DIR
 
 ``init`` writes a from-scratch dense checkpoint of the toy config or of the
 152M config (``from_scratch`` and then ``save``). ``upcycle`` turns a dense
 parent into 8 experts, top-2, drop ratio 0.5. ``train`` trains a checkpoint
 for N steps (default 20) with ``moeup train``'s other defaults: batches of
 16 x 64 tokens and global load balancing, the settings of the benchmark's MoE
-training phase. The command runs as ``python3 -m moeup.cli`` in a child
-process, so its peak is its own; the script prints one JSON line with the
-child's exit code, wall time, peak RSS (``ru_maxrss`` from ``wait4``) and the
-size of the checkpoint it wrote, in MiB. The 152M run needs about 0.7 GiB for
+training phase. ``analyze-routing`` walks the corpus as evaluation does and
+writes its routing CSVs to DIR. The command runs as ``python3 -m moeup.cli``
+in a child process, so its peak is its own; the script prints one JSON line
+with the child's exit code, wall time, peak RSS (``ru_maxrss`` from
+``wait4``) and the size of the checkpoint it wrote, in MiB (null for
+``analyze-routing``, which writes none). The 152M run needs about 0.7 GiB for
 ``init`` and 1.8 GiB for ``upcycle``, plus 0.6 and 1.6 GiB of disk.
 """
 
@@ -75,6 +78,10 @@ def main(argv=None) -> int:
     p.add_argument("--corpus", required=True, help="corpus file (domain TAB ids)")
     p.add_argument("--out", required=True, help="output directory (model + curve.jsonl)")
     p.add_argument("--steps", type=int, default=20)
+    p = sub.add_parser("analyze-routing", help="time moeup analyze-routing")
+    p.add_argument("--in", dest="input", required=True, help="MoE checkpoint")
+    p.add_argument("--corpus", required=True, help="corpus file (domain TAB ids)")
+    p.add_argument("--out", required=True, help="output directory for the CSV files")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,10 +95,14 @@ def main(argv=None) -> int:
             cli_args = ["upcycle", *UPCYCLE_FLAGS, "--seed", str(args.seed),
                         "--in", args.input, "--out", args.out]
             result = {"command": "upcycle"}
-        else:
+        elif args.command == "train":
             cli_args = ["train", "--steps", str(args.steps), "--in", args.input,
                         "--corpus", args.corpus, "--out", args.out]
             result = {"command": "train", "steps": args.steps}
+        else:
+            cli_args = ["analyze-routing", "--in", args.input, "--corpus", args.corpus,
+                        "--out", args.out]
+            result = {"command": "analyze-routing"}
         result.update(measure(cli_args))
     written = Path(args.out) / "model" if args.command == "train" else Path(args.out)
     blob = written / "tensors.bin"

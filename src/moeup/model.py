@@ -51,9 +51,12 @@ Work whose rows are whole sequences runs in tiles on the same pool:
 attention's per-sequence core (projections, scores, mask, softmax, context
 and their gradients), the dense FFN and shared experts, forward and
 backward. :func:`_tiles` is the one tile plan, and it depends only on
-shapes: the :func:`sequence_tiles` rule of evaluation, at most
-``EVAL_TILE_TOKENS`` tokens of whole sequences per tile, used only if even
-the last tile holds ``_POOL_MIN_ELEMENTS``; otherwise the work runs whole.
+shapes: the :func:`sequence_tiles` rule, at most ``EVAL_TILE_TOKENS``
+tokens of whole sequences per tile, used only if even the last tile holds
+``_POOL_MIN_ELEMENTS``; otherwise the work runs whole. Evaluation's tiles
+follow the same rule, but there they are the groups whose losses and traces
+are reported; its pool task is one forward pass over a run of whole tiles,
+of at most ``EVAL_FORWARD_TOKENS`` tokens (:func:`moeup.trainer.forward_tiles`).
 Each tile writes its rows of preallocated outputs; every sum over rows (the
 weight gradients, the norm gains, the loss and the embedding scatter) stays
 one whole-array call, and a layer's independent weight gradients run as
@@ -96,9 +99,17 @@ _LN_EPS = 1e-6
 # elements, raised the toy fine-grained MoE training throughput by about 16%
 # on 2 cores.
 _POOL_MIN_ELEMENTS = 1 << 15
-# Most tokens one tile holds: an evaluation forward pass, or one piece of a
-# train step's attention or FFN on the thread pool (see :func:`sequence_tiles`).
+# Most tokens one tile holds: the group of sequences whose mean loss or routing
+# trace evaluation reports, or one piece of a train step's attention or FFN on
+# the thread pool (see :func:`sequence_tiles`).
 EVAL_TILE_TOKENS = 512
+# Most tokens one evaluation forward pass holds: a run of whole tiles, one pool
+# task. A 512-token tile's 31 experts of the toy fine-grained MoE are too
+# small to gain from a second thread: on 2 cores its evaluation took 0.76 s
+# at two threads with one tile per forward and 0.70 s at one thread. Forwards
+# of 1,024 tokens took 0.57 s at two threads, and 2,048 tokens 0.54 s; at one
+# thread they cost 3% and 6% (medians of 10, in-process after 20 steps).
+EVAL_FORWARD_TOKENS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +119,13 @@ EVAL_TILE_TOKENS = 512
 def sequence_tiles(sequences: int, seq_len: int, max_sequences: int | None = None) -> list[slice]:
     """Consecutive slices of ``sequences`` sequences of ``seq_len`` tokens, each
     of at most ``EVAL_TILE_TOKENS`` tokens and ``max_sequences`` sequences, and
-    of one sequence at least. The plan depends on nothing but these numbers."""
+    of one sequence at least. The plan depends on nothing but these numbers.
+
+    They are the pieces of a train step's per-sequence work on the pool
+    (:func:`_tiles`), and the groups of sequences whose mean losses
+    :func:`moeup.trainer.evaluate_loss` sums and whose routing traces
+    :func:`moeup.analysis.collect_traces` returns; evaluation forwards several
+    of them at once, which changes no bits."""
     step = max(1, min(max_sequences or sequences, EVAL_TILE_TOKENS // seq_len))
     return [slice(start, min(start + step, sequences)) for start in range(0, sequences, step)]
 
@@ -837,22 +854,30 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]
 
-    # Next-token cross entropy over the first t-1 positions; a single-position
-    # sequence has no targets and its loss is defined as 0.
-    if t > 1:
-        pred = logits[:, :-1, :]
-        targets = tok[:, 1:]
-        shifted = pred - np.max(pred, axis=-1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=-1))
-        picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-        loss = float(np.mean(logz - picked))
-    else:
-        loss = 0.0
-
-    result = {"tokens": tok, "routing": routings, "logits": logits, "loss": loss}
+    result = {"tokens": tok, "routing": routings, "logits": logits,
+              "loss": next_token_loss(logits, tok)}
     if keep_activations:
         result |= {"layer_caches": layer_caches, "ln_final": ln_final, "h_final": h_final}
     return result
+
+
+def next_token_loss(logits: np.ndarray, tokens: np.ndarray) -> float:
+    """Mean next-token cross entropy of (B, T) ``tokens`` under their (B, T,
+    vocab) ``logits``, over the first T - 1 positions of each sequence; a
+    single-position sequence has no targets and its loss is defined as 0.
+
+    Each token's loss depends on its own row of logits alone, and the mean runs
+    over the (B, T - 1) losses in order, so the loss of sequences ``a:b`` is
+    bitwise the same whether their logits come from a pass over them alone or
+    are rows of a longer pass.
+    """
+    if tokens.shape[1] < 2:
+        return 0.0
+    pred = logits[:, :-1, :]
+    shifted = pred - np.max(pred, axis=-1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=-1))
+    picked = np.take_along_axis(shifted, tokens[:, 1:, None], axis=-1)[..., 0]
+    return float(np.mean(logz - picked))
 
 
 def _require_unused(cache: dict) -> None:

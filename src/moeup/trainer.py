@@ -32,11 +32,13 @@ import numpy as np
 from .config import ValidationError, require_ints, text_lines
 from .corpus import Corpus
 from .model import (
-    EVAL_TILE_TOKENS,
+    EVAL_FORWARD_TOKENS,
+    LayerRouting,
     RoutingTrace,
     ToyLm,
     backward_from_cache,
     forward_cache,
+    next_token_loss,
     sequence_tiles,
     trace_from_cache,
 )
@@ -340,6 +342,33 @@ def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, state: Ad
     return total_loss, lm_loss, balance_loss
 
 
+def _forward_runs(sequences: int, seq_len: int, max_rows: int | None) -> list[list[slice]]:
+    """The tiles of :func:`moeup.model.sequence_tiles`, in runs of consecutive
+    whole tiles: each run holds at most ``EVAL_FORWARD_TOKENS`` tokens and
+    ``max_rows`` sequences, and one tile at least."""
+    cap = min(EVAL_FORWARD_TOKENS // seq_len, max_rows or sequences)
+    runs: list[list[slice]] = []
+    for tile in sequence_tiles(sequences, seq_len, max_rows):
+        if runs and tile.stop - runs[-1][0].start <= cap:
+            runs[-1].append(tile)
+        else:
+            runs.append([tile])
+    return runs
+
+
+def _tile_result(result: dict, rows: slice) -> dict:
+    """The part of an activation-free forward result that belongs to its
+    sequences ``rows``: views of their tokens, logits and routing rows, and
+    their mean next-token loss."""
+    tokens, logits = result["tokens"][rows], result["logits"][rows]
+    t = tokens.shape[1]
+    flat = slice(rows.start * t, rows.stop * t)
+    routing = [LayerRouting(r.selected[flat], r.gates[flat], r.probs[flat])
+               for r in result["routing"]]
+    return {"tokens": tokens, "routing": routing, "logits": logits,
+            "loss": next_token_loss(logits, tokens)}
+
+
 def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None = None,
                   max_sequences: int | None = None, max_rows: int | None = None) -> list:
     """``per_tile(rows, result)`` for each tile of the corpus: the one walk
@@ -349,11 +378,21 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
     A tile is a slice ``rows`` of the first ``max_sequences`` sequences, cut to
     ``seq_len`` tokens (by default all of both), from
     :func:`moeup.model.sequence_tiles`: it holds at most ``max_rows``
-    sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. ``result``
-    is its ``forward_cache(..., keep_activations=False)``, and dies when
-    ``per_tile`` returns: a later tile's forward reuses its memory. Tiles run
-    on the thread pool, at most ``thread_cap()`` at a time, so ``per_tile``
-    must not depend on the order of calls.
+    sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. Tiles
+    are the groups whose losses and traces the callers report.
+
+    The unit of work is larger: one ``forward_cache(...,
+    keep_activations=False)`` over a run of consecutive whole tiles, of at
+    most ``EVAL_FORWARD_TOKENS`` tokens and ``max_rows`` sequences. ``result``
+    holds the tile's own rows of that forward (views of its tokens, logits
+    and routing) and, as ``loss``, the mean next-token loss of those rows.
+    They are bitwise those of a forward over the tile alone, by the GEMM
+    premise of :mod:`moeup.model`; its one exception, a one-row product,
+    would arise only if an expert got exactly one token of a tile and more
+    of its forward. The forward dies when its last tile's ``per_tile``
+    returns, and a later forward reuses its memory. Forwards run on the
+    thread pool, at most ``thread_cap()`` at a time, so ``per_tile`` must not
+    depend on the order of calls.
     """
     if max_sequences is not None and max_sequences < 1:
         raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
@@ -364,11 +403,15 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
         raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
     limit = min(max_sequences or corpus.num_sequences, corpus.num_sequences)
 
-    def tile(rows: slice):
-        return per_tile(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
-                                            keep_activations=False))
+    def run_tiles(tiles: list[slice]) -> list:
+        start = tiles[0].start
+        result = forward_cache(model, corpus.sequences[start:tiles[-1].stop, :seq_len],
+                               keep_activations=False)
+        return [per_tile(rows, _tile_result(result, slice(rows.start - start, rows.stop - start)))
+                for rows in tiles]
 
-    return parallel_map(tile, sequence_tiles(limit, seq_len, max_rows))
+    return [value for values in parallel_map(run_tiles, _forward_runs(limit, seq_len, max_rows))
+            for value in values]
 
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
@@ -376,9 +419,11 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     """Mean next-token loss over the corpus, in deterministic order.
 
     The corpus is walked by :func:`forward_tiles`, with ``batch_size`` as an
-    upper bound on the sequences per tile. The tile size changes only how
-    per-sequence losses are grouped before summation; the loss is bitwise that
-    of a pass that keeps its activations.
+    upper bound on the sequences per tile and per forward pass. The tile size
+    changes how per-sequence losses are grouped before summation; the forward
+    size changes no bits, as each tile's loss is that of a forward over the
+    tile alone. The loss is bitwise that of passes that keep their
+    activations.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")

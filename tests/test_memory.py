@@ -157,20 +157,21 @@ def test_eval_tiles_in_flight_bounded_by_threads(monkeypatch):
 
 def test_collect_traces_keeps_only_routing(monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", "1")
-    # 80 sequences of 16 tokens make three tiles of at most 32 sequences.
+    # 80 sequences of 16 tokens make three tiles of at most 32 sequences,
+    # forwarded as 64 and 16 sequences.
     corpus = default_corpus(seq_len=16, num_sequences=80)
     previous, alive = [], []
     monkeypatch.setattr(trainer_mod, "forward_cache",
                         _recording_forward(previous, alive, skip_routing=True))
     traces = analysis.collect_traces(_model(CONFIGS[2]), corpus)
     assert [t.layers[0].selected.shape[0] for t in traces] == [32, 32, 16]
-    assert alive == [0, 0, 0]
+    assert alive == [0, 0]
 
 
 def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
     """At the ``toy-finegrained`` shape (31 routed experts top-15, one shared),
     the tiled traces hold bitwise the routing of one forward per sequence, and
-    no tile holds more than ``EVAL_TILE_TOKENS`` tokens."""
+    no forward holds more than ``EVAL_FORWARD_TOKENS`` tokens."""
     monkeypatch.setenv("MOEUP_THREADS", "1")  # forwards recorded in tile order
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
@@ -184,8 +185,9 @@ def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "forward_cache", forward)
     traces = analysis.collect_traces(model, corpus)
-    assert shapes == [(8, 64), (8, 64), (4, 64)]
-    assert all(rows * seq <= trainer_mod.EVAL_TILE_TOKENS for rows, seq in shapes)
+    assert shapes == [(16, 64), (4, 64)]
+    assert all(rows * seq <= model_mod.EVAL_FORWARD_TOKENS for rows, seq in shapes)
+    assert [t.layers[0].selected.shape[0] for t in traces] == [8, 8, 4]
     singles = [trace_from_cache(model, forward_cache(model, corpus.sequences[i:i + 1],
                                                      keep_activations=False))
                for i in range(corpus.num_sequences)]
@@ -633,3 +635,9 @@ def test_peak_rss_script_on_toy_config(tmp_path):
     assert trained["payload_mib"] >= up["payload_mib"]
     curve = (tmp_path / "trained" / "curve.jsonl").read_text().splitlines()
     assert len(curve) == 2
+    routing = _peak_rss("analyze-routing", "--in", str(tmp_path / "trained" / "model"),
+                        "--corpus", str(tmp_path / "corpus.txt"), "--out",
+                        str(tmp_path / "routing"))
+    assert routing["command"] == "analyze-routing" and routing["exit_code"] == 0
+    assert routing["maxrss_mib"] > 0 and routing["payload_mib"] is None
+    assert (tmp_path / "routing" / "routing_fractions.csv").exists()

@@ -41,4 +41,5 @@ def test_artifact_hashes_reproduce_across_processes(tmp_path):
             "corpora_17/eval.txt", "pipeline/summary.json",
             "pipeline/routing_drop.csv", "train_parent_64/model/tensors.bin",
             "train_drop_64/model/tensors.bin", "train_drop_64/curve.jsonl",
-            "train_fg_drop_64/model/tensors.bin", "train_fg_drop_64/curve.jsonl"} <= names
+            "train_fg_drop_64/model/tensors.bin", "train_fg_drop_64/curve.jsonl",
+            "routing_fg_drop_64/routing_fractions.csv"} <= names

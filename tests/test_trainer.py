@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from moeup import analysis, upcycle
 from moeup import trainer as trainer_mod
-from moeup import upcycle
 from moeup.config import ValidationError
-from moeup.corpus import Corpus, default_corpus
+from moeup.corpus import VOCAB_SIZE, Corpus, default_corpus
 from moeup.model import (
+    EVAL_FORWARD_TOKENS,
     LayerRouting,
     RoutingTrace,
     backward_from_cache,
     build_model,
     forward_cache,
     lm_forward,
+    sequence_tiles,
     trace_from_cache,
 )
 from moeup.numerics import RngStream
 from moeup.trainer import (
-    EVAL_TILE_TOKENS,
     AdamWState,
     LossCurve,
     LossPoint,
@@ -32,7 +33,13 @@ from moeup.trainer import (
     train,
 )
 
-from conftest import random_checkpoint, tiny_moe_config, toy_dense_config, toy_moe_config
+from conftest import (
+    make_config,
+    random_checkpoint,
+    tiny_moe_config,
+    toy_dense_config,
+    toy_moe_config,
+)
 
 
 def _cfg(**kw):
@@ -303,7 +310,7 @@ def test_evaluate_loss_deterministic_and_finite():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
+def test_evaluate_loss_forward_size_bounded(monkeypatch):
     corpus = default_corpus(seq_len=64, num_sequences=40)
     model = _toy_model(toy_dense_config(), seed=11)
     shapes = []
@@ -314,13 +321,72 @@ def test_evaluate_loss_forwards_at_most_one_tile(monkeypatch):
 
     monkeypatch.setattr("moeup.trainer.forward_cache", recording_forward)
     tiled = evaluate_loss(model, corpus, batch_size=32)
-    assert sum(rows for rows, _ in shapes) == 40
-    assert all(rows * seq <= EVAL_TILE_TOKENS for rows, seq in shapes)
+    # Tiles of 8 sequences, forwarded two at a time.
+    assert shapes == [(16, 64), (16, 64), (8, 64)]
+    assert all(rows * seq <= EVAL_FORWARD_TOKENS and rows <= 32 for rows, seq in shapes)
     shapes.clear()
     assert evaluate_loss(model, corpus, batch_size=1) == pytest.approx(tiled, rel=1e-12)
     assert all(rows == 1 for rows, _ in shapes)
     with pytest.raises(ValidationError, match="batch_size"):
         evaluate_loss(model, corpus, batch_size=0)
+
+
+def _tile_losses(model, corpus, seq_len, batch_size):
+    """evaluate_loss's sum, from one plain forward per tile."""
+    total, count = 0.0, 0
+    for rows in sequence_tiles(corpus.num_sequences, seq_len, batch_size):
+        loss = forward_cache(model, corpus.sequences[rows, :seq_len])["loss"]
+        total += loss * (rows.stop - rows.start)
+        count += rows.stop - rows.start
+    return total / count
+
+
+def _trace_bits(traces) -> list:
+    return [(a.shape, a.tobytes()) for t in traces for layer in t.layers
+            for a in (layer.selected, layer.gates, layer.probs)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("layout", [{}, {"n": 4, "k": 2}, {"n": 4, "k": 15, "m": 8, "k_s": 1}],
+                         ids=["dense", "coarse", "fine-grained"])
+def test_eval_forwards_of_several_tiles_keep_tile_bits(layout, threads, monkeypatch):
+    """Forwards of up to ``EVAL_FORWARD_TOKENS`` tokens give bitwise the loss
+    and traces of one plain forward per tile, and hold at most that many
+    tokens and ``batch_size`` sequences."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, s=64, **layout)
+    model = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                        stream=RngStream(4))
+    corpus = default_corpus(seq_len=64, num_sequences=40)
+    shapes = []
+
+    def recording_forward(m, tokens, **kwargs):
+        shapes.append(tokens.shape)
+        return forward_cache(m, tokens, **kwargs)
+
+    # The reference forwards below call this module's forward_cache, unrecorded.
+    monkeypatch.setattr(trainer_mod, "forward_cache", recording_forward)
+    for seq_len in (17, 64):
+        for batch_size in (1, 3, 8, 32):
+            loss = evaluate_loss(model, corpus, batch_size=batch_size, seq_len=seq_len)
+            assert loss.hex() == _tile_losses(model, corpus, seq_len, batch_size).hex()
+            assert all(rows <= batch_size and rows * seq_len <= EVAL_FORWARD_TOKENS
+                       for rows, _ in shapes)
+            # Only at batch 32 does a forward span tiles: 64-token sequences
+            # make tiles of 8, forwarded by 16.
+            spans = batch_size == 32 and seq_len == 64
+            assert (len(shapes) < len(sequence_tiles(40, seq_len, batch_size))) == spans
+            shapes.clear()
+        if config.is_moe:
+            traces = analysis.collect_traces(model, corpus, seq_len=seq_len)
+            tiles = sequence_tiles(40, seq_len)
+            assert len(shapes) < len(tiles)
+            assert all(rows * seq_len <= EVAL_FORWARD_TOKENS for rows, _ in shapes)
+            shapes.clear()
+            want = [trace_from_cache(model, forward_cache(model, corpus.sequences[rows, :seq_len]))
+                    for rows in tiles]
+            assert _trace_bits(traces) == _trace_bits(want)
+            assert [d for t in traces for d in t.domains] == corpus.domains
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -293,7 +293,7 @@ LAYOUTS = {
                                            ("finegrained", 48)])
 def test_results_bitwise_at_any_thread_count(layout, batch, monkeypatch):
     """Evaluation, routing traces and a 3-step train give the same bits on one
-    thread and on two. Evaluation runs its tiles on the pool. Training runs
+    thread and on two. Evaluation runs its forwards on the pool. Training runs
     attention and the dense FFN in two tiles of 8 sequences there, and the
     experts, coarse or fine-grained, in two contiguous groups."""
     config = LAYOUTS[layout]
