@@ -188,6 +188,8 @@ def _cmd_upcycle(args) -> dict:
         "granularity": args.granularity, "shared_experts": args.shared,
         "shared_init": args.shared_init, "scale_factor": args.scale_factor,
     })
+    if spec.scale_factor is not None and spec.method in ("btx", "scratch"):
+        raise ValidationError(f"--scale-factor does not apply to --method {spec.method}")
     if spec.method == "naive":  # drop upcycling at ratio 0, and built as such
         spec = replace(spec, ratio=0.0)
     plan = None

@@ -43,7 +43,7 @@ from .model import (
     trace_from_cache,
 )
 from .numerics import RngStream
-from .util import parallel_map
+from .util import ordered_map
 
 BALANCE_MODES = ("global", "layerwise", "off")
 
@@ -410,7 +410,7 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
         return [per_tile(rows, _tile_result(result, slice(rows.start - start, rows.stop - start)))
                 for rows in tiles]
 
-    return [value for values in parallel_map(run_tiles, _forward_runs(limit, seq_len, max_rows))
+    return [value for values in ordered_map(run_tiles, _forward_runs(limit, seq_len, max_rows))
             for value in values]
 
 

@@ -15,13 +15,14 @@ Supported methods (CLI tokens in parentheses):
   ``d_f / m`` parent dimensions, then applies drop upcycling within them;
   optionally with always-active shared experts (copied or dropped)
 
-Naive upcycling is drop upcycling at ``r = 0``, and drop upcycling is the
-fine-grained method at granularity 1 without shared experts: one expert
-builder, in :func:`fine_grained_drop_upcycle`, makes the experts of all three.
-
-Every method except ``scratch`` copies non-FFN tensors bitwise (``btx``
-averages them). Routers are always freshly initialized
-Uniform(-0.0346, 0.0346), whose standard deviation matches 0.02.
+One scaffold, :func:`_build_moe`, builds every upcycled method: it copies a
+base's non-FFN tensors bitwise (``btx`` averages its inputs'), draws fresh
+routers Uniform(-0.0346, 0.0346), whose standard deviation matches 0.02, and
+applies ``scale_factor`` to up and down. Each method supplies only its
+per-expert transform: drop's re-initialization, rnu's noise or btx's branch
+copy. Naive upcycling is drop at ``r = 0``, and drop is the fine-grained
+method at granularity 1 without shared experts, so one transform makes the
+experts of all three. ``btx`` and ``scratch`` take no ``scale_factor``.
 
 Randomness is derived from substream paths so that per-(layer, expert)
 transforms are independent: expert work uses path (layer, expert, purpose
@@ -44,7 +45,7 @@ import numpy as np
 from .checkpoint import Checkpoint, checkpoint_hash, expected_slots, ffn_slot_names
 from .config import ModelConfig, ValidationError, require_ints
 from .numerics import NormalParams, RngStream, sample_indices_without_replacement, sample_normal
-from .util import parallel_map
+from .util import ordered_map
 
 GAUSSIAN_INIT_STD = 0.02
 ROUTER_UNIFORM_BOUND = 0.0346
@@ -359,19 +360,50 @@ def _provenance(spec: UpcycleSpec, parent: Checkpoint) -> dict:
     return asdict(spec) | {"seed": int(spec.seed), "parent_hash": checkpoint_hash(parent)}
 
 
-def _assemble(config: ModelConfig, base_tensors: dict[str, np.ndarray],
-              expert_tensors: dict[str, np.ndarray], seed: int, metadata: dict) -> Checkpoint:
-    """MoE checkpoint from the non-FFN tensors of ``base_tensors``, the expert
-    tensors and fresh routers drawn from path (layer, ROUTER)."""
-    tensors = {name: t for name, t in base_tensors.items() if ".ffn." not in name}
-    tensors.update(expert_tensors)
+def _dense_ffn(dense: Checkpoint, layer: int) -> dict[str, np.ndarray]:
+    """The dense FFN matrices of one layer, by kind."""
+    return dict(zip(_KINDS, (dense.tensors[n] for n in ffn_slot_names(f"layers.{layer}.ffn"))))
+
+
+def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: int,
+               metadata: dict, scale_factor: float | None = None,
+               ) -> tuple[Checkpoint, list[LayerReinit]]:
+    """MoE checkpoint from the non-FFN tensors of ``base``, routers from path
+    (layer, ROUTER) of ``seed``, and one ``expert(layer, group, index)`` job
+    per expert, which returns its matrices by kind and its
+    :class:`ExpertReinit` or None. Jobs run through ``ordered_map`` in order
+    (layers, then the routed ``"experts"``, then the ``"shared"`` group); each
+    result is merged as it arrives, its up and down scaled by
+    ``scale_factor`` when set. Returns the checkpoint and per-layer records."""
+    jobs = [(i, group, index) for i in range(config.num_layers)
+            for group, count in (("experts", config.routed_experts),
+                                 ("shared", config.shared_experts))
+            for index in range(count)]
+
+    def build(job):
+        mats, entry = expert(*job)
+        if scale_factor is not None:
+            # An overflow to inf is reported by the finite check in checkpoint.save.
+            with np.errstate(over="ignore"):
+                for kind in ("up", "down"):
+                    scaled = np.asarray(mats[kind], dtype=np.float64) * scale_factor
+                    mats[kind] = scaled.astype(mats[kind].dtype)
+        return mats, entry
+
+    tensors = {name: t for name, t in base.items() if ".ffn." not in name}
+    layers = [LayerReinit() for _ in range(config.num_layers)]
+    for (i, group, index), (mats, entry) in zip(jobs, ordered_map(build, jobs)):
+        tensors.update(zip(ffn_slot_names(f"layers.{i}.{group}.{index}"),
+                           (mats[kind] for kind in _KINDS)))
+        if entry is not None:
+            getattr(layers[i], group).append(entry)
     root = RngStream(seed)
-    dtype = base_tensors["embedding.token"].dtype
+    dtype = base["embedding.token"].dtype
     for i in range(config.num_layers):
         tensors[f"layers.{i}.router"] = router_init(config, root.child(i, _P_ROUTER)).astype(dtype)
     ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
     ckpt.validate()
-    return ckpt
+    return ckpt, layers
 
 
 def naive_upcycle(dense: Checkpoint, config: ModelConfig, seed: int = 0) -> Checkpoint:
@@ -395,26 +427,19 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
     root = RngStream(spec.seed)
     noise_params = NormalParams(0.0, spec.noise_sigma)
 
-    def build(job):
-        i, e = job
+    def noisy_copy(i, group, e):
         out = {}
-        parent_names = ffn_slot_names(f"layers.{i}.ffn")
-        expert_names = ffn_slot_names(f"layers.{i}.experts.{e}")
-        for kind_code, (src, dst) in enumerate(zip(parent_names, expert_names)):
-            parent = dense.tensors[src]
+        for kind_code, (kind, parent) in enumerate(_dense_ffn(dense, i).items()):
             mask_stream = root.child(i, e, _P_NOISE_MASK, kind_code)
             mask = mask_stream.generator().random(parent.shape) < spec.noise_fraction
             noise = sample_normal(root.child(i, e, _P_NOISE, kind_code),
                                   noise_params, parent.size).reshape(parent.shape)
             perturbed = np.asarray(parent, dtype=np.float64) + np.where(mask, noise, 0.0)
-            out[dst] = perturbed.astype(parent.dtype)
-        return out
+            out[kind] = perturbed.astype(parent.dtype)
+        return out, None
 
-    jobs = [(i, e) for i in range(config.num_layers) for e in range(config.routed_experts)]
-    experts: dict[str, np.ndarray] = {}
-    for built in parallel_map(build, jobs):
-        experts.update(built)
-    return _assemble(config, dense.tensors, experts, spec.seed, _provenance(spec, dense))
+    return _build_moe(config, dense.tensors, noisy_copy, spec.seed, _provenance(spec, dense),
+                      spec.scale_factor)[0]
 
 
 def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
@@ -498,10 +523,9 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
     drop_counts = {"experts": math.floor(spec.ratio * width)}
     drop_counts["shared"] = drop_counts["experts"] if spec.shared_init == "drop" else 0
 
-    def build(job):
-        i, group, index = job
+    def reinit(i, group, index):
         p_dims, p_indices, p_reinit = _GROUP_PURPOSES[group]
-        parents = dict(zip(_KINDS, (dense.tensors[n] for n in ffn_slot_names(f"layers.{i}.ffn"))))
+        parents = _dense_ffn(dense, i)
         dims = None
         if width != d_f:
             dims = sample_indices_without_replacement(root.child(i, index, p_dims), d_f, width)
@@ -511,29 +535,14 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
             root.child(i, index, p_indices), width, drop_counts[group])
         streams = {kind: root.child(i, index, p_reinit, kc) for kc, kind in enumerate(_KINDS)}
         mats, stats = _reinit_matrices(parents, dropped, streams)
-        if spec.scale_factor is not None:
-            # An overflow to inf is reported by the finite check in checkpoint.save.
-            with np.errstate(over="ignore"):
-                for kind in ("up", "down"):
-                    scaled = np.asarray(mats[kind], dtype=np.float64) * spec.scale_factor
-                    mats[kind] = scaled.astype(mats[kind].dtype)
-        names = ffn_slot_names(f"layers.{i}.{group}.{index}")
-        entry = ExpertReinit(dropped=dropped, stats=stats, dims=dims)
-        return dict(zip(names, (mats[kind] for kind in _KINDS))), entry
+        return mats, ExpertReinit(dropped=dropped, stats=stats, dims=dims)
 
-    jobs = [(i, group, index) for i in range(config.num_layers)
-            for group, count in (("experts", config.routed_experts),
-                                 ("shared", config.shared_experts))
-            for index in range(count)]
+    ckpt, layers = _build_moe(config, dense.tensors, reinit, spec.seed,
+                              _provenance(spec, dense), spec.scale_factor)
     plan = ReinitPlan(method=spec.method, ratio=spec.ratio, seed=int(spec.seed),
                       intermediate_size=d_f, expert_width=width,
-                      granularity=config.granularity,
-                      layers=[LayerReinit() for _ in range(config.num_layers)])
-    experts: dict[str, np.ndarray] = {}
-    for (i, group, _), (built, entry) in zip(jobs, parallel_map(build, jobs)):
-        experts.update(built)
-        getattr(plan.layers[i], group).append(entry)
-    return _assemble(config, dense.tensors, experts, spec.seed, _provenance(spec, dense)), plan
+                      granularity=config.granularity, layers=layers)
+    return ckpt, plan
 
 
 def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
@@ -558,22 +567,13 @@ def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
             f"num_experts ({config.num_experts}) must equal 2 x number of input models "
             f"({2 * len(models)})")
 
-    averaged: dict[str, np.ndarray] = {}
-    for name in models[0].tensors:
-        if ".ffn." in name:
-            continue
-        stacked = np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
-        averaged[name] = stacked.mean(axis=0).astype(models[0].tensors[name].dtype)
-    experts: dict[str, np.ndarray] = {}
-    for i in range(config.num_layers):
-        parent_names = ffn_slot_names(f"layers.{i}.ffn")
-        for e in range(config.num_experts):
-            experts.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"),
-                               (models[e // 2].tensors[n] for n in parent_names)))
-
+    averaged = {name: np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
+                .mean(axis=0).astype(t.dtype)
+                for name, t in models[0].tensors.items() if ".ffn." not in name}
     metadata = {
         "method": "btx", "seed": int(seed),
         "parent_hash": checkpoint_hash(seed_dense),
         "branch_hashes": [checkpoint_hash(m) for m in expert_denses],
     }
-    return _assemble(config, averaged, experts, seed, metadata)
+    return _build_moe(config, averaged, lambda i, group, e: (_dense_ffn(models[e // 2], i), None),
+                      seed, metadata)[0]

@@ -125,11 +125,6 @@ def ordered_map(fn, items, pool: bool = True):
         wait(window)
 
 
-def parallel_map(fn, items) -> list:
-    """Order-preserving map on the thread pool: ``list(ordered_map(fn, items))``."""
-    return list(ordered_map(fn, items))
-
-
 @functools.cache
 def keep_freed_memory() -> bool:
     """Have glibc malloc keep freed memory for reuse; returns whether it applied.

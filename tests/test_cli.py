@@ -138,6 +138,10 @@ class TestValidationAndExitCodes:
         ("upcycle --method rnu --noise-sigma inf --in {dense} --out {out}", None),
         ("upcycle --method drop --scale-factor inf --in {dense} --out {out}", None),
         ("upcycle --method drop --scale-factor 1e308 --in {dense} --out {out}", None),
+        # btx and scratch take no scale factor.
+        ("upcycle --method btx --scale-factor 2 --experts 4 --in {dense} --branches {dense} "
+         "--out {out}", None),
+        ("upcycle --method scratch --scale-factor 2 --config {model} --out {out}", None),
         ("flops --config {model} --seq-len -1", None),
         ("flops --config {model} --tokens -5", None),
         ("upcycle --method drop --config {config} --in {dense} --out {out}",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,21 +363,27 @@ class TestFineGrained:
                     want = parent[kind][:, dims] if kind != "down" else parent[kind][dims, :]
                     assert np.array_equal(child, want)
 
-    def test_scale_factor_applies_to_up_and_down_only(self):
+    @pytest.mark.parametrize("method, m", [("fg-drop", 2), ("rnu", 1)])
+    def test_scale_factor_applies_to_up_and_down_only(self, method, m):
         config_d = make_config(16, 32, 1, 2, 2, 23)
         dense = random_checkpoint(config_d, seed=28)
-        config = make_config(16, 32, 1, 2, 2, 23, n=2, k=2, m=2)
-        base = upcycle.UpcycleSpec(method="fg-drop", ratio=0.0, seed=29, granularity=2)
-        scaled_spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.0, seed=29,
-                                          granularity=2, scale_factor=0.5)
-        plain, _ = upcycle.fine_grained_drop_upcycle(dense, config, base)
-        scaled, _ = upcycle.fine_grained_drop_upcycle(dense, config, scaled_spec)
-        for e in range(4):
-            assert np.array_equal(scaled.tensors[f"layers.0.experts.{e}.gate"],
-                                  plain.tensors[f"layers.0.experts.{e}.gate"])
-            assert np.allclose(scaled.tensors[f"layers.0.experts.{e}.up"],
-                               0.5 * plain.tensors[f"layers.0.experts.{e}.up"].astype(np.float64),
-                               rtol=1e-7, atol=0)
+        config = make_config(16, 32, 1, 2, 2, 23, n=2, k=2, m=m)
+        base = upcycle.UpcycleSpec(method=method, ratio=0.0, seed=29, granularity=m)
+        if method == "rnu":
+            plain = upcycle.random_noise_upcycle(dense, config, base)
+            scaled = upcycle.random_noise_upcycle(dense, config, replace(base, scale_factor=0.5))
+        else:
+            plain, _ = upcycle.fine_grained_drop_upcycle(dense, config, base)
+            scaled, _ = upcycle.fine_grained_drop_upcycle(
+                dense, config, replace(base, scale_factor=0.5))
+        for e in range(config.routed_experts):
+            prefix = f"layers.0.experts.{e}"
+            assert np.array_equal(scaled.tensors[f"{prefix}.gate"],
+                                  plain.tensors[f"{prefix}.gate"])
+            for kind in ("up", "down"):
+                assert np.allclose(scaled.tensors[f"{prefix}.{kind}"],
+                                   0.5 * plain.tensors[f"{prefix}.{kind}"].astype(np.float64),
+                                   rtol=1e-7, atol=0), (e, kind)
 
     def test_divisibility_violation_rejected(self):
         with pytest.raises(ValidationError, match="divisible"):

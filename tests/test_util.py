@@ -16,7 +16,7 @@ from moeup import model as model_mod
 from moeup.model import build_model
 from moeup.numerics import RngStream
 from moeup.trainer import TrainConfig, evaluate_loss, train
-from moeup.util import ordered_map, parallel_map, thread_cap
+from moeup.util import ordered_map, thread_cap
 
 from conftest import (
     make_config,
@@ -40,10 +40,10 @@ def test_thread_cap_default_and_env(monkeypatch):
         thread_cap()
 
 
-def test_parallel_map_preserves_order(monkeypatch):
+def test_ordered_map_preserves_order(monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", "8")
     items = list(range(50))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
+    assert list(ordered_map(lambda x: x * x, items)) == [x * x for x in items]
 
 
 def test_nested_map_runs_inline(monkeypatch):
@@ -53,12 +53,12 @@ def test_nested_map_runs_inline(monkeypatch):
 
     def task(i):
         outer = threading.get_ident()
-        inner = parallel_map(lambda j: (threading.get_ident(), i * 10 + j), range(3))
+        inner = list(ordered_map(lambda j: (threading.get_ident(), i * 10 + j), range(3)))
         assert all(ident == outer for ident, _ in inner)
         return [value for _, value in inner], outer != main
 
     main = threading.get_ident()
-    results = parallel_map(task, range(4))
+    results = list(ordered_map(task, range(4)))
     assert [values for values, _ in results] == [[10 * i + j for j in range(3)]
                                                  for i in range(4)]
     assert all(on_worker for _, on_worker in results)
@@ -130,20 +130,40 @@ def test_abandoned_map_leaves_no_task_running(monkeypatch):
 def test_tasks_see_the_callers_numpy_error_state(monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", "2")
     with np.errstate(over="raise"):
-        states = parallel_map(lambda _: np.geterr()["over"], range(4))
+        states = list(ordered_map(lambda _: np.geterr()["over"], range(4)))
     assert states == ["raise"] * 4
 
 
-def test_upcycle_results_independent_of_thread_cap(monkeypatch):
+def _upcycle(method: str, dense):
+    """(checkpoint, plan or None) of one construction method from ``dense``."""
+    if method == "naive":
+        return upcycle.naive_upcycle(dense, tiny_moe_config(), seed=78), None
+    if method == "rnu":
+        spec = upcycle.UpcycleSpec(method="rnu", seed=78, scale_factor=2.0)
+        return upcycle.random_noise_upcycle(dense, tiny_moe_config(), spec), None
+    if method == "btx":
+        branch = random_checkpoint(tiny_dense_config(), seed=79)
+        return upcycle.btx_merge(dense, [branch], tiny_moe_config(n=4), seed=78), None
+    if method == "drop":
+        spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=78)
+        return upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
+    spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.5, seed=78, granularity=2,
+                               shared_experts=1, scale_factor=2.0)
+    return upcycle.fine_grained_drop_upcycle(dense, tiny_moe_config(m=2, k_s=1), spec)
+
+
+@pytest.mark.parametrize("method", ["naive", "drop", "rnu", "btx", "fg-drop"])
+def test_upcycle_results_independent_of_thread_cap(method, monkeypatch):
     dense = random_checkpoint(tiny_dense_config(), seed=77)
-    spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=78)
     monkeypatch.setenv("MOEUP_THREADS", "1")
-    serial, serial_plan = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
+    serial, serial_plan = _upcycle(method, dense)
     monkeypatch.setenv("MOEUP_THREADS", "4")
-    threaded, threaded_plan = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
+    threaded, threaded_plan = _upcycle(method, dense)
+    assert serial.tensors.keys() == threaded.tensors.keys()
     for name in serial.tensors:
         assert np.array_equal(serial.tensors[name], threaded.tensors[name]), name
-    assert serial_plan.to_json_dict() == threaded_plan.to_json_dict()
+    if serial_plan is not None:
+        assert serial_plan.to_json_dict() == threaded_plan.to_json_dict()
 
 
 def _experts_pooled(monkeypatch, layer, rows: int, k: int, threads: str = "2") -> bool:
