@@ -18,7 +18,9 @@ in a child process, so its peak is its own; the script prints one JSON line
 with the child's exit code, wall time, peak RSS (``ru_maxrss`` from
 ``wait4``) and the size of the checkpoint it wrote, in MiB (null for
 ``analyze-routing``, which writes none). The 152M run needs about 0.7 GiB for
-``init`` and 1.8 GiB for ``upcycle``, plus 0.6 and 1.6 GiB of disk.
+``init`` and 0.65-0.75 GiB for ``upcycle``, which writes its experts as it
+builds them (1.8 GiB when it built the whole MoE first), plus 0.6 and 1.6 GiB
+of disk.
 """
 
 from __future__ import annotations

@@ -19,12 +19,19 @@ Manifest schema (all fields required unless noted):
 Blob layout: little-endian IEEE-754 floats (``f32`` or ``f64`` per tensor),
 row-major, each tensor starting at a 64-byte-aligned offset, gaps zero-filled.
 
-:func:`save` streams each tensor's bytes straight into the blob file, hashing
-them as they go, so it holds no copy of the payload. Both files are written
-and fsynced under temporary names in the target directory and then renamed
-into place, the manifest last; other files in the directory are left alone.
-A crash therefore leaves either the old checkpoint, the new one, or the new
-blob next to the old manifest, which :func:`load` rejects.
+:func:`save` consumes ``(name, array)`` pairs in name order, the blob order:
+a :class:`TensorStream`, or an in-memory :class:`Checkpoint` as its sorted
+items. It checks each tensor as it arrives (an expected slot, named after the
+previous one, of the expected shape, a float dtype and finite values) and
+streams its bytes straight into the blob file, hashing them as they go, so it
+holds no copy of the payload and a stream's producer may drop each tensor once
+it is written. After the last tensor it checks that no slot is missing. Both
+files are written and fsynced under temporary names in the target directory
+and then renamed into place, the manifest last; other files in the directory
+are left alone. A tensor refused mid-stream, like any failure, leaves no
+temporaries, and no directory that the call created. A crash therefore leaves
+either the old checkpoint, the new one, or the new blob next to the old
+manifest, which :func:`load` rejects.
 
 :func:`load` reads the blob once into one buffer and checks, before building
 any tensor: unique tensor names, byte lengths that match the shapes, byte
@@ -64,6 +71,7 @@ import json
 import math
 import os
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,6 +134,25 @@ def expected_slots(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return slots
 
 
+def _check_tensor(config: ModelConfig, slots: dict[str, tuple[int, ...]], name: str,
+                  array: np.ndarray) -> None:
+    """``name`` is one of ``slots`` (or the optional position slot), with its shape
+    and a float dtype."""
+    if name == POSITION_SLOT:
+        if array.ndim != 2 or array.shape[1] != config.hidden_size:
+            raise CheckpointError(
+                f"tensor '{name}' has shape {array.shape}, expected (rows, {config.hidden_size})")
+    elif name not in slots:
+        if not config.is_moe and (".router" in name or ".experts." in name):
+            raise CheckpointError(f"dense checkpoint contains router/expert tensor '{name}'")
+        raise CheckpointError(f"unexpected tensor '{name}' for this config")
+    elif tuple(array.shape) != slots[name]:
+        raise CheckpointError(
+            f"tensor '{name}' has shape {tuple(array.shape)}, expected {slots[name]}")
+    if array.dtype not in (np.float32, np.float64):
+        raise CheckpointError(f"tensor '{name}' has unsupported dtype {array.dtype}")
+
+
 @dataclass
 class Checkpoint:
     """A config plus named tensors plus provenance metadata.
@@ -145,21 +172,7 @@ class Checkpoint:
             if name not in self.tensors:
                 raise CheckpointError(f"missing tensor '{name}'")
         for name, array in self.tensors.items():
-            if name == POSITION_SLOT:
-                if array.ndim != 2 or array.shape[1] != self.config.hidden_size:
-                    raise CheckpointError(
-                        f"tensor '{name}' has shape {array.shape}, expected "
-                        f"(rows, {self.config.hidden_size})")
-                continue
-            if name not in slots:
-                if not self.config.is_moe and (".router" in name or ".experts." in name):
-                    raise CheckpointError(f"dense checkpoint contains router/expert tensor '{name}'")
-                raise CheckpointError(f"unexpected tensor '{name}' for this config")
-            if tuple(array.shape) != slots[name]:
-                raise CheckpointError(
-                    f"tensor '{name}' has shape {tuple(array.shape)}, expected {slots[name]}")
-            if array.dtype not in (np.float32, np.float64):
-                raise CheckpointError(f"tensor '{name}' has unsupported dtype {array.dtype}")
+            _check_tensor(self.config, slots, name, array)
 
     def tensor_f64(self, name: str) -> np.ndarray:
         """Tensor upcast to float64 for compute paths."""
@@ -169,6 +182,20 @@ class Checkpoint:
 
     def num_parameters(self) -> int:
         return int(sum(a.size for a in self.tensors.values()))
+
+
+@dataclass
+class TensorStream:
+    """A checkpoint whose tensors arrive as ``(name, array)`` pairs in name order.
+
+    :func:`save` writes each pair as it arrives, so a producer that builds
+    its tensors lazily holds only those not yet written. The pairs can be
+    consumed once.
+    """
+
+    config: ModelConfig
+    tensors: Iterable[tuple[str, np.ndarray]]
+    metadata: dict = field(default_factory=dict)
 
 
 def _little_endian(array: np.ndarray) -> np.ndarray:
@@ -199,14 +226,24 @@ def _aligned(offset: int) -> int:
     return offset if rem == 0 else offset + (TENSOR_ALIGNMENT - rem)
 
 
-def _write_blob(tensors: dict[str, np.ndarray], fh) -> tuple[list[dict], int, str]:
-    """Stream the tensors sorted by name into ``fh``; return the tensor index,
-    the blob size and the blob SHA-256."""
+def _write_blob(source: TensorStream, fh) -> tuple[list[dict], int, str]:
+    """Check and write the source's tensors into ``fh`` as they arrive; return
+    the tensor index, the blob size and the blob SHA-256."""
+    slots = expected_slots(source.config)
     index = []
     sha256 = hashlib.sha256()
     size = 0
-    for name in sorted(tensors):
-        le = _little_endian(tensors[name])
+    for name, array in source.tensors:
+        previous = index[-1]["name"] if index else None
+        if name == previous:
+            raise CheckpointError(f"duplicate tensor '{name}'")
+        if previous is not None and name < previous:
+            raise CheckpointError(f"tensor '{name}' arrives after '{previous}', out of name order")
+        _check_tensor(source.config, slots, name, array)
+        if not np.all(np.isfinite(array)):
+            raise ValidationError(
+                f"tensor '{name}' contains non-finite values; refusing to serialize")
+        le = _little_endian(array)
         payload = _byte_view(le)
         offset = _aligned(size)
         for chunk in (b"\x00" * (offset - size), payload):
@@ -221,6 +258,10 @@ def _write_blob(tensors: dict[str, np.ndarray], fh) -> tuple[list[dict], int, st
             "nbytes": payload.nbytes,
             "crc32": zlib.crc32(payload),
         })
+    written = {entry["name"] for entry in index}
+    for name in slots:
+        if name not in written:
+            raise CheckpointError(f"missing tensor '{name}'")
     return index, size, sha256.hexdigest()
 
 
@@ -237,31 +278,35 @@ def _sync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def save(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the checkpoint to ``path`` (a directory, created if needed).
+def save(source: Checkpoint | TensorStream, path: str | Path) -> dict:
+    """Write the checkpoint to ``path`` (a directory, created if needed); return
+    the manifest written.
 
-    Both files are written and fsynced under temporary names, then renamed
-    into place, the manifest last. Other files in the directory are kept.
+    A :class:`Checkpoint` is written as its items sorted by name. Both files
+    are written and fsynced under temporary names, then renamed into place,
+    the manifest last. Other files in the directory are kept. On any failure,
+    including a tensor refused mid-stream, the temporaries and the
+    directories this call created are removed.
     """
-    ckpt.validate()
-    for name, array in ckpt.tensors.items():
-        if not np.all(np.isfinite(array)):
-            raise ValidationError(
-                f"tensor '{name}' contains non-finite values; refusing to serialize")
-
+    if isinstance(source, Checkpoint):
+        tensors = source.tensors
+        source = TensorStream(source.config, ((name, tensors[name]) for name in sorted(tensors)),
+                              source.metadata)
     out = Path(path)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
     blob_tmp, manifest_tmp = out / f".{BLOB_FILE}.{token}", out / f".{MANIFEST_FILE}.{token}"
+    done = False
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(blob_tmp, "xb") as fh:
-            index, size, sha256 = _write_blob(ckpt.tensors, fh)
+            index, size, sha256 = _write_blob(source, fh)
             _sync(fh)
         manifest = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "config": ckpt.config.to_dict(),
-            "metadata": ckpt.metadata,
+            "config": source.config.to_dict(),
+            "metadata": source.metadata,
             "blob": {"file": BLOB_FILE, "size": size, "sha256": sha256},
             "tensors": index,
         }
@@ -275,12 +320,18 @@ def save(ckpt: Checkpoint, path: str | Path) -> None:
         os.replace(blob_tmp, out / BLOB_FILE)
         os.replace(manifest_tmp, out / MANIFEST_FILE)
         _sync_dir(out)
+        done = True
     except OSError as exc:
         raise CheckpointError(f"failed to write checkpoint at {out}: {exc}") from exc
     finally:
         for tmp in (blob_tmp, manifest_tmp):
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
+        if not done:
+            for directory in created:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+    return manifest
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -172,53 +173,79 @@ def _from_config(cls, file: dict, section_name: str, flags: dict,
 def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec,
                    file: dict) -> ModelConfig:
     if "model" in file:
-        return model_config_from_dict(file)
+        config = model_config_from_dict(file)
+        for name in ("granularity", "shared_experts"):  # recorded in the metadata
+            if getattr(spec, name) != getattr(config, name):
+                raise ValidationError(f"spec {name} ({getattr(spec, name)}) disagrees with the "
+                                      f"model section ({getattr(config, name)})")
+        return config
     experts = args.experts if args.experts is not None else 8
     topk = args.topk if args.topk is not None else 2
     return replace(parent, num_experts=experts, top_k=topk, granularity=spec.granularity,
                    shared_experts=spec.shared_experts)
 
 
+# UpcycleSpec field -> the upcycle flag that sets it.
+_SPEC_FLAGS = {"ratio": "--ratio", "seed": "--seed", "noise_sigma": "--noise-sigma",
+               "noise_fraction": "--noise-fraction", "granularity": "--granularity",
+               "shared_experts": "--shared", "shared_init": "--shared-init",
+               "scale_factor": "--scale-factor"}
+
+
+def _reject_unused(args, file: dict, spec_flags: dict) -> None:
+    """Refuse a flag or ``upcycle`` config field that was given and that the
+    method would ignore, rather than record it in the metadata or drop it."""
+    method = args.method
+    for name, flag in _SPEC_FLAGS.items():
+        if name in upcycle.SPEC_FIELDS[method]:
+            continue
+        if spec_flags[name] is not None:
+            raise ValidationError(f"{flag} does not apply to --method {method}")
+        if name in file.get("upcycle", {}):
+            raise ValidationError(
+                f"upcycle config field '{name}' does not apply to --method {method}")
+    shape = {"--experts": args.experts, "--topk": args.topk}
+    ignored = {} if method == "btx" else {"--branches": args.branches}
+    if method == "scratch":
+        ignored |= shape | {"--in": args.input}
+    for flag, value in ignored.items():
+        if value is not None:
+            raise ValidationError(f"{flag} does not apply to --method {method}")
+    for flag, value in shape.items():
+        if value is not None and "model" in file:
+            raise ValidationError(f"{flag} does not apply: the model section of --config "
+                                  f"sets the target's shape")
+
+
 def _cmd_upcycle(args) -> dict:
     _out_dir(args.out)
     file = {} if args.config is None else load_config_file(args.config)  # read once
-    spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", {
-        "method": args.method, "ratio": args.ratio, "seed": args.seed,
-        "noise_sigma": args.noise_sigma, "noise_fraction": args.noise_fraction,
-        "granularity": args.granularity, "shared_experts": args.shared,
-        "shared_init": args.shared_init, "scale_factor": args.scale_factor,
-    })
-    if spec.scale_factor is not None and spec.method in ("btx", "scratch"):
-        raise ValidationError(f"--scale-factor does not apply to --method {spec.method}")
+    flags = {name: getattr(args, flag[2:].replace("-", "_"))
+             for name, flag in _SPEC_FLAGS.items()}
+    spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", flags | {"method": args.method})
+    _reject_unused(args, file, flags)
     if spec.method == "naive":  # drop upcycling at ratio 0, and built as such
         spec = replace(spec, ratio=0.0)
     plan = None
     if spec.method == "scratch":
         if args.config is None:
             raise ValidationError("--method scratch requires --config with a model section")
-        config = model_config_from_dict(file)
-        ckpt = upcycle.from_scratch(config, seed=spec.seed)
+        built = upcycle.from_scratch(model_config_from_dict(file), seed=spec.seed)
     else:
         if args.input is None:
             raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
+        if spec.method == "btx" and not args.branches:
+            raise ValidationError("--method btx requires --branches")
         parent = checkpoint.load(args.input)
+        branches = [checkpoint.load(p) for p in (args.branches or "").split(",") if p]
         config = _target_config(parent.config, args, spec, file)
-        if spec.method == "rnu":
-            ckpt = upcycle.random_noise_upcycle(parent, config, spec)
-        elif spec.method in ("naive", "drop"):
-            ckpt, plan = upcycle.drop_upcycle(parent, config, spec)
-        elif spec.method == "fg-drop":
-            ckpt, plan = upcycle.fine_grained_drop_upcycle(parent, config, spec)
-        else:  # btx
-            if not args.branches:
-                raise ValidationError("--method btx requires --branches")
-            branches = [checkpoint.load(p) for p in args.branches.split(",") if p]
-            ckpt = upcycle.btx_merge(parent, branches, config, seed=spec.seed)
-    checkpoint.save(ckpt, args.out)
+        # Written as it is built: the whole MoE is never held.
+        built, plan = upcycle.upcycle_stream(spec, parent, config, branches)
+    manifest = checkpoint.save(built, args.out)
     result = {
         "command": "upcycle", "method": spec.method, "spec": asdict(spec),
-        "config": ckpt.config.to_dict(), "metadata": ckpt.metadata,
-        "out": str(args.out), "stored_parameters": ckpt.num_parameters(),
+        "config": built.config.to_dict(), "metadata": built.metadata, "out": str(args.out),
+        "stored_parameters": sum(math.prod(t["shape"]) for t in manifest["tensors"]),
     }
     if plan is not None:
         plan_path = upcycle.save_plan(plan, args.out)

@@ -29,8 +29,8 @@ operations, so they are bitwise the same. A routed expert keeps no copy of
 its input rows; backward regathers them from the layer input. A forward pass
 for evaluation or routing traces (``keep_activations=False``) keeps none of
 them: inside an MoE layer each expert's input rows, intermediates and output
-die before the next expert runs, and only the tokens, logits, loss and
-routing outlive the pass.
+die before the next expert runs, and only the tokens, logits and routing
+outlive the pass; it computes no loss, which its callers take per tile.
 
 All parallel work goes through :func:`moeup.util.ordered_map`, whose
 ``pool`` flag says whether the work is big enough to gain from a second
@@ -809,19 +809,21 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     """Forward pass; keeps every activation the backward pass needs, unless told not to.
 
     Returns a dict with ``tokens`` (the (B, T) ids), ``routing`` (each MoE
-    layer's (B*T, ·) :class:`LayerRouting`; empty for a dense model),
-    ``logits`` and ``loss``. With ``keep_activations`` (the default) it also
-    has ``layer_caches`` (one :class:`LayerCache` per layer, whose ``ffn`` is
-    an :class:`MoeCache` in an MoE model), ``ln_final`` and ``h_final``.
+    layer's (B*T, ·) :class:`LayerRouting`; empty for a dense model) and
+    ``logits``. With ``keep_activations`` (the default) it also has ``loss``,
+    ``layer_caches`` (one :class:`LayerCache` per layer, whose ``ffn`` is an
+    :class:`MoeCache` in an MoE model), ``ln_final`` and ``h_final``.
     :func:`backward_from_cache` uses such a cache up: it frees each activation
     at its last use. Take the routing trace with :func:`trace_from_cache`
     before running backward, and run this again for another backward pass.
 
     With ``keep_activations=False`` no backward can follow, so nothing else is
     kept: each layer's activations die as the pass moves on, and inside an MoE
-    layer each expert's tensors die before the next expert runs. Logits, loss
-    and routing are bitwise those of the default pass. Evaluation and routing
-    traces use this form.
+    layer each expert's tensors die before the next expert runs. Logits and
+    routing are bitwise those of the default pass. No loss is computed, as
+    callers take it over the rows they report with :func:`next_token_loss`,
+    which gives the default pass's loss bitwise over all rows. Evaluation and
+    routing traces use this form.
     """
     setup_process()  # passes reuse the memory earlier passes freed
     cfg = model.config
@@ -854,10 +856,10 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]
 
-    result = {"tokens": tok, "routing": routings, "logits": logits,
-              "loss": next_token_loss(logits, tok)}
+    result = {"tokens": tok, "routing": routings, "logits": logits}
     if keep_activations:
-        result |= {"layer_caches": layer_caches, "ln_final": ln_final, "h_final": h_final}
+        result |= {"loss": next_token_loss(logits, tok), "layer_caches": layer_caches,
+                   "ln_final": ln_final, "h_final": h_final}
     return result
 
 
@@ -913,7 +915,7 @@ def lm_forward(model: ToyLm, tokens, domains=None) -> LmOutput:
     cache = forward_cache(model, tokens, keep_activations=False)
     return LmOutput(logits=cache["logits"],
                     trace=trace_from_cache(model, cache, domains),
-                    loss=cache["loss"])
+                    loss=next_token_loss(cache["logits"], cache["tokens"]))
 
 
 def _head_bwd(p: dict[str, np.ndarray], cache: dict, grads: dict[str, np.ndarray]):

@@ -90,8 +90,9 @@ def sample_normal(stream: RngStream, params: NormalParams, count: int,
 
     The deviates are computed in float64 and rounded to ``dtype`` as they are
     stored. Uniforms are drawn ``NORMAL_CHUNK_PAIRS`` pairs at a time from one
-    generator, which yields the same sequence as one large draw, so the memory
-    needed is the result plus one chunk's temporaries.
+    generator, which yields the same sequence as one large draw, and each
+    chunk is transformed in place, so the memory needed is the result plus
+    two chunk-sized buffers.
     """
     count = int(count)
     if count < 0:
@@ -102,13 +103,17 @@ def sample_normal(stream: RngStream, params: NormalParams, count: int,
         size = min(count - start, 2 * NORMAL_CHUNK_PAIRS)
         pairs = (size + 1) // 2
         u = generator.random(2 * pairs)
-        u1 = 1.0 - u[0::2]  # map [0, 1) onto (0, 1] so log() is safe
-        u2 = u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        radius, angle = u[0::2], u[1::2]  # transformed in place, the same bits
+        np.subtract(1.0, radius, out=radius)  # map [0, 1) onto (0, 1] so log() is safe
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
         z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        np.cos(angle, out=z[0::2])
+        np.sin(angle, out=z[1::2])
+        z[0::2] *= radius
+        z[1::2] *= radius
         z *= params.sigma  # mu + sigma * z, in place in the chunk
         z += params.mu
         out[start:start + size] = z[:size]

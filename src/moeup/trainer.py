@@ -358,15 +358,13 @@ def _forward_runs(sequences: int, seq_len: int, max_rows: int | None) -> list[li
 
 def _tile_result(result: dict, rows: slice) -> dict:
     """The part of an activation-free forward result that belongs to its
-    sequences ``rows``: views of their tokens, logits and routing rows, and
-    their mean next-token loss."""
+    sequences ``rows``: views of their tokens, logits and routing rows."""
     tokens, logits = result["tokens"][rows], result["logits"][rows]
     t = tokens.shape[1]
     flat = slice(rows.start * t, rows.stop * t)
     routing = [LayerRouting(r.selected[flat], r.gates[flat], r.probs[flat])
                for r in result["routing"]]
-    return {"tokens": tokens, "routing": routing, "logits": logits,
-            "loss": next_token_loss(logits, tokens)}
+    return {"tokens": tokens, "routing": routing, "logits": logits}
 
 
 def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None = None,
@@ -385,8 +383,9 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
     keep_activations=False)`` over a run of consecutive whole tiles, of at
     most ``EVAL_FORWARD_TOKENS`` tokens and ``max_rows`` sequences. ``result``
     holds the tile's own rows of that forward (views of its tokens, logits
-    and routing) and, as ``loss``, the mean next-token loss of those rows.
-    They are bitwise those of a forward over the tile alone, by the GEMM
+    and routing), and no loss: a caller that needs one takes it from these
+    rows, so the vocabulary softmax runs once per token. The rows are
+    bitwise those of a forward over the tile alone, by the GEMM
     premise of :mod:`moeup.model`; its one exception, a one-row product,
     would arise only if an expert got exactly one token of a tile and more
     of its forward. The forward dies when its last tile's ``per_tile``
@@ -431,8 +430,11 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     # One token has no next-token target, so its loss would be an empty mean.
     if seq_len < 2:
         raise ValidationError(f"eval seq_len must be >= 2, got {seq_len}")
-    tiles = forward_tiles(model, corpus, lambda rows, out: (rows.stop - rows.start, out["loss"]),
-                          seq_len=seq_len, max_sequences=max_sequences, max_rows=batch_size)
+    def tile_loss(rows: slice, out: dict) -> tuple[int, float]:
+        return rows.stop - rows.start, next_token_loss(out["logits"], out["tokens"])
+
+    tiles = forward_tiles(model, corpus, tile_loss, seq_len=seq_len,
+                          max_sequences=max_sequences, max_rows=batch_size)
     total, count = 0.0, 0
     for rows, loss in tiles:
         total += loss * rows

@@ -22,14 +22,24 @@ applies ``scale_factor`` to up and down. Each method supplies only its
 per-expert transform: drop's re-initialization, rnu's noise or btx's branch
 copy. Naive upcycling is drop at ``r = 0``, and drop is the fine-grained
 method at granularity 1 without shared experts, so one transform makes the
-experts of all three. ``btx`` and ``scratch`` take no ``scale_factor``.
+experts of all three. ``btx`` and ``scratch`` take no ``scale_factor``;
+:data:`SPEC_FIELDS` names the spec fields each method reads.
+
+The scaffold yields the MoE layer by layer, as ``(name, array)`` pairs in
+name order, with layers in string order (``layers.0``, ``layers.1``,
+``layers.10``, ..., ``layers.2``). :func:`upcycle_stream` hands that stream
+to :func:`moeup.checkpoint.save`, which writes each tensor as it arrives, so
+``moeup upcycle`` holds the parent and only the experts in flight, never the
+whole MoE. The public builders drain the same stream into an in-memory
+:class:`~moeup.checkpoint.Checkpoint`, copying once each parent array that it
+keeps, so the result keeps no parent load buffer alive.
 
 Randomness is derived from substream paths so that per-(layer, expert)
 transforms are independent: expert work uses path (layer, expert, purpose
 [, matrix kind]), routers use (layer, ROUTER), shared experts
 (layer, shared index, purpose [, kind]). Adding experts therefore never
 perturbs earlier experts' draws, and per-expert transforms may run in
-parallel without affecting results.
+parallel, and in any order, without affecting results.
 """
 
 from __future__ import annotations
@@ -37,12 +47,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, checkpoint_hash, expected_slots, ffn_slot_names
+from .checkpoint import (Checkpoint, TensorStream, checkpoint_hash, expected_slots,
+                         ffn_slot_names)
 from .config import ModelConfig, ValidationError, require_ints
 from .numerics import NormalParams, RngStream, sample_indices_without_replacement, sample_normal
 from .util import ordered_map
@@ -68,6 +80,20 @@ _P_SHARED_REINIT = 8  # + kind code
 _P_INIT = 9           # from-scratch slot init, path (_P_INIT, *slot code)
 
 _REINIT_PLAN_FILE = "reinit_plan.json"
+
+# The UpcycleSpec fields each method reads, besides ``method``; a setting of
+# any other field would be ignored. Every method that upcycles a parent reads
+# granularity and shared experts to shape the target, which the coarse methods
+# then require to have neither.
+_UPCYCLED = {"seed", "granularity", "shared_experts"}
+SPEC_FIELDS = {
+    "scratch": {"seed"},
+    "naive": _UPCYCLED | {"scale_factor"},
+    "drop": _UPCYCLED | {"scale_factor", "ratio"},
+    "fg-drop": _UPCYCLED | {"scale_factor", "ratio", "shared_init"},
+    "rnu": _UPCYCLED | {"scale_factor", "noise_sigma", "noise_fraction"},
+    "btx": _UPCYCLED,
+}
 
 
 @dataclass(frozen=True)
@@ -365,20 +391,33 @@ def _dense_ffn(dense: Checkpoint, layer: int) -> dict[str, np.ndarray]:
     return dict(zip(_KINDS, (dense.tensors[n] for n in ffn_slot_names(f"layers.{layer}.ffn"))))
 
 
+def _job_key(job: tuple[int, str, int]) -> str:
+    """The prefix that the names of a ``(layer, group, index)`` job's matrices, and
+    no other tensor names, start with."""
+    return "layers.{}.{}.{}.".format(*job)
+
+
 def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: int,
-               metadata: dict, scale_factor: float | None = None,
-               ) -> tuple[Checkpoint, list[LayerReinit]]:
-    """MoE checkpoint from the non-FFN tensors of ``base``, routers from path
-    (layer, ROUTER) of ``seed``, and one ``expert(layer, group, index)`` job
-    per expert, which returns its matrices by kind and its
-    :class:`ExpertReinit` or None. Jobs run through ``ordered_map`` in order
-    (layers, then the routed ``"experts"``, then the ``"shared"`` group); each
-    result is merged as it arrives, its up and down scaled by
-    ``scale_factor`` when set. Returns the checkpoint and per-layer records."""
-    jobs = [(i, group, index) for i in range(config.num_layers)
-            for group, count in (("experts", config.routed_experts),
-                                 ("shared", config.shared_experts))
-            for index in range(count)]
+               scale_factor: float | None = None, layers: list[LayerReinit] | None = None):
+    """Yield the MoE's tensors as ``(name, array)`` pairs in name order, the order
+    :func:`moeup.checkpoint.save` writes them in: the non-FFN tensors of
+    ``base``, routers from path (layer, ROUTER) of ``seed``, and the matrices
+    of one ``expert(layer, group, index)`` job per expert, which returns them
+    by kind with its :class:`ExpertReinit` or None, its up and down scaled by
+    ``scale_factor`` when set. The entry is stored at ``layers[layer]``'s
+    ``group`` list, at ``index``, when ``layers`` is given.
+
+    Layers come in string order (``layers.0``, ``layers.1``, ``layers.10``,
+    ..., ``layers.2``), and so do the routed ``"experts"`` and then the
+    ``"shared"`` group within a layer. Jobs run through ``ordered_map`` in
+    that same order; each expert's matrices are yielded as its job's result
+    is taken, and dropped once written, so at most ``thread_cap()`` jobs in
+    flight and the expert being written are held, never a whole layer.
+    """
+    jobs = sorted(((i, group, index) for i in range(config.num_layers)
+                   for group, count in (("experts", config.routed_experts),
+                                        ("shared", config.shared_experts))
+                   for index in range(count)), key=_job_key)
 
     def build(job):
         mats, entry = expert(*job)
@@ -390,20 +429,61 @@ def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: i
                     mats[kind] = scaled.astype(mats[kind].dtype)
         return mats, entry
 
-    tensors = {name: t for name, t in base.items() if ".ffn." not in name}
-    layers = [LayerReinit() for _ in range(config.num_layers)]
-    for (i, group, index), (mats, entry) in zip(jobs, ordered_map(build, jobs)):
-        tensors.update(zip(ffn_slot_names(f"layers.{i}.{group}.{index}"),
-                           (mats[kind] for kind in _KINDS)))
-        if entry is not None:
-            getattr(layers[i], group).append(entry)
+    kept = {name: t for name, t in base.items() if ".ffn." not in name}
+    routers = {f"layers.{i}.router": i for i in range(config.num_layers)}
     root = RngStream(seed)
     dtype = base["embedding.token"].dtype
-    for i in range(config.num_layers):
-        tensors[f"layers.{i}.router"] = router_init(config, root.child(i, _P_ROUTER)).astype(dtype)
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
+    built = zip(jobs, ordered_map(build, jobs))
+    # An expert's three names sort where its job key does, as no other name
+    # starts with that key.
+    for key in sorted([*kept, *routers, *map(_job_key, jobs)]):
+        if key in kept:
+            yield key, kept[key]
+        elif key in routers:
+            yield key, router_init(config, root.child(routers[key], _P_ROUTER)).astype(dtype)
+        else:
+            (i, group, index), (mats, entry) = next(built)
+            if layers is not None:
+                getattr(layers[i], group)[index] = entry
+            yield from sorted(zip(ffn_slot_names(key[:-1]), (mats[kind] for kind in _KINDS)))
+            del mats
+
+
+def _collect(moe: TensorStream, inputs: list[Checkpoint]) -> Checkpoint:
+    """The stream drained into one in-memory checkpoint. A tensor of ``inputs``
+    that the MoE retains as it is, such as a loaded parent's view of its load
+    buffer, is copied once, so that the MoE keeps no input alive; experts that
+    share one input matrix share its copy."""
+    owned = {id(t) for ckpt in inputs for t in ckpt.tensors.values()}
+    copies: dict[int, np.ndarray] = {}
+    tensors = {}
+    for name, tensor in moe.tensors:
+        if id(tensor) in owned:
+            if id(tensor) not in copies:
+                copies[id(tensor)] = tensor.copy()
+            tensor = copies[id(tensor)]
+        tensors[name] = tensor
+    ckpt = Checkpoint(config=moe.config, tensors=tensors, metadata=moe.metadata)
     ckpt.validate()
-    return ckpt, layers
+    return ckpt
+
+
+def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
+                   branches: Sequence[Checkpoint] = ()) -> tuple[TensorStream, ReinitPlan | None]:
+    """The MoE that ``spec.method`` builds from ``parent`` (and, for btx, the
+    ``branches``), as a :class:`~moeup.checkpoint.TensorStream` that
+    :func:`moeup.checkpoint.save` writes as it is built, with its reinit plan
+    for the drop methods (None otherwise), which is complete once the stream
+    is used up. The public builders drain the same streams."""
+    if spec.method == "rnu":
+        return _random_noise_moe(parent, config, spec), None
+    if spec.method == "btx":
+        return _btx_moe(parent, branches, config, spec.seed), None
+    if spec.method in ("naive", "drop"):
+        _require_coarse(config, f"{spec.method} upcycling")
+    elif spec.method != "fg-drop":
+        raise ValidationError(f"method {spec.method!r} builds no MoE from a parent")
+    return _drop_moe(parent, config, spec)
 
 
 def naive_upcycle(dense: Checkpoint, config: ModelConfig, seed: int = 0) -> Checkpoint:
@@ -422,6 +502,10 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
     The mask is drawn independently per element of each expert matrix; noise
     is N(0, noise_sigma^2) added to masked entries only.
     """
+    return _collect(_random_noise_moe(dense, config, spec), [dense])
+
+
+def _random_noise_moe(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> TensorStream:
     _require_compatible(dense, config)
     _require_coarse(config, "random-noise upcycling")
     root = RngStream(spec.seed)
@@ -438,8 +522,8 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
             out[kind] = perturbed.astype(parent.dtype)
         return out, None
 
-    return _build_moe(config, dense.tensors, noisy_copy, spec.seed, _provenance(spec, dense),
-                      spec.scale_factor)[0]
+    return TensorStream(config, _build_moe(config, dense.tensors, noisy_copy, spec.seed,
+                                           spec.scale_factor), _provenance(spec, dense))
 
 
 def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
@@ -459,15 +543,17 @@ def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
     stats: dict[str, NormalParams | None] = {}
     for kind in _KINDS:
         parent = parent_mats[kind]
+        values = np.asarray(parent[:, dropped] if kind != "down" else parent[dropped, :],
+                            dtype=np.float64)
+        params, shape = NormalParams(float(values.mean()), float(values.std())), values.shape
+        del values  # the block dies before the draw; the draw is rounded as it is stored
+        draw = sample_normal(reinit_streams[kind], params, math.prod(shape),
+                             dtype=parent.dtype).reshape(shape)
         new = parent.copy()
-        block = parent[:, dropped] if kind != "down" else parent[dropped, :]
-        values = np.asarray(block, dtype=np.float64)
-        params = NormalParams(float(values.mean()), float(values.std()))
-        draw = sample_normal(reinit_streams[kind], params, values.size).reshape(values.shape)
         if kind != "down":
-            new[:, dropped] = draw.astype(parent.dtype)
+            new[:, dropped] = draw
         else:
-            new[dropped, :] = draw.astype(parent.dtype)
+            new[dropped, :] = draw
         out[kind] = new
         stats[kind] = params
     return out, stats
@@ -509,6 +595,12 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
     the experts start from the parent matrices themselves. The plan and the
     metadata carry ``spec.method``.
     """
+    moe, plan = _drop_moe(dense, config, spec)
+    return _collect(moe, [dense]), plan
+
+
+def _drop_moe(dense: Checkpoint, config: ModelConfig,
+              spec: UpcycleSpec) -> tuple[TensorStream, ReinitPlan]:
     _require_compatible(dense, config)
     if spec.granularity != config.granularity:
         raise ValidationError(
@@ -537,12 +629,13 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
         mats, stats = _reinit_matrices(parents, dropped, streams)
         return mats, ExpertReinit(dropped=dropped, stats=stats, dims=dims)
 
-    ckpt, layers = _build_moe(config, dense.tensors, reinit, spec.seed,
-                              _provenance(spec, dense), spec.scale_factor)
+    layers = [LayerReinit([None] * config.routed_experts, [None] * config.shared_experts)
+              for _ in range(config.num_layers)]
     plan = ReinitPlan(method=spec.method, ratio=spec.ratio, seed=int(spec.seed),
                       intermediate_size=d_f, expert_width=width,
                       granularity=config.granularity, layers=layers)
-    return ckpt, plan
+    tensors = _build_moe(config, dense.tensors, reinit, spec.seed, spec.scale_factor, layers)
+    return TensorStream(config, tensors, _provenance(spec, dense)), plan
 
 
 def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
@@ -554,6 +647,12 @@ def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
     elementwise average over all inputs; routers are freshly initialized.
     Requires num_experts == 2 * (number of input models).
     """
+    return _collect(_btx_moe(seed_dense, expert_denses, config, seed),
+                    [seed_dense, *expert_denses])
+
+
+def _btx_moe(seed_dense: Checkpoint, expert_denses: Sequence[Checkpoint],
+             config: ModelConfig, seed: int) -> TensorStream:
     models = [seed_dense, *expert_denses]
     _require_coarse(config, "branch merging")
     for m in models:
@@ -575,5 +674,6 @@ def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
         "parent_hash": checkpoint_hash(seed_dense),
         "branch_hashes": [checkpoint_hash(m) for m in expert_denses],
     }
-    return _build_moe(config, averaged, lambda i, group, e: (_dense_ffn(models[e // 2], i), None),
-                      seed, metadata)[0]
+    tensors = _build_moe(config, averaged,
+                         lambda i, group, e: (_dense_ffn(models[e // 2], i), None), seed)
+    return TensorStream(config, tensors, metadata)

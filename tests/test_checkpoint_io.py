@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from moeup import checkpoint as cp
+from moeup import upcycle
 from moeup.cli import main
+from moeup.config import ValidationError
 
 from conftest import make_config, random_checkpoint, tiny_dense_config, tiny_moe_config
 
@@ -346,3 +348,122 @@ class TestLoadChecks:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _pairs(ck: cp.Checkpoint) -> list:
+    return [(name, ck.tensors[name]) for name in sorted(ck.tensors)]
+
+
+def _swap_first_two(pairs):
+    return [pairs[1], pairs[0], *pairs[2:]]
+
+
+def _replace_last_layer_tensor(pairs, make):
+    """``pairs`` with the last tensor of the last layer, in name order, replaced."""
+    last = max(i for i, (name, _) in enumerate(pairs) if name.startswith("layers.1."))
+    name, array = pairs[last]
+    return [*pairs[:last], (name, make(array)), *pairs[last + 1:]]
+
+
+def _poisoned(array):
+    array = array.copy()
+    array.flat[-1] = np.inf
+    return array
+
+
+class TestStreamingWriter:
+    """``save`` checks each tensor of a stream as it arrives; a refused stream
+    leaves nothing new behind."""
+
+    STREAMS = {
+        "out-of-order": (_swap_first_two, cp.CheckpointError, "out of name order"),
+        "duplicate": (lambda p: [p[0], *p], cp.CheckpointError, "duplicate tensor"),
+        "unexpected": (lambda p: [*p, ("layers.1.zzz", p[-1][1])], cp.CheckpointError,
+                       "unexpected tensor 'layers.1.zzz'"),
+        "missing": (lambda p: p[:-1], cp.CheckpointError, "missing tensor"),
+        "shape": (lambda p: _replace_last_layer_tensor(p, lambda a: a[:-1]),
+                  cp.CheckpointError, "has shape"),
+        "dtype": (lambda p: _replace_last_layer_tensor(p, lambda a: a.astype(np.float16)),
+                  cp.CheckpointError, "unsupported dtype"),
+        "non-finite": (lambda p: _replace_last_layer_tensor(p, _poisoned), ValidationError,
+                       "non-finite"),
+    }
+
+    @pytest.mark.parametrize("case", STREAMS)
+    def test_bad_stream_leaves_old_checkpoint(self, tmp_path, case):
+        old = random_checkpoint(tiny_moe_config(), seed=5)
+        cp.save(old, tmp_path / "ck")
+        before = sorted(p.name for p in (tmp_path / "ck").iterdir())
+        edit, error, match = self.STREAMS[case]
+        new = random_checkpoint(tiny_moe_config(), seed=6)
+        stream = cp.TensorStream(new.config, iter(edit(_pairs(new))), new.metadata)
+        with pytest.raises(error, match=match):
+            cp.save(stream, tmp_path / "ck")
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == before
+        assert _same(cp.load(tmp_path / "ck"), old)
+
+    @pytest.mark.parametrize("case", STREAMS)
+    def test_bad_stream_creates_no_directory(self, tmp_path, case):
+        edit, error, match = self.STREAMS[case]
+        new = random_checkpoint(tiny_moe_config(), seed=6)
+        stream = cp.TensorStream(new.config, iter(edit(_pairs(new))), new.metadata)
+        with pytest.raises(error, match=match):
+            cp.save(stream, tmp_path / "new" / "ck")
+        assert not (tmp_path / "new").exists()
+
+    def test_stream_and_checkpoint_write_the_same_bytes(self, tmp_path):
+        ck = random_checkpoint(tiny_moe_config(), seed=7)
+        ck.tensors[cp.POSITION_SLOT] = np.zeros((16, 16), dtype=np.float32)
+        written = cp.save(cp.TensorStream(ck.config, iter(_pairs(ck)), ck.metadata),
+                          tmp_path / "stream")
+        assert written == cp.read_manifest(tmp_path / "stream")
+        cp.save(ck, tmp_path / "dict")
+        for name in (cp.MANIFEST_FILE, cp.BLOB_FILE):
+            assert (tmp_path / "stream" / name).read_bytes() == (
+                tmp_path / "dict" / name).read_bytes()
+
+
+# The upcycle flags of each method, and its in-memory builder on the same spec.
+_UPCYCLES = {
+    "naive": (["--method", "naive", "--experts", "4", "--topk", "2"],
+              lambda parent, branch, cfg: upcycle.naive_upcycle(parent, cfg, seed=3)),
+    "drop": (["--method", "drop", "--experts", "4", "--topk", "2", "--ratio", "0.5"],
+             lambda parent, branch, cfg: upcycle.drop_upcycle(
+                 parent, cfg, upcycle.UpcycleSpec("drop", ratio=0.5, seed=3))[0]),
+    "fg-drop": (["--method", "fg-drop", "--experts", "4", "--topk", "3", "--granularity", "2",
+                 "--shared", "1", "--shared-init", "drop", "--scale-factor", "2"],
+                lambda parent, branch, cfg: upcycle.fine_grained_drop_upcycle(
+                    parent, cfg, upcycle.UpcycleSpec(
+                        "fg-drop", seed=3, granularity=2, shared_experts=1,
+                        shared_init="drop", scale_factor=2.0))[0]),
+    "rnu": (["--method", "rnu", "--experts", "4", "--topk", "2"],
+            lambda parent, branch, cfg: upcycle.random_noise_upcycle(
+                parent, cfg, upcycle.UpcycleSpec("rnu", seed=3))),
+    "btx": (["--method", "btx", "--experts", "4", "--topk", "2"],
+            lambda parent, branch, cfg: upcycle.btx_merge(parent, [branch], cfg, seed=3)),
+}
+
+
+@pytest.mark.parametrize("method", _UPCYCLES)
+def test_cli_upcycle_writes_the_bytes_of_the_in_memory_build(capsys, monkeypatch, tmp_path,
+                                                              method):
+    """``moeup upcycle`` streams the MoE to disk; the bytes are those of
+    ``save`` of the public builder's in-memory result, on a 12-layer parent,
+    whose layers stream in string order, on 1 and 2 threads."""
+    config = make_config(16, 32, 12, 2, 2, 23, s=16)
+    cp.save(random_checkpoint(config, seed=1), tmp_path / "parent")
+    cp.save(random_checkpoint(config, seed=2), tmp_path / "branch")
+    flags, build = _UPCYCLES[method]
+    extra = ["--branches", str(tmp_path / "branch")] if method == "btx" else []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MOEUP_THREADS", threads)
+        assert main(["upcycle", *flags, *extra, "--seed", "3", "--in", str(tmp_path / "parent"),
+                     "--out", str(tmp_path / f"cli{threads}")]) == 0
+    capsys.readouterr()
+    built = cp.load(tmp_path / "cli1")
+    cp.save(build(cp.load(tmp_path / "parent"), cp.load(tmp_path / "branch"), built.config),
+            tmp_path / "memory")
+    for out in ("cli1", "cli2"):
+        for name in (cp.MANIFEST_FILE, cp.BLOB_FILE):
+            assert (tmp_path / out / name).read_bytes() == (
+                tmp_path / "memory" / name).read_bytes(), (out, name)

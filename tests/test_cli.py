@@ -142,6 +142,33 @@ class TestValidationAndExitCodes:
         ("upcycle --method btx --scale-factor 2 --experts 4 --in {dense} --branches {dense} "
          "--out {out}", None),
         ("upcycle --method scratch --scale-factor 2 --config {model} --out {out}", None),
+        # Every other setting that a method does not read is refused too,
+        # rather than ignored or recorded in the metadata.
+        ("upcycle --method rnu --ratio 0.9 --in {dense} --out {out}", None),
+        ("upcycle --method rnu --shared-init drop --in {dense} --out {out}", None),
+        ("upcycle --method rnu --config {config} --in {dense} --out {out}",
+         {"upcycle": {"ratio": 0.9}}),
+        ("upcycle --method drop --noise-sigma 0.5 --in {dense} --out {out}", None),
+        ("upcycle --method drop --noise-fraction 0.1 --in {dense} --out {out}", None),
+        ("upcycle --method drop --config {config} --in {dense} --out {out}",
+         {"upcycle": {"noise_sigma": 0.5}}),
+        ("upcycle --method fg-drop --noise-sigma 0.3 --experts 4 --granularity 2 --in {dense} "
+         "--out {out}", None),
+        ("upcycle --method drop --branches {dense} --in {dense} --out {out}", None),
+        ("upcycle --method naive --ratio 0.7 --in {dense} --out {out}", None),
+        ("upcycle --method btx --ratio 0.5 --experts 4 --in {dense} --branches {dense} "
+         "--out {out}", None),
+        ("upcycle --method scratch --seed 1 --ratio 0.5 --config {model} --out {out}", None),
+        ("upcycle --method scratch --config {model} --in {dense} --out {out}", None),
+        ("upcycle --method scratch --config {model} --experts 4 --out {out}", None),
+        # A model section in the config file sets the target's shape, which
+        # the spec must not contradict.
+        ("upcycle --method drop --experts 2 --config {config} --in {dense} --out {out}",
+         {"model": make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16).to_dict()}),
+        ("upcycle --method rnu --granularity 2 --config {config} --in {dense} --out {out}",
+         {"model": make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16).to_dict()}),
+        ("upcycle --method btx --shared 1 --branches {dense} --config {config} --in {dense} "
+         "--out {out}", {"model": make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16).to_dict()}),
         ("flops --config {model} --seq-len -1", None),
         ("flops --config {model} --tokens -5", None),
         ("upcycle --method drop --config {config} --in {dense} --out {out}",
@@ -286,7 +313,7 @@ class TestValidationAndExitCodes:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "model": make_config(16, 32, 2, 2, 2, 96, n=4, k=2, s=16).to_dict(),
-            "upcycle": {"ratio": 0.25},
+            "upcycle": {"seed": 5},  # a field that drop and scratch both read
             "train": {"batch_size": 4, "seq_len": 16}}))
         opened, real_open = [], open
 
@@ -414,10 +441,10 @@ class TestArtifactPipeline:
         assert _dir_digest(dense_dir) == before
 
     def test_naive_echoes_the_spec_it_builds(self, capsys, tmp_path, dense_dir):
-        """Naive upcycling is drop upcycling at ratio 0: a --ratio is overridden,
-        the echoed spec agrees with the metadata, and the plan drops nothing."""
+        """Naive upcycling is drop upcycling at ratio 0: the echoed spec agrees
+        with the metadata, and the plan drops nothing. (A --ratio is refused.)"""
         code, payload, _ = _run(capsys, [
-            "upcycle", "--method", "naive", "--ratio", "0.7", "--seed", "3", "--experts", "4",
+            "upcycle", "--method", "naive", "--seed", "3", "--experts", "4",
             "--topk", "2", "--in", str(dense_dir), "--out", str(tmp_path / "naive")])
         assert code == 0
         assert payload["spec"]["ratio"] == payload["metadata"]["ratio"] == 0.0

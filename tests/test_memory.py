@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moeup import analysis
+from moeup import analysis, checkpoint, cli, upcycle
 from moeup import model as model_mod
 from moeup import trainer as trainer_mod
 from moeup.config import ValidationError
@@ -32,6 +32,7 @@ from moeup.model import (
     build_model,
     forward_cache,
     lm_forward,
+    next_token_loss,
     trace_from_cache,
 )
 from moeup.numerics import NORMAL_CHUNK_PAIRS, NormalParams, RngStream, sample_normal
@@ -415,7 +416,7 @@ def test_kept_expert_entry_holds_no_input_rows():
 def test_backward_rejects_activation_free_cache():
     model = _model(CONFIGS[1])
     cache = forward_cache(model, _tokens(), keep_activations=False)
-    assert set(cache) == {"tokens", "routing", "logits", "loss"}
+    assert set(cache) == {"tokens", "routing", "logits"}
     with pytest.raises(ValidationError, match="keeps no activations"):
         backward_from_cache(model, cache)
 
@@ -453,7 +454,8 @@ def test_activation_free_forward_is_bitwise_equal(config):
     tokens = _tokens()
     kept = forward_cache(model, tokens)
     free = forward_cache(model, tokens, keep_activations=False)
-    assert free["loss"] == kept["loss"]
+    assert "loss" not in free  # callers take it from the logits, as lm_forward does
+    assert next_token_loss(free["logits"], free["tokens"]) == kept["loss"]
     assert _same_bits([free["tokens"], free["logits"]], [kept["tokens"], kept["logits"]])
     want = _trace_arrays(trace_from_cache(model, kept))
     assert len(want) == (3 * config.num_layers if config.is_moe else 0)
@@ -601,6 +603,64 @@ def test_chunked_sample_normal_matches_one_shot(count):
     assert got.tobytes() == want.tobytes()
     f32 = sample_normal(stream, params, count, dtype=np.float32)
     assert f32.dtype == np.float32 and f32.tobytes() == want.astype(np.float32).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Upcycling: streamed to disk, and no parent kept alive in memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_upcycle_holds_about_one_layer_of_experts(tmp_path, monkeypatch, capsys, threads):
+    """``moeup upcycle`` writes the MoE as it builds it: above the loaded parent,
+    its peak stays under 1.5 times one layer's experts. Building the whole
+    4-layer MoE before writing it would hold four layers. Each further thread
+    adds one expert's job in flight, about 0.4 of this layer's experts."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    config = make_config(64, 256, 4, 4, 4, VOCAB_SIZE, s=64)
+    checkpoint.save(random_checkpoint(config, seed=1), tmp_path / "parent")
+    parent_bytes = checkpoint.read_manifest(tmp_path / "parent")["blob"]["size"]
+    layer_experts = 4 * 3 * 64 * 256 * 4  # 4 experts of three f32 matrices
+    argv = ["upcycle", "--method", "drop", "--experts", "4", "--topk", "2", "--ratio", "0.5",
+            "--in", str(tmp_path / "parent"), "--out", str(tmp_path / "moe")]
+    peak = _peak(lambda: cli.main(argv))
+    assert capsys.readouterr().err.startswith("wrote drop checkpoint")
+    assert peak - parent_bytes < 1.5 * layer_experts, (peak - parent_bytes, layer_experts)
+
+
+@pytest.mark.parametrize("method", ["naive", "drop", "fg-drop", "rnu", "btx"])
+def test_in_memory_upcycle_keeps_no_parent_buffer_alive(tmp_path, method):
+    """Each parent array that the MoE keeps as it is gets copied once, so the
+    MoE outlives the parents' load buffers; naive's experts share one copy."""
+    config = tiny_dense_config(vocab=VOCAB_SIZE)
+    for name, seed in (("parent", 1), ("branch", 2)):
+        checkpoint.save(random_checkpoint(config, seed=seed), tmp_path / name)
+    parent, branch = checkpoint.load(tmp_path / "parent"), checkpoint.load(tmp_path / "branch")
+    moe_config = tiny_moe_config(vocab=VOCAB_SIZE)
+    if method == "naive":
+        moe = upcycle.naive_upcycle(parent, moe_config, seed=3)
+    elif method == "rnu":
+        moe = upcycle.random_noise_upcycle(parent, moe_config, upcycle.UpcycleSpec("rnu"))
+    elif method == "btx":
+        moe = upcycle.btx_merge(parent, [branch], moe_config, seed=3)
+    else:
+        moe, _ = upcycle.fine_grained_drop_upcycle(parent, moe_config,
+                                                   upcycle.UpcycleSpec(method, seed=3))
+    want = {name: a.copy() for name, a in moe.tensors.items()}
+
+    def buffer(ckpt):
+        array = ckpt.tensors["final_norm"]
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        return weakref.ref(array)
+
+    buffers = [buffer(parent), buffer(branch)]
+    del parent, branch
+    assert [ref() for ref in buffers] == [None, None]
+    assert moe.tensors.keys() == want.keys()
+    assert all(moe.tensors[name].tobytes() == want[name].tobytes() for name in want)
+    if method == "naive":
+        gates = [moe.tensors[f"layers.0.experts.{e}.gate"] for e in range(4)]
+        assert all(gate is gates[0] for gate in gates)
 
 
 # ---------------------------------------------------------------------------

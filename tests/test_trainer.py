@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moeup import analysis, upcycle
+from moeup import model as model_mod
 from moeup import trainer as trainer_mod
 from moeup.config import ValidationError
 from moeup.corpus import VOCAB_SIZE, Corpus, default_corpus
@@ -387,6 +388,33 @@ def test_eval_forwards_of_several_tiles_keep_tile_bits(layout, threads, monkeypa
                     for rows in tiles]
             assert _trace_bits(traces) == _trace_bits(want)
             assert [d for t in traces for d in t.domains] == corpus.domains
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_loss_takes_each_tile_loss_once(threads, monkeypatch):
+    """The vocabulary softmax runs once per evaluated token: ``next_token_loss``
+    runs once per tile, never over a whole forward, and the loss keeps its
+    bits. Routing traces take no loss at all."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
+                        stream=RngStream(4))
+    corpus = default_corpus(seq_len=64, num_sequences=40)
+    want = _tile_losses(model, corpus, 64, 32)
+    calls, real = [], model_mod.next_token_loss
+
+    def counting_loss(logits, tokens):
+        calls.append(tokens.shape)
+        return real(logits, tokens)
+
+    monkeypatch.setattr(model_mod, "next_token_loss", counting_loss)
+    monkeypatch.setattr(trainer_mod, "next_token_loss", counting_loss)
+    assert evaluate_loss(model, corpus, batch_size=32).hex() == want.hex()
+    # Five tiles of 8 sequences, in forwards of 16, 16 and 8 sequences.
+    assert calls == [(rows.stop - rows.start, 64) for rows in sequence_tiles(40, 64, 32)]
+    assert len(calls) == 5
+    calls.clear()
+    analysis.collect_traces(model, corpus)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kwargs, match", [
