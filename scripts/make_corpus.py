@@ -2,10 +2,12 @@
 """Write the bundled synthetic corpora to disk for use with the CLI.
 
 Produces <out>/train.txt and <out>/eval.txt in the corpus file format
-(domain tag, TAB, space-separated token ids). Both are deterministic.
+(domain tag, TAB, space-separated token ids). Both are deterministic. A
+size below 1 exits with status 2 and one ``error:`` line, writing nothing.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from moeup.corpus import default_corpus, default_eval_corpus, save_corpus
@@ -18,6 +20,11 @@ def main() -> None:
     parser.add_argument("--train-sequences", type=int, default=512)
     parser.add_argument("--eval-sequences", type=int, default=128)
     args = parser.parse_args()
+    for flag, value in (("--seq-len", args.seq_len), ("--train-sequences", args.train_sequences),
+                        ("--eval-sequences", args.eval_sequences)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            sys.exit(2)
 
     args.out.mkdir(parents=True, exist_ok=True)
     train = default_corpus(seq_len=args.seq_len, num_sequences=args.train_sequences)

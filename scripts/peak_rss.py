@@ -17,10 +17,10 @@ writes its routing CSVs to DIR. The command runs as ``python3 -m moeup.cli``
 in a child process, so its peak is its own; the script prints one JSON line
 with the child's exit code, wall time, peak RSS (``ru_maxrss`` from
 ``wait4``) and the size of the checkpoint it wrote, in MiB (null for
-``analyze-routing``, which writes none). The 152M run needs about 0.7 GiB for
-``init`` and 0.65-0.75 GiB for ``upcycle``, which writes its experts as it
-builds them (1.8 GiB when it built the whole MoE first), plus 0.6 and 1.6 GiB
-of disk.
+``analyze-routing``, which writes none). The 152M run needs about 0.3 GiB for
+``init`` and 0.65-0.75 GiB for ``upcycle``, each writing its tensors as it
+draws or builds them (0.7 and 1.8 GiB when they built the whole checkpoint
+first), plus 0.6 and 1.6 GiB of disk.
 """
 
 from __future__ import annotations

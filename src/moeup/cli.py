@@ -139,13 +139,17 @@ def _out_dir(path: str) -> Path:
 def _cmd_init(args) -> dict:
     _out_dir(args.out)
     config = model_config_from_file(args.config)
-    ckpt = upcycle.from_scratch(config, seed=args.seed)
-    checkpoint.save(ckpt, args.out)
+    # Each tensor is written as it is drawn: the whole checkpoint is never held.
+    manifest = checkpoint.save(upcycle.scratch_stream(config, seed=args.seed), args.out)
     _info(f"wrote from-scratch checkpoint to {args.out}")
     return {
         "command": "init", "config": config.to_dict(), "seed": args.seed,
-        "out": str(args.out), "stored_parameters": ckpt.num_parameters(),
+        "out": str(args.out), "stored_parameters": _stored_parameters(manifest),
     }
+
+
+def _stored_parameters(manifest: dict) -> int:
+    return sum(math.prod(t["shape"]) for t in manifest["tensors"])
 
 
 def _from_config(cls, file: dict, section_name: str, flags: dict,
@@ -230,7 +234,7 @@ def _cmd_upcycle(args) -> dict:
     if spec.method == "scratch":
         if args.config is None:
             raise ValidationError("--method scratch requires --config with a model section")
-        built = upcycle.from_scratch(model_config_from_dict(file), seed=spec.seed)
+        built = upcycle.scratch_stream(model_config_from_dict(file), seed=spec.seed)
     else:
         if args.input is None:
             raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
@@ -239,13 +243,13 @@ def _cmd_upcycle(args) -> dict:
         parent = checkpoint.load(args.input)
         branches = [checkpoint.load(p) for p in (args.branches or "").split(",") if p]
         config = _target_config(parent.config, args, spec, file)
-        # Written as it is built: the whole MoE is never held.
         built, plan = upcycle.upcycle_stream(spec, parent, config, branches)
+    # Written as it is built: the whole checkpoint is never held.
     manifest = checkpoint.save(built, args.out)
     result = {
         "command": "upcycle", "method": spec.method, "spec": asdict(spec),
         "config": built.config.to_dict(), "metadata": built.metadata, "out": str(args.out),
-        "stored_parameters": sum(math.prod(t["shape"]) for t in manifest["tensors"]),
+        "stored_parameters": _stored_parameters(manifest),
     }
     if plan is not None:
         plan_path = upcycle.save_plan(plan, args.out)

@@ -478,9 +478,16 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
         idx = np.nonzero(selmask[:, e])[0]
         if not idx.size:
             return None
-        fe, cache_e = _ffn_fwd(w.experts[e], x[idx])
+        # BLAS gives a one-row product other bits than the same row of a taller
+        # one, so a lone row runs twice and keeps its first copy: its bits then
+        # do not depend on how many rows share the expert (evaluation tiles).
+        lone = idx.size == 1
+        fe, cache_e = _ffn_fwd(w.experts[e], x[np.repeat(idx, 2) if lone else idx])
         # The input rows die here, even when the rest is kept.
-        return idx, cache_e[1:], fe
+        kept = cache_e[1:]
+        if lone:
+            fe, kept = fe[:1], tuple(a[:1] for a in kept)
+        return idx, kept, fe
 
     # Experts run in groups on the thread pool when activations are kept and
     # the groups are big enough (_expert_plan); an activation-free pass runs

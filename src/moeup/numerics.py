@@ -74,9 +74,12 @@ class RngStream:
     def child(self, *steps: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(int(s) for s in steps))
 
+    def bit_generator(self) -> np.random.PCG64:
+        """The substream's PCG64 bit generator, at its beginning."""
+        return np.random.PCG64(np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path))
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(self.bit_generator())
 
 
 def sample_normal(stream: RngStream, params: NormalParams, count: int,

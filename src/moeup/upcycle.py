@@ -32,7 +32,9 @@ to :func:`moeup.checkpoint.save`, which writes each tensor as it arrives, so
 ``moeup upcycle`` holds the parent and only the experts in flight, never the
 whole MoE. The public builders drain the same stream into an in-memory
 :class:`~moeup.checkpoint.Checkpoint`, copying once each parent array that it
-keeps, so the result keeps no parent load buffer alive.
+keeps, so the result keeps no parent load buffer alive. From scratch works the
+same way: ``moeup init`` writes :func:`scratch_stream`, which draws each
+tensor as it is written, and :func:`from_scratch` drains it.
 
 Randomness is derived from substream paths so that per-(layer, expert)
 transforms are independent: expert work uses path (layer, expert, purpose
@@ -343,25 +345,32 @@ def router_init(config: ModelConfig, stream: RngStream) -> np.ndarray:
     return ROUTER_UNIFORM_BOUND * (2.0 * u - 1.0)
 
 
-def from_scratch(config: ModelConfig, seed: int, dtype: str = "f32") -> Checkpoint:
-    """Fresh checkpoint: every tensor i.i.d. N(0, 0.02^2) except routers."""
+def scratch_stream(config: ModelConfig, seed: int, dtype: str = "f32") -> TensorStream:
+    """A fresh checkpoint as a :class:`~moeup.checkpoint.TensorStream` in name
+    order: every tensor i.i.d. N(0, 0.02^2) except routers, each drawn from
+    its own substream when :func:`moeup.checkpoint.save` asks for it."""
     root = RngStream(seed)
     np_dtype = {"f32": np.float32, "f64": np.float64}[dtype]
     params = NormalParams(0.0, GAUSSIAN_INIT_STD)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in expected_slots(config).items():
-        if name.endswith(".router"):
-            layer = int(name.split(".")[1])
-            tensor = router_init(config, root.child(layer, _P_ROUTER))
-        else:
-            stream = root.child(_P_INIT, *_slot_path(name))
-            tensor = sample_normal(stream, params, int(np.prod(shape)),
-                                   dtype=np_dtype).reshape(shape)
-        tensors[name] = tensor.astype(np_dtype, copy=False)
-    metadata = {"method": "scratch", "seed": int(seed)}
-    ckpt = Checkpoint(config=config, tensors=tensors, metadata=metadata)
-    ckpt.validate()
-    return ckpt
+    slots = sorted(expected_slots(config).items())
+
+    def tensors():
+        for name, shape in slots:
+            if name.endswith(".router"):
+                layer = int(name.split(".")[1])
+                tensor = router_init(config, root.child(layer, _P_ROUTER))
+            else:
+                stream = root.child(_P_INIT, *_slot_path(name))
+                tensor = sample_normal(stream, params, math.prod(shape),
+                                       dtype=np_dtype).reshape(shape)
+            yield name, tensor.astype(np_dtype, copy=False)
+
+    return TensorStream(config, tensors(), {"method": "scratch", "seed": int(seed)})
+
+
+def from_scratch(config: ModelConfig, seed: int, dtype: str = "f32") -> Checkpoint:
+    """Fresh checkpoint: :func:`scratch_stream` drained into memory."""
+    return _collect(scratch_stream(config, seed, dtype), [])
 
 
 def _require_compatible(dense: Checkpoint, config: ModelConfig) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeup.config import ValidationError
 from moeup.corpus import (
@@ -7,14 +9,21 @@ from moeup.corpus import (
     DEFAULT_EVAL_DRAW_SEED,
     DOMAINS,
     VOCAB_SIZE,
+    _bigram_table,
+    _bounded,
+    _code_rows,
+    _halves,
+    _successors,
+    _uniforms,
     default_corpus,
     default_eval_corpus,
     load_corpus,
     save_corpus,
     synthetic_corpus,
 )
+from moeup.numerics import RngStream
 
-from reference_impl import ref_synthetic_corpus
+from reference_impl import ref_code_walk, ref_synthetic_corpus
 
 _RANGES = {"alpha": (0, 32), "beta": (32, 64), "code": (64, 96)}
 
@@ -109,3 +118,94 @@ def test_walks_match_scalar_reference(seq_len, domain_mix):
         assert corpus.sequences.shape == sequences.shape
         assert corpus.sequences.tobytes() == sequences.tobytes()
         assert corpus.domains == domains
+
+
+@given(seed=st.integers(0, 2**64 - 1), draw_seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+       rows=st.integers(1, 24), seq_len=st.integers(1, 130),
+       domain_mix=st.tuples(*[st.sampled_from([0.0, 0.25, 1.0, 3.0])] * 3).filter(any))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_corpus_matches_scalar_reference_for_any_shape(seed, draw_seed, rows, seq_len, domain_mix):
+    """For any seeds, row count, length and domain mix, the decoded and
+    lockstep walks give the scalar reference's bytes."""
+    corpus = synthetic_corpus(seed, rows, seq_len, domain_mix, draw_seed)
+    sequences, domains = ref_synthetic_corpus(seed, rows, seq_len, domain_mix, draw_seed)
+    assert corpus.sequences.tobytes() == sequences.tobytes()
+    assert corpus.domains == domains
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 32])
+def test_decoded_draws_match_generator(n):
+    """Raw words decode to the bits of Generator.random() and, 32-bit half by
+    32-bit half, to Generator.integers(n)."""
+    stream = RngStream(11, (n,))
+    words = stream.bit_generator().random_raw(4096)
+    assert _uniforms(words).tobytes() == stream.generator().random(4096).tobytes()
+    decoded = _bounded(_halves(words), n)
+    assert decoded.min() >= 0  # no rejection in these draws
+    assert np.array_equal(decoded, stream.generator().integers(n, size=2 * len(words)))
+
+
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_emitting(word: int) -> np.random.PCG64:
+    """A PCG64 whose second output is ``word`` and whose first output, read as
+    a uniform, is below 0.55, so that a code row opens a bracket first.
+
+    PCG64 steps its 128-bit state ``s`` to ``s * a + inc`` and then outputs
+    the state's two 64-bit halves XORed together and rotated right by the
+    state's top six bits. A stepped state with those bits clear outputs
+    ``high ^ low``, so ``low = high ^ word`` emits ``word``; the states before
+    it follow by inverting the step."""
+    bitgen = np.random.PCG64(0)
+    inc = bitgen.state["state"]["inc"]
+    inverse = pow(_PCG_MULTIPLIER, -1, 2**128)
+
+    def back(state):
+        return (state - inc) * inverse % 2**128
+
+    for high in range(1, 1 << 20):
+        second = (high << 64) | (high ^ word)
+        first = back(second)
+        first_high, first_low = first >> 64, first & (2**64 - 1)
+        rotation, mixed = first >> 122, first_high ^ first_low
+        output = ((mixed >> rotation) | (mixed << (64 - rotation))) & (2**64 - 1)
+        if (output >> 11) * 2.0**-53 < 0.55:
+            state = bitgen.state
+            state["state"]["state"] = back(first)
+            bitgen.state = state
+            return bitgen
+    raise AssertionError("no state found")
+
+
+@pytest.mark.parametrize("word, first", [(0xFFFFFFFF_00000000, 66), (0, None)],
+                         ids=["low-half-rejected", "both-halves-rejected"])
+@pytest.mark.parametrize("length", [1, 5])
+def test_code_rows_reject_like_generator(word, first, length):
+    """A zero 32-bit value is the one that Generator.integers(3) rejects
+    ((2**32 - 3) % 3 == 1). The code row's first bracket draw meets it: the
+    decoded row draws again as the Generator does, from the cached high half
+    or, when that is zero too, from a word beyond the row's 2 * length."""
+    state = _pcg64_emitting(word).state
+    probe = np.random.PCG64()
+    probe.state = state
+    assert int(probe.random_raw(2)[1]) == word
+    bitgen, reference = np.random.PCG64(), np.random.PCG64()
+    bitgen.state = reference.state = state
+    ident_tables = np.arange(70, 94, dtype=np.int64).reshape(3, 8)
+    expected = ref_code_walk(np.random.Generator(reference), ident_tables, length)
+    row = _code_rows([bitgen], length)[0]
+    assert row.tolist() == expected.tolist()
+    if first is not None:
+        assert row[0] == first  # the kind of the high half 0xFFFFFFFF
+
+
+def test_successor_tables_are_cached_read_only():
+    """One table per language seed, alpha above beta in absolute ids, shared
+    between calls and never written."""
+    table = _successors(9)
+    assert _successors(9) is table and not table.flags.writeable
+    alpha, beta = _bigram_table(RngStream(9, (0,)), 0, 32), _bigram_table(RngStream(9, (1,)), 32, 64)
+    assert np.array_equal(table, np.concatenate([alpha, beta]))
+    with pytest.raises(ValueError):
+        table[0, 0] = 1

@@ -17,11 +17,13 @@ from moeup import trainer as trainer_mod
 from moeup.corpus import VOCAB_SIZE, default_corpus
 from moeup.model import (
     FfnWeights,
+    MoeLayerWeights,
     _attn_bwd,
     _attn_fwd,
     _ffn_bwd,
     _ffn_fwd,
     _layernorm_fwd,
+    _moe_fwd,
     _sigmoid,
     backward_from_cache,
     build_model,
@@ -162,6 +164,30 @@ def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
         assert _same_bits(got, want)
     for got, want in zip(_ffn_bwd(w, cache, dy, t), ref_ffn_bwd(w, ref_cache, dy), strict=True):
         assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_one_row_expert_bits_do_not_depend_on_the_tile(keep):
+    """Expert 3 is routed only the first token of a 16-token tile, and three
+    more tokens in a longer forward. That token's output has the same bits in
+    both: a one-row product would take BLAS's one-row kernel instead."""
+    rng = np.random.default_rng(5)
+    d_h, width = 64, 256
+    experts = [FfnWeights(*(0.1 * rng.standard_normal(shape)
+                            for shape in ((d_h, width), (d_h, width), (width, d_h))))
+               for _ in range(4)]
+    router = 0.1 * rng.standard_normal((d_h, 4))
+    router[:, 3] = 0.0
+    router[0, 3] = 100.0  # expert 3 takes exactly the tokens whose feature 0 is positive
+    x = rng.standard_normal((20, d_h))
+    x[:, 0] = -1.0
+    x[[0, 17, 18, 19], 0] = 1.0
+    weights = MoeLayerWeights(router, experts)
+    tile, _, _ = _moe_fwd(weights, x[:16], 2, keep=keep)
+    longer, routing, _ = _moe_fwd(weights, x, 2, keep=keep)
+    assert np.count_nonzero(routing.selected[:16] == 3) == 1
+    assert np.count_nonzero(routing.selected == 3) == 4
+    assert _same_bits(tile, longer[:16])
 
 
 def test_clip_and_adamw_bitwise():

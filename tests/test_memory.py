@@ -555,6 +555,24 @@ def test_from_scratch_peak_near_payload():
     assert peak <= 1.5 * payload, (peak, payload)
 
 
+@pytest.mark.parametrize("method", ["init", "scratch"])
+def test_cli_from_scratch_holds_about_one_tensor(tmp_path, capsys, method):
+    """``moeup init`` and ``upcycle --method scratch`` write each tensor as it
+    is drawn: the peak stays near the largest tensor (the 2 MiB embedding)
+    plus ``sample_normal``'s two chunk buffers, far below the 12 MiB payload."""
+    config = make_config(128, 512, 8, 4, 4, 4096, s=64)
+    (tmp_path / "config.json").write_text(json.dumps({"model": config.to_dict()}))
+    argv = (["init"] if method == "init" else ["upcycle", "--method", "scratch"]) + [
+        "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    peak = _peak(lambda: cli.main(argv))
+    capsys.readouterr()
+    payload = checkpoint.read_manifest(tmp_path / "out")["blob"]["size"]
+    saved = checkpoint.load(tmp_path / "out")
+    assert checkpoint.checkpoint_hash(saved) == checkpoint.checkpoint_hash(from_scratch(config, 0))
+    assert payload > 12 << 20
+    assert peak < 0.5 * payload, (peak, payload)
+
+
 def test_forward_passes_reuse_freed_memory():
     """Each tile's activations are freed before the next tile's forward. The
     next tile must reuse that memory rather than fault in fresh pages; with

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -43,3 +45,16 @@ def test_artifact_hashes_reproduce_across_processes(tmp_path):
             "train_drop_64/model/tensors.bin", "train_drop_64/curve.jsonl",
             "train_fg_drop_64/model/tensors.bin", "train_fg_drop_64/curve.jsonl",
             "routing_fg_drop_64/routing_fractions.csv"} <= names
+
+
+@pytest.mark.parametrize("flag, value", [("--seq-len", "0"), ("--train-sequences", "-1"),
+                                         ("--eval-sequences", "-3"), ("--train-sequences", "0")])
+def test_make_corpus_rejects_bad_sizes(tmp_path, flag, value):
+    out = tmp_path / "corpora"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_corpus.py"), "--out", str(out), flag, value],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert flag in proc.stderr and proc.stdout == ""
+    assert not out.exists()
