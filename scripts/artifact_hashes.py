@@ -15,8 +15,8 @@ routed experts of width 32, top-3, and one shared expert) on batches of
 tiles of 8 sequences each and the experts in two contiguous groups, all on
 the thread pool; ``analyze-routing`` of a
 trained MoE, and of the trained fg-drop upcycle over the 32 x 64-token
-training corpus, whose evaluation forwards each span two tiles of 8
-sequences; and ``catch-up`` of the trained parent's curve against the
+training corpus, in two evaluation forwards of 16 sequences, one trace
+each; and ``catch-up`` of the trained parent's curve against the
 trained drop's. Last, a short ``scripts/run_toy_pipeline.py`` run writes into
 DIR/pipeline: its ``summary.json`` holds ``evaluate_loss`` values, which no
 CLI command computes, and its routing CSVs come from ``collect_traces``. It

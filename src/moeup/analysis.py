@@ -49,14 +49,16 @@ class RoutingSummary:
 
 def collect_traces(model: ToyLm, corpus: Corpus, *,
                    seq_len: int | None = None) -> list[RoutingTrace]:
-    """Routing traces of the model over the corpus in order, one per tile of
-    :func:`moeup.trainer.forward_tiles`.
+    """Routing traces of the model over the corpus in order, one per forward of
+    :func:`moeup.trainer.forward_tiles`, of at most ``EVAL_FORWARD_TOKENS``
+    tokens.
 
-    Each trace holds only its tile's routing arrays. Routing is per token, so
-    the traces' arrays are bitwise those of one forward per sequence.
+    Each trace holds only its forward's routing arrays. Routing is per token,
+    so the traces' arrays are bitwise those of one forward per sequence.
     """
     if not model.config.is_moe:
         raise ValidationError("routing traces require an MoE model")
+
     def trace(rows: slice, result: dict) -> RoutingTrace:
         return trace_from_cache(model, result, corpus.domains[rows])
 

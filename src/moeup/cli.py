@@ -176,13 +176,11 @@ def _from_config(cls, file: dict, section_name: str, flags: dict,
 
 def _target_config(parent: ModelConfig, args, spec: upcycle.UpcycleSpec,
                    file: dict) -> ModelConfig:
+    """The model section of the config file, or else the parent with the
+    flags' experts and the spec's expert shape. :func:`moeup.upcycle.upcycle_stream`
+    refuses a spec that contradicts the model section."""
     if "model" in file:
-        config = model_config_from_dict(file)
-        for name in ("granularity", "shared_experts"):  # recorded in the metadata
-            if getattr(spec, name) != getattr(config, name):
-                raise ValidationError(f"spec {name} ({getattr(spec, name)}) disagrees with the "
-                                      f"model section ({getattr(config, name)})")
-        return config
+        return model_config_from_dict(file)
     experts = args.experts if args.experts is not None else 8
     topk = args.topk if args.topk is not None else 2
     return replace(parent, num_experts=experts, top_k=topk, granularity=spec.granularity,

@@ -30,7 +30,8 @@ its input rows; backward regathers them from the layer input. A forward pass
 for evaluation or routing traces (``keep_activations=False``) keeps none of
 them: inside an MoE layer each expert's input rows, intermediates and output
 die before the next expert runs, and only the tokens, logits and routing
-outlive the pass; it computes no loss, which its callers take per tile.
+outlive the pass; it computes no loss, which its callers take from the
+logits (:func:`token_losses`).
 
 All parallel work goes through :func:`moeup.util.ordered_map`, whose
 ``pool`` flag says whether the work is big enough to gain from a second
@@ -51,12 +52,10 @@ Work whose rows are whole sequences runs in tiles on the same pool:
 attention's per-sequence core (projections, scores, mask, softmax, context
 and their gradients), the dense FFN and shared experts, forward and
 backward. :func:`_tiles` is the one tile plan, and it depends only on
-shapes: the :func:`sequence_tiles` rule, at most ``EVAL_TILE_TOKENS``
-tokens of whole sequences per tile, used only if even the last tile holds
-``_POOL_MIN_ELEMENTS``; otherwise the work runs whole. Evaluation's tiles
-follow the same rule, but there they are the groups whose losses and traces
-are reported; its pool task is one forward pass over a run of whole tiles,
-of at most ``EVAL_FORWARD_TOKENS`` tokens (:func:`moeup.trainer.forward_tiles`).
+shapes: at most ``_TILE_TOKENS`` tokens of whole sequences per tile, used
+only if even the last tile holds ``_POOL_MIN_ELEMENTS``; otherwise the work
+runs whole. Evaluation's pool task is a whole forward pass of at most
+``EVAL_FORWARD_TOKENS`` tokens (:func:`moeup.trainer.forward_tiles`).
 Each tile writes its rows of preallocated outputs; every sum over rows (the
 weight gradients, the norm gains, the loss and the embedding scatter) stays
 one whole-array call, and a layer's independent weight gradients run as
@@ -99,14 +98,13 @@ _LN_EPS = 1e-6
 # elements, raised the toy fine-grained MoE training throughput by about 16%
 # on 2 cores.
 _POOL_MIN_ELEMENTS = 1 << 15
-# Most tokens one tile holds: the group of sequences whose mean loss or routing
-# trace evaluation reports, or one piece of a train step's attention or FFN on
-# the thread pool (see :func:`sequence_tiles`).
-EVAL_TILE_TOKENS = 512
-# Most tokens one evaluation forward pass holds: a run of whole tiles, one pool
-# task. A 512-token tile's 31 experts of the toy fine-grained MoE are too
+# Most tokens one tile of a train step's attention or FFN holds on the thread
+# pool (see :func:`_tiles`).
+_TILE_TOKENS = 512
+# Most tokens one evaluation forward pass holds, one pool task. A 512-token
+# forward's 31 experts of the toy fine-grained MoE are too
 # small to gain from a second thread: on 2 cores its evaluation took 0.76 s
-# at two threads with one tile per forward and 0.70 s at one thread. Forwards
+# at two threads in forwards of 512 tokens and 0.70 s at one thread. Forwards
 # of 1,024 tokens took 0.57 s at two threads, and 2,048 tokens 0.54 s; at one
 # thread they cost 3% and 6% (medians of 10, in-process after 20 steps).
 EVAL_FORWARD_TOKENS = 1024
@@ -116,29 +114,16 @@ EVAL_FORWARD_TOKENS = 1024
 # Tiles
 # ---------------------------------------------------------------------------
 
-def sequence_tiles(sequences: int, seq_len: int, max_sequences: int | None = None) -> list[slice]:
-    """Consecutive slices of ``sequences`` sequences of ``seq_len`` tokens, each
-    of at most ``EVAL_TILE_TOKENS`` tokens and ``max_sequences`` sequences, and
-    of one sequence at least. The plan depends on nothing but these numbers.
-
-    They are the pieces of a train step's per-sequence work on the pool
-    (:func:`_tiles`), and the groups of sequences whose mean losses
-    :func:`moeup.trainer.evaluate_loss` sums and whose routing traces
-    :func:`moeup.analysis.collect_traces` returns; evaluation forwards several
-    of them at once, which changes no bits."""
-    step = max(1, min(max_sequences or sequences, EVAL_TILE_TOKENS // seq_len))
-    return [slice(start, min(start + step, sequences)) for start in range(0, sequences, step)]
-
-
 def _tiles(rows: int, seq_len: int | None, per_row: int) -> list[slice]:
     """The row tiles of a train step's per-sequence work, whose ``rows`` rows
     (tokens) are whole sequences of ``seq_len`` tokens and hold ``per_row``
-    elements each: the :func:`sequence_tiles` of those sequences, as row
-    slices, if even the last, smallest one holds ``_POOL_MIN_ELEMENTS``; else
-    one whole slice, as also when ``seq_len`` is None."""
+    elements each: consecutive runs of at most ``_TILE_TOKENS`` tokens of whole
+    sequences, one sequence at least, if even the last, smallest one holds
+    ``_POOL_MIN_ELEMENTS``; else one whole slice, as also when ``seq_len`` is
+    None. The plan depends on nothing but these numbers."""
     if seq_len is not None:
-        tiles = [slice(s.start * seq_len, s.stop * seq_len)
-                 for s in sequence_tiles(rows // seq_len, seq_len)]
+        step = max(1, _TILE_TOKENS // seq_len) * seq_len
+        tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
         if len(tiles) > 1 and (tiles[-1].stop - tiles[-1].start) * per_row >= _POOL_MIN_ELEMENTS:
             return tiles
     return [slice(0, rows)]
@@ -480,7 +465,7 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
             return None
         # BLAS gives a one-row product other bits than the same row of a taller
         # one, so a lone row runs twice and keeps its first copy: its bits then
-        # do not depend on how many rows share the expert (evaluation tiles).
+        # do not depend on how many rows share the expert (evaluation's batch size).
         lone = idx.size == 1
         fe, cache_e = _ffn_fwd(w.experts[e], x[np.repeat(idx, 2) if lone else idx])
         # The input rows die here, even when the rest is kept.
@@ -492,7 +477,7 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     # Experts run in groups on the thread pool when activations are kept and
     # the groups are big enough (_expert_plan); an activation-free pass runs
     # them one at a time, so that each expert's tensors die before the next
-    # starts (evaluation parallelizes over tiles). Either way each output is
+    # starts (evaluation parallelizes over forwards). Either way each output is
     # weighted and added here, in expert order, bitwise as in a loop; the
     # weighted copy lives only for its own addition.
     y = np.zeros_like(x)
@@ -827,10 +812,10 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     With ``keep_activations=False`` no backward can follow, so nothing else is
     kept: each layer's activations die as the pass moves on, and inside an MoE
     layer each expert's tensors die before the next expert runs. Logits and
-    routing are bitwise those of the default pass. No loss is computed, as
-    callers take it over the rows they report with :func:`next_token_loss`,
-    which gives the default pass's loss bitwise over all rows. Evaluation and
-    routing traces use this form.
+    routing are bitwise those of the default pass. No loss is computed: a
+    caller that needs one takes it from the logits with :func:`token_losses`
+    or :func:`next_token_loss`, which gives the default pass's loss bitwise.
+    Evaluation and routing traces use this form.
     """
     setup_process()  # passes reuse the memory earlier passes freed
     cfg = model.config
@@ -870,23 +855,29 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     return result
 
 
-def next_token_loss(logits: np.ndarray, tokens: np.ndarray) -> float:
-    """Mean next-token cross entropy of (B, T) ``tokens`` under their (B, T,
-    vocab) ``logits``, over the first T - 1 positions of each sequence; a
-    single-position sequence has no targets and its loss is defined as 0.
+def token_losses(logits: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Next-token cross entropy of (B, T) ``tokens`` under their (B, T, vocab)
+    ``logits``: the (B, T - 1) losses of the first T - 1 positions of each
+    sequence, as one C-contiguous array.
 
-    Each token's loss depends on its own row of logits alone, and the mean runs
-    over the (B, T - 1) losses in order, so the loss of sequences ``a:b`` is
-    bitwise the same whether their logits come from a pass over them alone or
-    are rows of a longer pass.
+    Each token's loss depends on its own row of logits alone, so the losses of
+    sequences ``a:b`` are bitwise the same whether their logits come from a
+    pass over them alone or are rows of a longer pass.
     """
-    if tokens.shape[1] < 2:
-        return 0.0
     pred = logits[:, :-1, :]
     shifted = pred - np.max(pred, axis=-1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=-1))
     picked = np.take_along_axis(shifted, tokens[:, 1:, None], axis=-1)[..., 0]
-    return float(np.mean(logz - picked))
+    return logz - picked
+
+
+def next_token_loss(logits: np.ndarray, tokens: np.ndarray) -> float:
+    """Mean of :func:`token_losses`, in order; a single-position sequence has
+    no targets and its loss is defined as 0. The mean over sequences stacked
+    from several passes' losses is bitwise that of one pass over them all."""
+    if tokens.shape[1] < 2:
+        return 0.0
+    return float(np.mean(token_losses(logits, tokens)))
 
 
 def _require_unused(cache: dict) -> None:

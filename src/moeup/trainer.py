@@ -33,13 +33,11 @@ from .config import ValidationError, require_ints, text_lines
 from .corpus import Corpus
 from .model import (
     EVAL_FORWARD_TOKENS,
-    LayerRouting,
     RoutingTrace,
     ToyLm,
     backward_from_cache,
     forward_cache,
-    next_token_loss,
-    sequence_tiles,
+    token_losses,
     trace_from_cache,
 )
 from .numerics import RngStream
@@ -276,12 +274,13 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 # Training and evaluation
 # ---------------------------------------------------------------------------
 
-def _sample_batch(corpus: Corpus, config: TrainConfig, stream: RngStream, step: int):
+def _sample_batch(corpus: Corpus, config: TrainConfig, stream: RngStream,
+                  step: int) -> np.ndarray:
+    """The (batch_size, seq_len) tokens of step ``step``, drawn from substream
+    (0, step) alone: the batch is a function of the step."""
     g = stream.child(0, step).generator()
     rows = g.integers(0, corpus.num_sequences, size=config.batch_size)
-    tokens = corpus.sequences[rows][:, :config.seq_len]
-    domains = [corpus.domains[int(r)] for r in rows]
-    return tokens, domains
+    return corpus.sequences[rows][:, :config.seq_len]
 
 
 def check_train_inputs(model: ToyLm, corpus: Corpus, config: TrainConfig) -> None:
@@ -308,7 +307,7 @@ def train(model: ToyLm, corpus: Corpus, config: TrainConfig) -> tuple[ToyLm, Los
     curve = LossCurve()
 
     for step in range(config.total_steps):
-        tokens, _ = _sample_batch(corpus, config, stream, step)
+        tokens = _sample_batch(corpus, config, stream, step)
         lr = cosine_lr(step, config)
         total_loss, lm_loss, balance_loss = _train_step(
             model, tokens, config, state, lr, step)
@@ -342,56 +341,21 @@ def _train_step(model: ToyLm, tokens: np.ndarray, config: TrainConfig, state: Ad
     return total_loss, lm_loss, balance_loss
 
 
-def _forward_runs(sequences: int, seq_len: int, max_rows: int | None) -> list[list[slice]]:
-    """The tiles of :func:`moeup.model.sequence_tiles`, in runs of consecutive
-    whole tiles: each run holds at most ``EVAL_FORWARD_TOKENS`` tokens and
-    ``max_rows`` sequences, and one tile at least."""
-    cap = min(EVAL_FORWARD_TOKENS // seq_len, max_rows or sequences)
-    runs: list[list[slice]] = []
-    for tile in sequence_tiles(sequences, seq_len, max_rows):
-        if runs and tile.stop - runs[-1][0].start <= cap:
-            runs[-1].append(tile)
-        else:
-            runs.append([tile])
-    return runs
-
-
-def _tile_result(result: dict, rows: slice) -> dict:
-    """The part of an activation-free forward result that belongs to its
-    sequences ``rows``: views of their tokens, logits and routing rows."""
-    tokens, logits = result["tokens"][rows], result["logits"][rows]
-    t = tokens.shape[1]
-    flat = slice(rows.start * t, rows.stop * t)
-    routing = [LayerRouting(r.selected[flat], r.gates[flat], r.probs[flat])
-               for r in result["routing"]]
-    return {"tokens": tokens, "routing": routing, "logits": logits}
-
-
-def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None = None,
+def forward_tiles(model: ToyLm, corpus: Corpus, per_forward, *, seq_len: int | None = None,
                   max_sequences: int | None = None, max_rows: int | None = None) -> list:
-    """``per_tile(rows, result)`` for each tile of the corpus: the one walk
-    behind :func:`evaluate_loss` and routing traces. Returns their values in
-    tile order.
+    """``per_forward(rows, result)`` for each forward over the corpus: the one
+    walk behind :func:`evaluate_loss` and routing traces. Returns their values
+    in corpus order.
 
-    A tile is a slice ``rows`` of the first ``max_sequences`` sequences, cut to
-    ``seq_len`` tokens (by default all of both), from
-    :func:`moeup.model.sequence_tiles`: it holds at most ``max_rows``
-    sequences and ``EVAL_TILE_TOKENS`` tokens, one sequence at least. Tiles
-    are the groups whose losses and traces the callers report.
-
-    The unit of work is larger: one ``forward_cache(...,
-    keep_activations=False)`` over a run of consecutive whole tiles, of at
-    most ``EVAL_FORWARD_TOKENS`` tokens and ``max_rows`` sequences. ``result``
-    holds the tile's own rows of that forward (views of its tokens, logits
-    and routing), and no loss: a caller that needs one takes it from these
-    rows, so the vocabulary softmax runs once per token. The rows are
-    bitwise those of a forward over the tile alone, by the GEMM
-    premise of :mod:`moeup.model`; its one exception, a one-row product,
-    would arise only if an expert got exactly one token of a tile and more
-    of its forward. The forward dies when its last tile's ``per_tile``
-    returns, and a later forward reuses its memory. Forwards run on the
-    thread pool, at most ``thread_cap()`` at a time, so ``per_tile`` must not
-    depend on the order of calls.
+    A forward is one ``forward_cache(..., keep_activations=False)`` over a
+    slice ``rows`` of the first ``max_sequences`` sequences, cut to
+    ``seq_len`` tokens (by default all of both): consecutive runs of at most
+    ``EVAL_FORWARD_TOKENS`` tokens and ``max_rows`` sequences, one sequence at
+    least. ``result`` holds its tokens, logits and routing, and no loss, so a
+    caller that needs one takes it once per forward. The forward dies when
+    ``per_forward`` returns, and a later forward reuses its memory. Forwards
+    run on the thread pool, at most ``thread_cap()`` at a time, so
+    ``per_forward`` must not depend on the order of calls.
     """
     if max_sequences is not None and max_sequences < 1:
         raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
@@ -401,28 +365,26 @@ def forward_tiles(model: ToyLm, corpus: Corpus, per_tile, *, seq_len: int | None
     if not 1 <= seq_len <= corpus.seq_len:
         raise ValidationError(f"seq_len must be in [1, {corpus.seq_len}], got {seq_len}")
     limit = min(max_sequences or corpus.num_sequences, corpus.num_sequences)
+    step = max(1, min(max_rows or limit, EVAL_FORWARD_TOKENS // seq_len))
 
-    def run_tiles(tiles: list[slice]) -> list:
-        start = tiles[0].start
-        result = forward_cache(model, corpus.sequences[start:tiles[-1].stop, :seq_len],
-                               keep_activations=False)
-        return [per_tile(rows, _tile_result(result, slice(rows.start - start, rows.stop - start)))
-                for rows in tiles]
+    def run(rows: slice):
+        return per_forward(rows, forward_cache(model, corpus.sequences[rows, :seq_len],
+                                               keep_activations=False))
 
-    return [value for values in ordered_map(run_tiles, _forward_runs(limit, seq_len, max_rows))
-            for value in values]
+    return list(ordered_map(run, [slice(start, min(start + step, limit))
+                                  for start in range(0, limit, step)]))
 
 
 def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
                   seq_len: int | None = None, max_sequences: int | None = None) -> float:
-    """Mean next-token loss over the corpus, in deterministic order.
+    """Mean next-token loss over every target token of the corpus.
 
     The corpus is walked by :func:`forward_tiles`, with ``batch_size`` as an
-    upper bound on the sequences per tile and per forward pass. The tile size
-    changes how per-sequence losses are grouped before summation; the forward
-    size changes no bits, as each tile's loss is that of a forward over the
-    tile alone. The loss is bitwise that of passes that keep their
-    activations.
+    upper bound on the sequences per forward pass. Each forward returns its
+    per-token losses, and the loss is one mean over all of them, so it does
+    not depend on ``batch_size`` or the thread count: it is bitwise
+    :func:`moeup.model.next_token_loss` of one pass over all the sequences
+    that keeps its activations.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
@@ -430,13 +392,10 @@ def evaluate_loss(model: ToyLm, corpus: Corpus, batch_size: int = 32,
     # One token has no next-token target, so its loss would be an empty mean.
     if seq_len < 2:
         raise ValidationError(f"eval seq_len must be >= 2, got {seq_len}")
-    def tile_loss(rows: slice, out: dict) -> tuple[int, float]:
-        return rows.stop - rows.start, next_token_loss(out["logits"], out["tokens"])
 
-    tiles = forward_tiles(model, corpus, tile_loss, seq_len=seq_len,
-                          max_sequences=max_sequences, max_rows=batch_size)
-    total, count = 0.0, 0
-    for rows, loss in tiles:
-        total += loss * rows
-        count += rows
-    return total / count
+    def losses(rows: slice, out: dict) -> np.ndarray:
+        return token_losses(out["logits"], out["tokens"])
+
+    return float(np.mean(np.concatenate(forward_tiles(
+        model, corpus, losses, seq_len=seq_len, max_sequences=max_sequences,
+        max_rows=batch_size))))

@@ -50,7 +50,7 @@ import json
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -345,12 +345,11 @@ def router_init(config: ModelConfig, stream: RngStream) -> np.ndarray:
     return ROUTER_UNIFORM_BOUND * (2.0 * u - 1.0)
 
 
-def scratch_stream(config: ModelConfig, seed: int, dtype: str = "f32") -> TensorStream:
-    """A fresh checkpoint as a :class:`~moeup.checkpoint.TensorStream` in name
-    order: every tensor i.i.d. N(0, 0.02^2) except routers, each drawn from
-    its own substream when :func:`moeup.checkpoint.save` asks for it."""
+def scratch_stream(config: ModelConfig, seed: int) -> TensorStream:
+    """A fresh float32 checkpoint as a :class:`~moeup.checkpoint.TensorStream`
+    in name order: every tensor i.i.d. N(0, 0.02^2) except routers, each drawn
+    from its own substream when :func:`moeup.checkpoint.save` asks for it."""
     root = RngStream(seed)
-    np_dtype = {"f32": np.float32, "f64": np.float64}[dtype]
     params = NormalParams(0.0, GAUSSIAN_INIT_STD)
     slots = sorted(expected_slots(config).items())
 
@@ -362,15 +361,15 @@ def scratch_stream(config: ModelConfig, seed: int, dtype: str = "f32") -> Tensor
             else:
                 stream = root.child(_P_INIT, *_slot_path(name))
                 tensor = sample_normal(stream, params, math.prod(shape),
-                                       dtype=np_dtype).reshape(shape)
-            yield name, tensor.astype(np_dtype, copy=False)
+                                       dtype=np.float32).reshape(shape)
+            yield name, tensor.astype(np.float32, copy=False)
 
     return TensorStream(config, tensors(), {"method": "scratch", "seed": int(seed)})
 
 
-def from_scratch(config: ModelConfig, seed: int, dtype: str = "f32") -> Checkpoint:
+def from_scratch(config: ModelConfig, seed: int) -> Checkpoint:
     """Fresh checkpoint: :func:`scratch_stream` drained into memory."""
-    return _collect(scratch_stream(config, seed, dtype), [])
+    return _collect(scratch_stream(config, seed), [])
 
 
 def _require_compatible(dense: Checkpoint, config: ModelConfig) -> None:
@@ -483,7 +482,13 @@ def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
     ``branches``), as a :class:`~moeup.checkpoint.TensorStream` that
     :func:`moeup.checkpoint.save` writes as it is built, with its reinit plan
     for the drop methods (None otherwise), which is complete once the stream
-    is used up. The public builders drain the same streams."""
+    is used up. The public builders drain the same streams, so this is the one
+    check that the spec's expert shape, which the metadata records, is the
+    target's."""
+    for name in ("granularity", "shared_experts"):
+        if getattr(spec, name) != getattr(config, name):
+            raise ValidationError(f"spec {name} ({getattr(spec, name)}) disagrees with the "
+                                  f"target config ({getattr(config, name)})")
     if spec.method == "rnu":
         return _random_noise_moe(parent, config, spec), None
     if spec.method == "btx":
@@ -509,9 +514,10 @@ def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSp
     """Naive copy plus Gaussian noise on a Bernoulli(fraction) element subset.
 
     The mask is drawn independently per element of each expert matrix; noise
-    is N(0, noise_sigma^2) added to masked entries only.
+    is N(0, noise_sigma^2) added to masked entries only. The metadata records
+    ``spec`` as method ``rnu``.
     """
-    return _collect(_random_noise_moe(dense, config, spec), [dense])
+    return _collect(upcycle_stream(replace(spec, method="rnu"), dense, config)[0], [dense])
 
 
 def _random_noise_moe(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> TensorStream:
@@ -601,23 +607,19 @@ def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
     are either copied verbatim (``shared_init="copy"``, i.e. nothing dropped)
     or dropped the same way (``"drop"``). With ``scale_factor`` set, the up
     and down matrices of all experts are scaled uniformly. At granularity 1
-    the experts start from the parent matrices themselves. The plan and the
-    metadata carry ``spec.method``.
+    the experts start from the parent matrices themselves. ``spec.method`` is
+    one of the drop family (naive, drop or fg-drop), and the plan and the
+    metadata carry it.
     """
-    moe, plan = _drop_moe(dense, config, spec)
+    if spec.method not in ("naive", "drop", "fg-drop"):
+        raise ValidationError(f"method {spec.method!r} is not a drop method")
+    moe, plan = upcycle_stream(spec, dense, config)
     return _collect(moe, [dense]), plan
 
 
 def _drop_moe(dense: Checkpoint, config: ModelConfig,
               spec: UpcycleSpec) -> tuple[TensorStream, ReinitPlan]:
     _require_compatible(dense, config)
-    if spec.granularity != config.granularity:
-        raise ValidationError(
-            f"spec granularity ({spec.granularity}) disagrees with config ({config.granularity})")
-    if spec.shared_experts != config.shared_experts:
-        raise ValidationError(
-            f"spec shared_experts ({spec.shared_experts}) disagrees with config "
-            f"({config.shared_experts})")
     root = RngStream(spec.seed)
     d_f = config.intermediate_size
     width = config.expert_intermediate

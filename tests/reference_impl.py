@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from moeup.corpus import _bigram_table
 from moeup.numerics import RngStream
 
 
@@ -284,6 +283,14 @@ def ref_balance_loss_and_grads(trace, mode: str, coeff: float):
     return loss, grads
 
 
+def ref_bigram_table(stream: RngStream, lo: int) -> np.ndarray:
+    """The 32 tokens from ``lo`` on, each with 4 distinct successors (absolute
+    ids) from one draw without replacement per token."""
+    g = stream.generator()
+    return np.array([[lo + int(j) for j in g.choice(32, size=4, replace=False)]
+                     for _ in range(32)], dtype=np.int64)
+
+
 def ref_bigram_walk(g: np.random.Generator, table: np.ndarray, lo: int,
                     length: int) -> np.ndarray:
     """Bigram walk with one scalar draw per token."""
@@ -324,8 +331,8 @@ def ref_synthetic_corpus(seed: int, num_sequences: int, seq_len: int,
     domain of every row from substream (2,) of ``draw_seed``; row r's walk
     from substream (3, r) of ``draw_seed``.
     """
-    tables = [_bigram_table(RngStream(seed).child(0), 0, 32),
-              _bigram_table(RngStream(seed).child(1), 32, 64)]
+    tables = [ref_bigram_table(RngStream(seed).child(0), 0),
+              ref_bigram_table(RngStream(seed).child(1), 32)]
     ident_tables = np.arange(70, 94, dtype=np.int64).reshape(3, 8)
     weights = np.asarray(domain_mix, dtype=np.float64)
     draw_root = RngStream(seed if draw_seed is None else draw_seed)

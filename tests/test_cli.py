@@ -219,7 +219,7 @@ class TestValidationAndExitCodes:
         ("train --in {dense} --corpus {config} --out {out}", b"alpha\t1 2 \xff\n"),
         ("analyze-routing --in {dense} --corpus {config} --out {out}", b"\xfe\xff\n"),
         ("params --config {config}", b"\xff{}"),
-        # Routing traces walk the corpus in tiles of their own: no batch size.
+        # Routing traces walk the corpus in forwards of their own: no batch size.
         ("analyze-routing --in {moe} --corpus {corpus} --batch-size 8 --out {out}", None),
         # A run of no steps has no curve; --tokens must ask for at least one.
         (f"{_TRAIN} --steps 0", None),

@@ -230,7 +230,7 @@ def _reference_train(model, corpus, config: TrainConfig) -> list[float]:
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     for step in range(config.total_steps):
-        tokens, _ = trainer_mod._sample_batch(corpus, config, stream, step)
+        tokens = trainer_mod._sample_batch(corpus, config, stream, step)
         cache = forward_cache(model, tokens)
         balance_loss, prob_grads = 0.0, None
         if use_balance:

@@ -125,7 +125,7 @@ def test_step_cache_dead_when_next_forward_starts(config, monkeypatch):
 
 
 def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
-    monkeypatch.setenv("MOEUP_THREADS", "1")  # tiles one at a time, in order
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # forwards one at a time, in order
     corpus = default_corpus(seq_len=16, num_sequences=12)
     previous, alive = [], []
     monkeypatch.setattr(trainer_mod, "forward_cache", _recording_forward(previous, alive))
@@ -134,8 +134,8 @@ def test_eval_tile_cache_dead_when_next_forward_starts(monkeypatch):
 
 
 def test_eval_tiles_in_flight_bounded_by_threads(monkeypatch):
-    """On the thread pool, a tile's forward starts while at most
-    ``threads - 1`` earlier tiles still hold their activation-free caches."""
+    """On the thread pool, a forward starts while at most ``threads - 1``
+    earlier forwards still hold their activation-free caches."""
     threads = 2
     monkeypatch.setenv("MOEUP_THREADS", str(threads))
     corpus = default_corpus(seq_len=16, num_sequences=40)
@@ -158,22 +158,21 @@ def test_eval_tiles_in_flight_bounded_by_threads(monkeypatch):
 
 def test_collect_traces_keeps_only_routing(monkeypatch):
     monkeypatch.setenv("MOEUP_THREADS", "1")
-    # 80 sequences of 16 tokens make three tiles of at most 32 sequences,
-    # forwarded as 64 and 16 sequences.
-    corpus = default_corpus(seq_len=16, num_sequences=80)
+    # 144 sequences of 16 tokens make forwards of 64, 64 and 16 sequences.
+    corpus = default_corpus(seq_len=16, num_sequences=144)
     previous, alive = [], []
     monkeypatch.setattr(trainer_mod, "forward_cache",
                         _recording_forward(previous, alive, skip_routing=True))
     traces = analysis.collect_traces(_model(CONFIGS[2]), corpus)
-    assert [t.layers[0].selected.shape[0] for t in traces] == [32, 32, 16]
-    assert alive == [0, 0]
+    assert [t.layers[0].selected.shape[0] for t in traces] == [64, 64, 16]
+    assert alive == [0, 0, 0]
 
 
 def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
     """At the ``toy-finegrained`` shape (31 routed experts top-15, one shared),
-    the tiled traces hold bitwise the routing of one forward per sequence, and
-    no forward holds more than ``EVAL_FORWARD_TOKENS`` tokens."""
-    monkeypatch.setenv("MOEUP_THREADS", "1")  # forwards recorded in tile order
+    the traces, one per forward of at most ``EVAL_FORWARD_TOKENS`` tokens,
+    hold bitwise the routing of one forward per sequence."""
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # forwards recorded in corpus order
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
                         stream=RngStream(4))
@@ -188,7 +187,8 @@ def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
     traces = analysis.collect_traces(model, corpus)
     assert shapes == [(16, 64), (4, 64)]
     assert all(rows * seq <= model_mod.EVAL_FORWARD_TOKENS for rows, seq in shapes)
-    assert [t.layers[0].selected.shape[0] for t in traces] == [8, 8, 4]
+    assert [t.layers[0].selected.shape[:2] for t in traces] == shapes
+    assert [d for t in traces for d in t.domains] == corpus.domains
     singles = [trace_from_cache(model, forward_cache(model, corpus.sequences[i:i + 1],
                                                      keep_activations=False))
                for i in range(corpus.num_sequences)]
@@ -512,14 +512,14 @@ def test_train_peak_is_one_step_of_activations():
     corpus = default_corpus(seq_len=16, num_sequences=64)
     cfg = _train_config(batch_size=64)
     model = _model(config)
-    tokens, _ = trainer_mod._sample_batch(corpus, cfg, RngStream(cfg.seed), 0)
+    tokens = trainer_mod._sample_batch(corpus, cfg, RngStream(cfg.seed), 0)
     step = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
     whole = _peak(lambda: train(model, corpus, cfg))
     assert whole <= 1.3 * step, (whole, step)
 
 
 def test_activation_free_tile_peaks_at_a_third():
-    """One 512-token evaluation tile of the toy coarse MoE. Without kept
+    """One 512-token evaluation forward of the toy coarse MoE. Without kept
     activations only one expert's tensors are live at a time (about 6.7 MiB);
     the kept forward holds every expert's (about 21 MiB)."""
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
@@ -574,9 +574,9 @@ def test_cli_from_scratch_holds_about_one_tensor(tmp_path, capsys, method):
 
 
 def test_forward_passes_reuse_freed_memory():
-    """Each tile's activations are freed before the next tile's forward. The
-    next tile must reuse that memory rather than fault in fresh pages; with
-    glibc's default thresholds about 97% of each tile's pages faulted again."""
+    """Each forward's activations are freed before the next forward. The next
+    one must reuse that memory rather than fault in fresh pages; with glibc's
+    default thresholds about 97% of each forward's pages faulted again."""
     if not keep_freed_memory():
         pytest.skip("needs glibc malloc")
     import resource

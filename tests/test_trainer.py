@@ -16,7 +16,7 @@ from moeup.model import (
     build_model,
     forward_cache,
     lm_forward,
-    sequence_tiles,
+    next_token_loss,
     trace_from_cache,
 )
 from moeup.numerics import RngStream
@@ -322,7 +322,7 @@ def test_evaluate_loss_forward_size_bounded(monkeypatch):
 
     monkeypatch.setattr("moeup.trainer.forward_cache", recording_forward)
     tiled = evaluate_loss(model, corpus, batch_size=32)
-    # Tiles of 8 sequences, forwarded two at a time.
+    # Forwards of EVAL_FORWARD_TOKENS: 16 sequences of 64 tokens.
     assert shapes == [(16, 64), (16, 64), (8, 64)]
     assert all(rows * seq <= EVAL_FORWARD_TOKENS and rows <= 32 for rows, seq in shapes)
     shapes.clear()
@@ -332,28 +332,14 @@ def test_evaluate_loss_forward_size_bounded(monkeypatch):
         evaluate_loss(model, corpus, batch_size=0)
 
 
-def _tile_losses(model, corpus, seq_len, batch_size):
-    """evaluate_loss's sum, from one plain forward per tile."""
-    total, count = 0.0, 0
-    for rows in sequence_tiles(corpus.num_sequences, seq_len, batch_size):
-        loss = forward_cache(model, corpus.sequences[rows, :seq_len])["loss"]
-        total += loss * (rows.stop - rows.start)
-        count += rows.stop - rows.start
-    return total / count
-
-
-def _trace_bits(traces) -> list:
-    return [(a.shape, a.tobytes()) for t in traces for layer in t.layers
-            for a in (layer.selected, layer.gates, layer.probs)]
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("layout", [{}, {"n": 4, "k": 2}, {"n": 4, "k": 15, "m": 8, "k_s": 1}],
                          ids=["dense", "coarse", "fine-grained"])
-def test_eval_forwards_of_several_tiles_keep_tile_bits(layout, threads, monkeypatch):
-    """Forwards of up to ``EVAL_FORWARD_TOKENS`` tokens give bitwise the loss
-    and traces of one plain forward per tile, and hold at most that many
-    tokens and ``batch_size`` sequences."""
+def test_evaluate_loss_is_one_mean_whatever_the_batch(layout, threads, monkeypatch):
+    """``evaluate_loss`` is one mean over every target token: bitwise the same
+    for every ``batch_size``, and bitwise ``next_token_loss`` of one pass over
+    all sequences that keeps its activations. Its forwards hold at most
+    ``EVAL_FORWARD_TOKENS`` tokens and ``batch_size`` sequences."""
     monkeypatch.setenv("MOEUP_THREADS", str(threads))
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, s=64, **layout)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
@@ -365,53 +351,42 @@ def test_eval_forwards_of_several_tiles_keep_tile_bits(layout, threads, monkeypa
         shapes.append(tokens.shape)
         return forward_cache(m, tokens, **kwargs)
 
-    # The reference forwards below call this module's forward_cache, unrecorded.
+    # The reference pass below calls this module's forward_cache, unrecorded.
     monkeypatch.setattr(trainer_mod, "forward_cache", recording_forward)
     for seq_len in (17, 64):
+        whole = forward_cache(model, corpus.sequences[:, :seq_len])
+        want = next_token_loss(whole["logits"], whole["tokens"])
+        assert want == whole["loss"]
         for batch_size in (1, 3, 8, 32):
             loss = evaluate_loss(model, corpus, batch_size=batch_size, seq_len=seq_len)
-            assert loss.hex() == _tile_losses(model, corpus, seq_len, batch_size).hex()
-            assert all(rows <= batch_size and rows * seq_len <= EVAL_FORWARD_TOKENS
-                       for rows, _ in shapes)
-            # Only at batch 32 does a forward span tiles: 64-token sequences
-            # make tiles of 8, forwarded by 16.
-            spans = batch_size == 32 and seq_len == 64
-            assert (len(shapes) < len(sequence_tiles(40, seq_len, batch_size))) == spans
+            assert loss.hex() == want.hex(), (seq_len, batch_size)
+            rows = min(batch_size, EVAL_FORWARD_TOKENS // seq_len)
+            assert [r for r, _ in shapes] == [min(rows, 40 - start)
+                                              for start in range(0, 40, rows)]
             shapes.clear()
-        if config.is_moe:
-            traces = analysis.collect_traces(model, corpus, seq_len=seq_len)
-            tiles = sequence_tiles(40, seq_len)
-            assert len(shapes) < len(tiles)
-            assert all(rows * seq_len <= EVAL_FORWARD_TOKENS for rows, _ in shapes)
-            shapes.clear()
-            want = [trace_from_cache(model, forward_cache(model, corpus.sequences[rows, :seq_len]))
-                    for rows in tiles]
-            assert _trace_bits(traces) == _trace_bits(want)
-            assert [d for t in traces for d in t.domains] == corpus.domains
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_evaluate_loss_takes_each_tile_loss_once(threads, monkeypatch):
-    """The vocabulary softmax runs once per evaluated token: ``next_token_loss``
-    runs once per tile, never over a whole forward, and the loss keeps its
-    bits. Routing traces take no loss at all."""
+def test_evaluate_loss_takes_each_forward_loss_once(threads, monkeypatch):
+    """The vocabulary softmax runs once per evaluated token: ``token_losses``
+    runs once per forward, over that forward's rows. Routing traces take no
+    loss at all."""
     monkeypatch.setenv("MOEUP_THREADS", str(threads))
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     corpus = default_corpus(seq_len=64, num_sequences=40)
-    want = _tile_losses(model, corpus, 64, 32)
-    calls, real = [], model_mod.next_token_loss
+    want = forward_cache(model, corpus.sequences)["loss"]
+    calls, real = [], model_mod.token_losses
 
-    def counting_loss(logits, tokens):
+    def counting_losses(logits, tokens):
         calls.append(tokens.shape)
         return real(logits, tokens)
 
-    monkeypatch.setattr(model_mod, "next_token_loss", counting_loss)
-    monkeypatch.setattr(trainer_mod, "next_token_loss", counting_loss)
+    monkeypatch.setattr(model_mod, "token_losses", counting_losses)
+    monkeypatch.setattr(trainer_mod, "token_losses", counting_losses)
     assert evaluate_loss(model, corpus, batch_size=32).hex() == want.hex()
-    # Five tiles of 8 sequences, in forwards of 16, 16 and 8 sequences.
-    assert calls == [(rows.stop - rows.start, 64) for rows in sequence_tiles(40, 64, 32)]
-    assert len(calls) == 5
+    # Forwards of 16, 16 and 8 sequences.
+    assert sorted(calls) == [(8, 64), (16, 64), (16, 64)]
     calls.clear()
     analysis.collect_traces(model, corpus)
     assert calls == []

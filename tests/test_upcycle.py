@@ -415,6 +415,13 @@ def test_non_ffn_invariance_all_methods(method):
         assert np.array_equal(dense.tensors[name], out.tensors[name]), (method, name)
 
 
+@pytest.mark.parametrize("method", ["rnu", "btx", "scratch"])
+def test_fine_grained_drop_refuses_other_methods(method):
+    dense = random_checkpoint(tiny_dense_config(), seed=33)
+    with pytest.raises(ValidationError, match="not a drop method"):
+        upcycle.fine_grained_drop_upcycle(dense, tiny_moe_config(), upcycle.UpcycleSpec(method))
+
+
 def test_compatibility_checks():
     dense = random_checkpoint(tiny_dense_config(), seed=30)
     bad = tiny_moe_config(vocab=29)
@@ -423,3 +430,25 @@ def test_compatibility_checks():
     moe_parent = random_checkpoint(tiny_moe_config(), seed=31)
     with pytest.raises(ValidationError, match="dense"):
         upcycle.naive_upcycle(moe_parent, tiny_moe_config(), seed=0)
+
+
+@pytest.mark.parametrize("method", ["rnu", "drop", "fg-drop", "btx"])
+def test_spec_expert_shape_must_match_target(method):
+    """Every build that takes a spec refuses a target whose granularity or
+    shared experts the spec contradicts, as the metadata records the spec:
+    here a coarse 4-expert target and a spec of granularity 2 with one shared
+    expert, and the reverse. (drop refuses the fine target as drop.)"""
+    dense = random_checkpoint(tiny_dense_config(), seed=32)
+    spec = upcycle.UpcycleSpec(method, granularity=2, shared_experts=1)
+    coarse, fine = tiny_moe_config(n=4, k=2), tiny_moe_config(n=4, k=2, m=2, k_s=1)
+    builders = {
+        "rnu": lambda s, c: upcycle.random_noise_upcycle(dense, c, s),
+        "drop": lambda s, c: upcycle.drop_upcycle(dense, c, s),
+        "fg-drop": lambda s, c: upcycle.fine_grained_drop_upcycle(dense, c, s),
+        "btx": lambda s, c: upcycle.upcycle_stream(s, dense, c, [dense]),
+    }
+    for s, c in ((spec, coarse), (replace(spec, granularity=1, shared_experts=0), fine)):
+        with pytest.raises(ValidationError, match="disagrees with the target config"):
+            upcycle.upcycle_stream(s, dense, c, [dense])
+        with pytest.raises(ValidationError):
+            builders[method](s, c)
