@@ -106,17 +106,19 @@ def main() -> None:
     cfg = moe_config()
     variants = {}
     variants["scratch"] = upcycle.from_scratch(cfg, seed=args.seed + 1)
-    variants["naive"] = upcycle.naive_upcycle(parent, cfg, seed=args.seed + 2)
-    variants["rnu"] = upcycle.random_noise_upcycle(
-        parent, cfg, upcycle.UpcycleSpec(method="rnu", seed=args.seed + 3))
-    drop_ckpt, plan = upcycle.drop_upcycle(
-        parent, cfg, upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=args.seed + 4))
+    variants["naive"] = upcycle.build(upcycle.UpcycleSpec("naive", seed=args.seed + 2),
+                                      parent, cfg)[0]
+    variants["rnu"] = upcycle.build(upcycle.UpcycleSpec("rnu", seed=args.seed + 3),
+                                    parent, cfg)[0]
+    drop_ckpt, plan = upcycle.build(
+        upcycle.UpcycleSpec("drop", ratio=0.5, seed=args.seed + 4), parent, cfg)
     variants["drop"] = drop_ckpt
     branches = [specialize_branch(parent, bundled, d, args.branch_steps,
                                   args.seed + 10 + i, out)
                 for i, d in enumerate(("alpha", "beta", "code"))]
     btx_cfg = ModelConfig(**{**cfg.to_dict(), "num_experts": 8})
-    variants["btx"] = upcycle.btx_merge(parent, branches, btx_cfg, seed=args.seed + 5)
+    variants["btx"] = upcycle.build(upcycle.UpcycleSpec("btx", seed=args.seed + 5),
+                                    parent, btx_cfg, branches)[0]
     for name, ckpt in variants.items():
         checkpoint.save(ckpt, out / f"init_{name}")
     upcycle.save_plan(plan, out / "init_drop")

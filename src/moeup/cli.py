@@ -226,8 +226,6 @@ def _cmd_upcycle(args) -> dict:
              for name, flag in _SPEC_FLAGS.items()}
     spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", flags | {"method": args.method})
     _reject_unused(args, file, flags)
-    if spec.method == "naive":  # drop upcycling at ratio 0, and built as such
-        spec = replace(spec, ratio=0.0)
     plan = None
     if spec.method == "scratch":
         if args.config is None:

@@ -609,11 +609,6 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
     return x.reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
-
-
 def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
     """Causal attention over ``h`` (B, T, d_h); returns ``(out, cache)``.
 

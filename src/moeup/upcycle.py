@@ -1,39 +1,47 @@
 """Dense-to-MoE construction methods.
 
-Supported methods (CLI tokens in parentheses):
+One scaffold, :func:`_build_moe`, builds every upcycled MoE: the parent's
+non-FFN tensors, copied bitwise, fresh routers Uniform(-0.0346, 0.0346),
+whose standard deviation matches 0.02, and one per-method transform per
+expert, with ``scale_factor`` applied to each expert's up and down when set.
+The methods, by CLI token, and what each makes an expert from:
 
-- from scratch (``scratch``): every tensor i.i.d. N(0, 0.02^2), router excepted
-- naive upcycling (``naive``): copy the dense FFN into every expert bitwise
-- random-noise upcycling (``rnu``): naive copy, then add N(0, sigma^2) noise to
-  a Bernoulli(fraction) element subset of each expert matrix
-- drop upcycling (``drop``): naive copy, then per expert re-initialize a
-  shared set of ``floor(r * d_f)`` intermediate dimensions with
-  statistics-matched Gaussian samples (columns of gate/up, rows of down)
-- branch merge (``btx``): experts taken from independently trained dense
-  branches (each duplicated twice), non-FFN tensors averaged elementwise
-- fine-grained drop upcycling (``fg-drop``): each expert first samples
-  ``d_f / m`` parent dimensions, then applies drop upcycling within them;
-  optionally with always-active shared experts (copied or dropped)
+=========  ===================================================================
+method     each expert
+=========  ===================================================================
+naive      the dense FFN, bitwise: drop upcycling at ``r = 0``, and a naive
+           spec's ratio is always 0
+drop       the dense FFN with a set of ``floor(r * d_f)`` intermediate dims,
+           shared across gate, up and down, re-initialized: those columns of
+           gate/up and rows of down are drawn N(mu, sigma^2), with (mu, sigma)
+           computed per matrix over exactly the dropped entries; everything
+           else is kept bitwise
+fg-drop    ``d_f / m`` parent dims sampled per expert, then drop within that
+           slice; ``shared_experts`` always-active experts sample their slice
+           too, and are copied (``shared_init="copy"``) or dropped the same
+           way (``"drop"``). At ``m = 1`` without shared experts it is drop
+rnu        the dense FFN plus N(0, sigma^2) noise on the entries of each
+           matrix that a Bernoulli(fraction) mask, drawn per element, selects
+btx        the FFN of input ``e // 2`` of ``[parent, *branches]``, so each
+           input twice, in order; the non-FFN tensors are the inputs'
+           elementwise mean, and ``num_experts`` is twice the input count
+=========  ===================================================================
 
-One scaffold, :func:`_build_moe`, builds every upcycled method: it copies a
-base's non-FFN tensors bitwise (``btx`` averages its inputs'), draws fresh
-routers Uniform(-0.0346, 0.0346), whose standard deviation matches 0.02, and
-applies ``scale_factor`` to up and down. Each method supplies only its
-per-expert transform: drop's re-initialization, rnu's noise or btx's branch
-copy. Naive upcycling is drop at ``r = 0``, and drop is the fine-grained
-method at granularity 1 without shared experts, so one transform makes the
-experts of all three. ``btx`` and ``scratch`` take no ``scale_factor``;
-:data:`SPEC_FIELDS` names the spec fields each method reads.
+``scratch`` builds from no parent: every tensor i.i.d. N(0, 0.02^2), routers
+excepted. Naive, drop and fg-drop share one transform and record a
+:class:`ReinitPlan`; rnu and btx record none. ``btx`` and ``scratch`` take no
+``scale_factor``; :data:`SPEC_FIELDS` names the spec fields each method reads.
 
-The scaffold yields the MoE layer by layer, as ``(name, array)`` pairs in
-name order, with layers in string order (``layers.0``, ``layers.1``,
-``layers.10``, ..., ``layers.2``). :func:`upcycle_stream` hands that stream
-to :func:`moeup.checkpoint.save`, which writes each tensor as it arrives, so
-``moeup upcycle`` holds the parent and only the experts in flight, never the
-whole MoE. The public builders drain the same stream into an in-memory
-:class:`~moeup.checkpoint.Checkpoint`, copying once each parent array that it
-keeps, so the result keeps no parent load buffer alive. From scratch works the
-same way: ``moeup init`` writes :func:`scratch_stream`, which draws each
+:func:`upcycle_stream` builds every upcycled method, and is the one place
+where a parent, branches and target are checked. It yields the MoE layer by
+layer, as ``(name, array)`` pairs in name order, with layers in string order
+(``layers.0``, ``layers.1``, ``layers.10``, ..., ``layers.2``), and
+:func:`moeup.checkpoint.save` writes each tensor as it arrives, so ``moeup
+upcycle`` holds the parent and only the experts in flight, never the whole
+MoE. :func:`build`, the in-memory entry point, drains the same stream into a
+:class:`~moeup.checkpoint.Checkpoint`, copying once each input array that it
+keeps, so the result keeps no parent load buffer alive. From scratch works
+the same way: ``moeup init`` writes :func:`scratch_stream`, which draws each
 tensor as it is written, and :func:`from_scratch` drains it.
 
 Randomness is derived from substream paths so that per-(layer, expert)
@@ -50,7 +58,7 @@ import json
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +73,7 @@ GAUSSIAN_INIT_STD = 0.02
 ROUTER_UNIFORM_BOUND = 0.0346
 
 METHODS = ("scratch", "naive", "rnu", "drop", "btx", "fg-drop")
+_PLAN_METHODS = ("naive", "drop", "fg-drop")  # the methods that record a ReinitPlan
 SHARED_INITS = ("copy", "drop")
 
 _KINDS = ("gate", "up", "down")
@@ -100,7 +109,8 @@ SPEC_FIELDS = {
 
 @dataclass(frozen=True)
 class UpcycleSpec:
-    """Method selector plus every construction knob."""
+    """Method selector plus every construction knob. A naive spec's ratio is
+    always 0, as naive upcycling is drop upcycling at ``r = 0``."""
 
     method: str
     ratio: float = 0.5
@@ -133,6 +143,8 @@ class UpcycleSpec:
         if self.scale_factor is not None and not (0 < self.scale_factor < math.inf):
             raise ValidationError(
                 f"scale_factor must be finite and positive, got {self.scale_factor}")
+        if self.method == "naive":
+            object.__setattr__(self, "ratio", 0.0)
 
 
 @dataclass
@@ -173,8 +185,9 @@ class ReinitPlan:
 
     def __post_init__(self):
         require_ints(self, ("seed", "intermediate_size", "expert_width", "granularity"))
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in _PLAN_METHODS:
+            raise ValidationError(
+                f"plan method must be one of {_PLAN_METHODS}, got {self.method!r}")
         if (isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real)
                 or not 0.0 <= self.ratio <= 1.0):
             raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
@@ -188,6 +201,11 @@ class ReinitPlan:
             raise ValidationError(
                 f"expert_width must be intermediate_size // granularity "
                 f"({self.intermediate_size // self.granularity}), got {self.expert_width}")
+        if self.method == "naive" and self.ratio != 0:
+            raise ValidationError(f"a naive plan has ratio 0, got {self.ratio!r}")
+        if self.method != "fg-drop" and self.granularity != 1:
+            raise ValidationError(
+                f"a {self.method} plan has granularity 1, got {self.granularity}")
 
     def retained_masks(self, layer: int) -> list[np.ndarray]:
         """Boolean retained mask per routed expert, over local expert dims."""
@@ -243,9 +261,13 @@ class ReinitPlan:
                 raise ValueError(f"expected {expected} dropped indices "
                                  f"(floor(ratio * expert_width)), got {dropped.size}")
             dims = None if raw.get("dims") is None else np.asarray(raw["dims"], dtype=np.int64)
+            if (dims is None) != (plan.granularity == 1):
+                raise ValueError("an expert has sampled dims exactly when granularity > 1")
             if dims is not None and (dims.shape != (plan.expert_width,) or np.any(
-                    (dims < 0) | (dims >= plan.intermediate_size))):
-                raise ValueError("dims must be expert_width indices in [0, intermediate_size)")
+                    (dims < 0) | (dims >= plan.intermediate_size))
+                    or np.unique(dims).size != dims.size):
+                raise ValueError("dims must be expert_width distinct indices in "
+                                 "[0, intermediate_size)")
             if sorted(raw["stats"]) != sorted(_KINDS):
                 raise ValueError(f"stats keys must be {sorted(_KINDS)}, "
                                  f"got {sorted(raw['stats'])}")
@@ -264,10 +286,12 @@ class ReinitPlan:
                 intermediate_size=data["intermediate_size"], expert_width=data["expert_width"],
                 granularity=data["granularity"],
             )
-            # As fine_grained_drop_upcycle writes them: a routed expert drops
+            # As the drop transform writes them: a routed expert drops
             # floor(ratio * width) dims, a shared one that many or none.
             count = math.floor(plan.ratio * plan.expert_width)
             for layer in data["layers"]:
+                if layer["shared"] and plan.method != "fg-drop":
+                    raise ValueError(f"a {plan.method} plan has no shared experts")
                 plan.layers.append(LayerReinit(
                     experts=[entry(e, {count}) for e in layer["experts"]],
                     shared=[entry(e, {count, 0}) for e in layer["shared"]],
@@ -387,7 +411,7 @@ def _require_compatible(dense: Checkpoint, config: ModelConfig) -> None:
 def _require_coarse(config: ModelConfig, method: str) -> None:
     if config.granularity != 1 or config.shared_experts != 0:
         raise ValidationError(
-            f"{method} does not support fine-grained or shared experts (see fg-drop)")
+            f"method {method!r} does not support fine-grained or shared experts (see fg-drop)")
 
 
 def _provenance(spec: UpcycleSpec, parent: Checkpoint) -> dict:
@@ -427,7 +451,7 @@ def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: i
                                         ("shared", config.shared_experts))
                    for index in range(count)), key=_job_key)
 
-    def build(job):
+    def make(job):
         mats, entry = expert(*job)
         if scale_factor is not None:
             # An overflow to inf is reported by the finite check in checkpoint.save.
@@ -441,7 +465,7 @@ def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: i
     routers = {f"layers.{i}.router": i for i in range(config.num_layers)}
     root = RngStream(seed)
     dtype = base["embedding.token"].dtype
-    built = zip(jobs, ordered_map(build, jobs))
+    built = zip(jobs, ordered_map(make, jobs))
     # An expert's three names sort where its job key does, as no other name
     # starts with that key.
     for key in sorted([*kept, *routers, *map(_job_key, jobs)]):
@@ -482,47 +506,47 @@ def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
     ``branches``), as a :class:`~moeup.checkpoint.TensorStream` that
     :func:`moeup.checkpoint.save` writes as it is built, with its reinit plan
     for the drop methods (None otherwise), which is complete once the stream
-    is used up. The public builders drain the same streams, so this is the one
-    check that the spec's expert shape, which the metadata records, is the
-    target's."""
+    is used up. Every check of the inputs is made here, before any tensor is
+    built: the spec's expert shape, which the metadata records, is the
+    target's; the parent and each branch are dense and fit the target; and
+    only fg-drop takes a fine-grained or shared-expert target."""
+    if spec.method == "scratch":
+        raise ValidationError(f"method {spec.method!r} builds no MoE from a parent")
     for name in ("granularity", "shared_experts"):
         if getattr(spec, name) != getattr(config, name):
             raise ValidationError(f"spec {name} ({getattr(spec, name)}) disagrees with the "
                                   f"target config ({getattr(config, name)})")
+    if branches and spec.method != "btx":
+        raise ValidationError(f"method {spec.method!r} takes no branches")
+    models = [parent, *branches]
+    for m in models:
+        _require_compatible(m, config)
+    if spec.method != "fg-drop":
+        _require_coarse(config, spec.method)
+    if spec.method == "btx":
+        for m in branches:
+            if m.config != parent.config:
+                raise ValidationError("input checkpoints disagree on architecture")
+            if set(m.tensors) != set(parent.tensors):
+                raise ValidationError("input checkpoints disagree on tensor slots")
+        if config.num_experts != 2 * len(models):
+            raise ValidationError(
+                f"num_experts ({config.num_experts}) must equal 2 x number of input models "
+                f"({2 * len(models)})")
+        return _btx_moe(parent, branches, config, spec.seed), None
     if spec.method == "rnu":
         return _random_noise_moe(parent, config, spec), None
-    if spec.method == "btx":
-        return _btx_moe(parent, branches, config, spec.seed), None
-    if spec.method in ("naive", "drop"):
-        _require_coarse(config, f"{spec.method} upcycling")
-    elif spec.method != "fg-drop":
-        raise ValidationError(f"method {spec.method!r} builds no MoE from a parent")
     return _drop_moe(parent, config, spec)
 
 
-def naive_upcycle(dense: Checkpoint, config: ModelConfig, seed: int = 0) -> Checkpoint:
-    """Replicate the dense FFN into every expert bitwise; fresh routers.
-
-    This is drop upcycling at ratio 0, and is built by the same code.
-    """
-    _require_coarse(config, "naive upcycling")
-    spec = UpcycleSpec(method="naive", ratio=0.0, seed=seed)
-    return fine_grained_drop_upcycle(dense, config, spec)[0]
-
-
-def random_noise_upcycle(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> Checkpoint:
-    """Naive copy plus Gaussian noise on a Bernoulli(fraction) element subset.
-
-    The mask is drawn independently per element of each expert matrix; noise
-    is N(0, noise_sigma^2) added to masked entries only. The metadata records
-    ``spec`` as method ``rnu``.
-    """
-    return _collect(upcycle_stream(replace(spec, method="rnu"), dense, config)[0], [dense])
+def build(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
+          branches: Sequence[Checkpoint] = ()) -> tuple[Checkpoint, ReinitPlan | None]:
+    """The MoE of :func:`upcycle_stream` drained into memory, with its plan."""
+    moe, plan = upcycle_stream(spec, parent, config, branches)
+    return _collect(moe, [parent, *branches]), plan
 
 
 def _random_noise_moe(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> TensorStream:
-    _require_compatible(dense, config)
-    _require_coarse(config, "random-noise upcycling")
     root = RngStream(spec.seed)
     noise_params = NormalParams(0.0, spec.noise_sigma)
 
@@ -574,22 +598,6 @@ def _reinit_matrices(parent_mats: dict[str, np.ndarray], dropped: np.ndarray,
     return out, stats
 
 
-def drop_upcycle(dense: Checkpoint, config: ModelConfig,
-                 spec: UpcycleSpec) -> tuple[Checkpoint, ReinitPlan]:
-    """Statistics-matched partial re-initialization of every expert.
-
-    Per (layer, expert): sample a set S of floor(ratio * d_f) intermediate
-    dimensions, shared across the expert's three matrices; replace the
-    corresponding columns of gate/up and rows of down with draws from
-    N(mu, sigma^2), where (mu, sigma) are computed per matrix over exactly the
-    selected entries; keep everything else bitwise. Non-FFN tensors are
-    copied; routers are freshly initialized. This is fine-grained drop
-    upcycling at granularity 1 without shared experts, and is built by it.
-    """
-    _require_coarse(config, f"{spec.method} upcycling")
-    return fine_grained_drop_upcycle(dense, config, spec)
-
-
 # Substream purposes (dims, indices, reinit) of each expert group.
 _GROUP_PURPOSES = {
     "experts": (_P_DIMS, _P_INDICES, _P_REINIT),
@@ -597,29 +605,10 @@ _GROUP_PURPOSES = {
 }
 
 
-def fine_grained_drop_upcycle(dense: Checkpoint, config: ModelConfig,
-                              spec: UpcycleSpec) -> tuple[Checkpoint, ReinitPlan]:
-    """Drop upcycling for fine-grained (and optionally shared) experts.
-
-    Per routed expert: sample d_f / m parent dimensions, then within that
-    slice drop floor(ratio * d_f / m) dimensions and re-initialize them from
-    their statistics (:func:`_reinit_matrices`). Shared experts sample their slice and
-    are either copied verbatim (``shared_init="copy"``, i.e. nothing dropped)
-    or dropped the same way (``"drop"``). With ``scale_factor`` set, the up
-    and down matrices of all experts are scaled uniformly. At granularity 1
-    the experts start from the parent matrices themselves. ``spec.method`` is
-    one of the drop family (naive, drop or fg-drop), and the plan and the
-    metadata carry it.
-    """
-    if spec.method not in ("naive", "drop", "fg-drop"):
-        raise ValidationError(f"method {spec.method!r} is not a drop method")
-    moe, plan = upcycle_stream(spec, dense, config)
-    return _collect(moe, [dense]), plan
-
-
 def _drop_moe(dense: Checkpoint, config: ModelConfig,
               spec: UpcycleSpec) -> tuple[TensorStream, ReinitPlan]:
-    _require_compatible(dense, config)
+    """The drop family's one transform (see the method table): at granularity
+    1 the experts start from the parent matrices themselves."""
     root = RngStream(spec.seed)
     d_f = config.intermediate_size
     width = config.expert_intermediate
@@ -649,41 +638,16 @@ def _drop_moe(dense: Checkpoint, config: ModelConfig,
     return TensorStream(config, tensors, _provenance(spec, dense)), plan
 
 
-def btx_merge(seed_dense: Checkpoint, expert_denses: list[Checkpoint],
-              config: ModelConfig, seed: int = 0) -> Checkpoint:
-    """Merge dense branches into an MoE model.
-
-    Experts are the input models' FFNs, each duplicated twice in input order
-    ([model0, model0, model1, model1, ...]); every non-FFN tensor is the
-    elementwise average over all inputs; routers are freshly initialized.
-    Requires num_experts == 2 * (number of input models).
-    """
-    return _collect(_btx_moe(seed_dense, expert_denses, config, seed),
-                    [seed_dense, *expert_denses])
-
-
-def _btx_moe(seed_dense: Checkpoint, expert_denses: Sequence[Checkpoint],
+def _btx_moe(parent: Checkpoint, branches: Sequence[Checkpoint],
              config: ModelConfig, seed: int) -> TensorStream:
-    models = [seed_dense, *expert_denses]
-    _require_coarse(config, "branch merging")
-    for m in models:
-        _require_compatible(m, config)
-        if m.config != models[0].config:
-            raise ValidationError("input checkpoints disagree on architecture")
-        if set(m.tensors) != set(models[0].tensors):
-            raise ValidationError("input checkpoints disagree on tensor slots")
-    if config.num_experts != 2 * len(models):
-        raise ValidationError(
-            f"num_experts ({config.num_experts}) must equal 2 x number of input models "
-            f"({2 * len(models)})")
-
+    models = [parent, *branches]
     averaged = {name: np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
                 .mean(axis=0).astype(t.dtype)
-                for name, t in models[0].tensors.items() if ".ffn." not in name}
+                for name, t in parent.tensors.items() if ".ffn." not in name}
     metadata = {
         "method": "btx", "seed": int(seed),
-        "parent_hash": checkpoint_hash(seed_dense),
-        "branch_hashes": [checkpoint_hash(m) for m in expert_denses],
+        "parent_hash": checkpoint_hash(parent),
+        "branch_hashes": [checkpoint_hash(m) for m in branches],
     }
     tensors = _build_moe(config, averaged,
                          lambda i, group, e: (_dense_ffn(models[e // 2], i), None), seed)

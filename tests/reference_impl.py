@@ -151,40 +151,48 @@ def ref_layernorm_fwd(x: np.ndarray, g: np.ndarray, eps: float = 1e-6):
     return g * xhat, (xhat, inv_std, g)
 
 
+def ref_split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
+    """(B, T, n_heads * head_dim) -> (B, n_heads, T, head_dim): head j takes the
+    columns [j * head_dim, (j + 1) * head_dim)."""
+    return np.stack([x[..., j * head_dim:(j + 1) * head_dim] for j in range(n_heads)], axis=1)
+
+
+def ref_merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, n_heads, T, head_dim) -> (B, T, n_heads * head_dim), the inverse of
+    :func:`ref_split_heads`."""
+    return np.concatenate([x[:, j] for j in range(x.shape[1])], axis=-1)
+
+
 def ref_attn_fwd(h, wq, wk, wv, wo, n_heads: int, head_dim: int):
     """Causal attention with an explicit boolean mask (same signature and cache)."""
-    from moeup.model import _merge_heads, _split_heads
-
     t = h.shape[1]
-    q = _split_heads(h @ wq, n_heads, head_dim)
-    k = _split_heads(h @ wk, n_heads, head_dim)
-    v = _split_heads(h @ wv, n_heads, head_dim)
+    q = ref_split_heads(h @ wq, n_heads, head_dim)
+    k = ref_split_heads(h @ wk, n_heads, head_dim)
+    v = ref_split_heads(h @ wv, n_heads, head_dim)
     scale = 1.0 / np.sqrt(head_dim)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     causal = np.triu(np.ones((t, t), dtype=bool), k=1)
     scores = np.where(causal, -np.inf, scores)
     attn = ref_softmax_array(scores, axis=-1)
-    merged = _merge_heads(attn @ v)
+    merged = ref_merge_heads(attn @ v)
     return merged @ wo, (h, q, k, v, attn, merged, scale)
 
 
 def ref_attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
     """Attention backward over the whole batch at once, every step out of place."""
-    from moeup.model import _merge_heads, _split_heads
-
     h, q, k, v, attn, merged, scale = cache
     b, t, _ = h.shape
     n_heads, head_dim = q.shape[1], q.shape[3]
     h2 = h.reshape(b * t, -1)
     d_wo = merged.reshape(b * t, -1).T @ dy.reshape(b * t, -1)
-    d_ctx = _split_heads(dy @ wo.T, n_heads, head_dim)
+    d_ctx = ref_split_heads(dy @ wo.T, n_heads, head_dim)
     d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ d_ctx
     inner = np.sum(attn * d_attn, axis=-1, keepdims=True)
     d_scores = attn * (d_attn - inner)
     dq = (d_scores @ k) * scale
     dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-    dq2, dk2, dv2 = (_merge_heads(d).reshape(b * t, -1) for d in (dq, dk, dv))
+    dq2, dk2, dv2 = (ref_merge_heads(d).reshape(b * t, -1) for d in (dq, dk, dv))
     dh = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(b, t, -1)
     return dh, h2.T @ dq2, h2.T @ dk2, h2.T @ dv2, d_wo
 

@@ -117,8 +117,8 @@ def test_criterion_03_degenerate_ratio_equivalence():
     with criterion(3, "drop at ratio 0 copies experts bitwise and preserves the function"):
         dense = random_checkpoint(make_config(32, 128, 2, 2, 2, 50), seed=100)
         config = make_config(32, 128, 2, 2, 2, 50, n=8, k=2)
-        moe, _ = upcycle.drop_upcycle(
-            dense, config, upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=101))
+        moe, _ = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=101), dense, config)
         for layer in range(2):
             parent_names = cp.ffn_slot_names(f"layers.{layer}.ffn")
             for e in range(8):
@@ -156,8 +156,8 @@ def test_criterion_04_retention_exactness():
         parent_gate, parent_up, parent_down = (
             dense.tensors[n] for n in cp.ffn_slot_names("layers.0.ffn"))
         for ratio in (0.1, 0.25, 0.5, 0.75, 1.0):
-            moe, plan = upcycle.drop_upcycle(
-                dense, config, upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=104))
+            moe, plan = upcycle.build(
+                upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=104), dense, config)
             expected_retained = d_f - math.floor(ratio * d_f)
             for e in range(2):
                 gate, up, down = (moe.tensors[n]
@@ -184,9 +184,9 @@ def test_criterion_05_statistics_matching():
         moe_cfg = make_config(d_h, d_f, 1, 2, 2, 8, n=2, k=1)
         for trial in range(200):
             dense = random_checkpoint(dense_cfg, seed=11_000 + trial)
-            moe, plan = upcycle.drop_upcycle(
-                dense, moe_cfg,
-                upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=21_000 + trial))
+            moe, plan = upcycle.build(
+                upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=21_000 + trial),
+                dense, moe_cfg)
             for e in range(2):
                 entry = plan.layers[0].experts[e]
                 dropped = entry.dropped
@@ -214,9 +214,9 @@ def test_criterion_06_overlap_theory():
         pair_counts = []
         report_fracs = []
         for trial in range(trials):
-            _, plan = upcycle.drop_upcycle(
-                dense, config,
-                upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=30_000 + trial))
+            _, plan = upcycle.build(
+                upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=30_000 + trial),
+                dense, config)
             retained = plan.retained_parent_dims(0)
             masks = np.zeros((n_experts, d_f), dtype=bool)
             for e, dims in enumerate(retained):
@@ -256,9 +256,9 @@ def test_criterion_07_decomposition_identity():
 
         for i, ratio in enumerate(ratios):
             dense = random_checkpoint(dense_cfg, seed=40_000 + i)
-            moe, plan = upcycle.drop_upcycle(
-                dense, moe_cfg,
-                upcycle.UpcycleSpec(method="drop", ratio=float(ratio), seed=50_000 + i))
+            moe, plan = upcycle.build(
+                upcycle.UpcycleSpec(method="drop", ratio=float(ratio), seed=50_000 + i),
+                dense, moe_cfg)
             experts = tuple(
                 FfnWeights(*(moe.tensor_f64(n)
                              for n in cp.ffn_slot_names(f"layers.0.experts.{e}")))
@@ -348,9 +348,9 @@ def test_criterion_10_knowledge_transfer_ordering(pretrained_parent, toy_corpora
         moe_cfg = toy_moe_config(n=4, k=2)
 
         scratch = upcycle.from_scratch(moe_cfg, seed=300)
-        dropped, _ = upcycle.drop_upcycle(
-            parent, moe_cfg, upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=301))
-        naive = upcycle.naive_upcycle(parent, moe_cfg, seed=302)
+        dropped, _ = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=301), parent, moe_cfg)
+        naive = upcycle.build(upcycle.UpcycleSpec("naive", seed=302), parent, moe_cfg)[0]
 
         # Step-0 loss is measured on the bundled corpus itself: the point is
         # knowledge retention of the trained parent, and held-out data mixes

@@ -110,8 +110,8 @@ class TestOverlapReport:
     def _plan(self, ratio, seed, d_f=256, n=4):
         dense = random_checkpoint(make_config(16, d_f, 1, 2, 2, 23), seed=seed)
         config = make_config(16, d_f, 1, 2, 2, 23, n=n, k=2)
-        _, plan = upcycle.drop_upcycle(
-            dense, config, upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=seed))
+        _, plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=ratio, seed=seed), dense, config)
         return plan
 
     def test_ratio_zero_full_overlap(self):

@@ -423,24 +423,20 @@ class TestStreamingWriter:
                 tmp_path / "dict" / name).read_bytes()
 
 
-# The upcycle flags of each method, and its in-memory builder on the same spec.
+# The upcycle flags of each method, and the spec that upcycle.build takes for them.
 _UPCYCLES = {
     "naive": (["--method", "naive", "--experts", "4", "--topk", "2"],
-              lambda parent, branch, cfg: upcycle.naive_upcycle(parent, cfg, seed=3)),
+              upcycle.UpcycleSpec("naive", seed=3)),
     "drop": (["--method", "drop", "--experts", "4", "--topk", "2", "--ratio", "0.5"],
-             lambda parent, branch, cfg: upcycle.drop_upcycle(
-                 parent, cfg, upcycle.UpcycleSpec("drop", ratio=0.5, seed=3))[0]),
+             upcycle.UpcycleSpec("drop", ratio=0.5, seed=3)),
     "fg-drop": (["--method", "fg-drop", "--experts", "4", "--topk", "3", "--granularity", "2",
                  "--shared", "1", "--shared-init", "drop", "--scale-factor", "2"],
-                lambda parent, branch, cfg: upcycle.fine_grained_drop_upcycle(
-                    parent, cfg, upcycle.UpcycleSpec(
-                        "fg-drop", seed=3, granularity=2, shared_experts=1,
-                        shared_init="drop", scale_factor=2.0))[0]),
+                upcycle.UpcycleSpec("fg-drop", seed=3, granularity=2, shared_experts=1,
+                                    shared_init="drop", scale_factor=2.0)),
     "rnu": (["--method", "rnu", "--experts", "4", "--topk", "2"],
-            lambda parent, branch, cfg: upcycle.random_noise_upcycle(
-                parent, cfg, upcycle.UpcycleSpec("rnu", seed=3))),
+            upcycle.UpcycleSpec("rnu", seed=3)),
     "btx": (["--method", "btx", "--experts", "4", "--topk", "2"],
-            lambda parent, branch, cfg: upcycle.btx_merge(parent, [branch], cfg, seed=3)),
+            upcycle.UpcycleSpec("btx", seed=3)),
 }
 
 
@@ -448,21 +444,23 @@ _UPCYCLES = {
 def test_cli_upcycle_writes_the_bytes_of_the_in_memory_build(capsys, monkeypatch, tmp_path,
                                                               method):
     """``moeup upcycle`` streams the MoE to disk; the bytes are those of
-    ``save`` of the public builder's in-memory result, on a 12-layer parent,
+    ``save`` of :func:`upcycle.build`'s in-memory result, on a 12-layer parent,
     whose layers stream in string order, on 1 and 2 threads."""
     config = make_config(16, 32, 12, 2, 2, 23, s=16)
     cp.save(random_checkpoint(config, seed=1), tmp_path / "parent")
     cp.save(random_checkpoint(config, seed=2), tmp_path / "branch")
-    flags, build = _UPCYCLES[method]
-    extra = ["--branches", str(tmp_path / "branch")] if method == "btx" else []
+    flags, spec = _UPCYCLES[method]
+    btx = method == "btx"
+    extra = ["--branches", str(tmp_path / "branch")] if btx else []
     for threads in ("1", "2"):
         monkeypatch.setenv("MOEUP_THREADS", threads)
         assert main(["upcycle", *flags, *extra, "--seed", "3", "--in", str(tmp_path / "parent"),
                      "--out", str(tmp_path / f"cli{threads}")]) == 0
     capsys.readouterr()
     built = cp.load(tmp_path / "cli1")
-    cp.save(build(cp.load(tmp_path / "parent"), cp.load(tmp_path / "branch"), built.config),
-            tmp_path / "memory")
+    branches = [cp.load(tmp_path / "branch")] if btx else []
+    moe, _ = upcycle.build(spec, cp.load(tmp_path / "parent"), built.config, branches)
+    cp.save(moe, tmp_path / "memory")
     for out in ("cli1", "cli2"):
         for name in (cp.MANIFEST_FILE, cp.BLOB_FILE):
             assert (tmp_path / out / name).read_bytes() == (

@@ -204,6 +204,16 @@ class TestValidationAndExitCodes:
         ("analyze-overlap --plan {config}", _PLAN | {"seed": "x"}),
         ("analyze-overlap --plan {config}", _PLAN | {"granularity": "x"}),
         ("analyze-overlap --plan {config}", _PLAN | {"granularity": 0}),
+        # Only naive, drop and fg-drop write plans; a naive plan has ratio 0,
+        # and a naive or drop plan is coarse.
+        ("analyze-overlap --plan {config}", _PLAN | {"method": "btx"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"method": "rnu"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"method": "scratch"}),
+        ("analyze-overlap --plan {config}", _PLAN | {"method": "naive"}),
+        ("analyze-overlap --plan {config}",
+         _plan_with([_EXPERT | {"dropped": [0, 2], "dims": [1, 3, 5, 7]}] * 2)
+         | {"granularity": 2, "expert_width": 4}),
+        ("analyze-overlap --plan {config}", _plan_with(shared=[_EXPERT | {"dropped": []}])),
         ("catch-up --base {config} --other {config}", b"{not json\n"),
         ("catch-up --base {config} --other {config}", b"[64, 1.0]\n"),
         ("catch-up --base {config} --other {config}", b'{"tokens_processed": 64}\n'),
@@ -449,7 +459,8 @@ class TestArtifactPipeline:
         assert code == 0
         assert payload["spec"]["ratio"] == payload["metadata"]["ratio"] == 0.0
         built = cp.load(tmp_path / "naive")
-        want = upcycle.naive_upcycle(cp.load(dense_dir), built.config, seed=3)
+        want, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=3), cp.load(dense_dir),
+                                built.config)
         assert built.tensors.keys() == want.tensors.keys()
         assert all(np.array_equal(built.tensors[name], want.tensors[name])
                    for name in want.tensors)

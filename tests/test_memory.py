@@ -654,15 +654,8 @@ def test_in_memory_upcycle_keeps_no_parent_buffer_alive(tmp_path, method):
         checkpoint.save(random_checkpoint(config, seed=seed), tmp_path / name)
     parent, branch = checkpoint.load(tmp_path / "parent"), checkpoint.load(tmp_path / "branch")
     moe_config = tiny_moe_config(vocab=VOCAB_SIZE)
-    if method == "naive":
-        moe = upcycle.naive_upcycle(parent, moe_config, seed=3)
-    elif method == "rnu":
-        moe = upcycle.random_noise_upcycle(parent, moe_config, upcycle.UpcycleSpec("rnu"))
-    elif method == "btx":
-        moe = upcycle.btx_merge(parent, [branch], moe_config, seed=3)
-    else:
-        moe, _ = upcycle.fine_grained_drop_upcycle(parent, moe_config,
-                                                   upcycle.UpcycleSpec(method, seed=3))
+    moe, _ = upcycle.build(upcycle.UpcycleSpec(method, seed=3), parent, moe_config,
+                           [branch] if method == "btx" else [])
     want = {name: a.copy() for name, a in moe.tensors.items()}
 
     def buffer(ckpt):

@@ -84,7 +84,7 @@ class TestRouterInit:
 class TestNaive:
     def test_experts_are_bitwise_copies(self):
         dense = random_checkpoint(tiny_dense_config(), seed=1)
-        moe = upcycle.naive_upcycle(dense, tiny_moe_config(), seed=2)
+        moe, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=2), dense, tiny_moe_config())
         for layer in range(2):
             parent = ffn_slot_names(f"layers.{layer}.ffn")
             for e in range(4):
@@ -94,7 +94,7 @@ class TestNaive:
 
     def test_function_preserved(self):
         dense = random_checkpoint(tiny_dense_config(), seed=2)
-        moe = upcycle.naive_upcycle(dense, tiny_moe_config(), seed=3)
+        moe, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=3), dense, tiny_moe_config())
         rng = np.random.default_rng(0)
         for layer in range(2):
             weights = _layer_moe_weights(moe, layer)
@@ -107,9 +107,9 @@ class TestNaive:
     def test_equals_drop_at_ratio_zero_outside_router(self):
         dense = random_checkpoint(tiny_dense_config(), seed=3)
         config = tiny_moe_config()
-        naive = upcycle.naive_upcycle(dense, config, seed=4)
-        dropped, _ = upcycle.drop_upcycle(
-            dense, config, upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=4))
+        naive, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=4), dense, config)
+        dropped, _ = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=4), dense, config)
         for name in naive.tensors:
             if name.endswith(".router"):
                 continue
@@ -117,7 +117,7 @@ class TestNaive:
 
     def test_non_ffn_tensors_bitwise(self):
         dense = random_checkpoint(tiny_dense_config(), seed=4)
-        moe = upcycle.naive_upcycle(dense, tiny_moe_config(), seed=5)
+        moe, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=5), dense, tiny_moe_config())
         for name in _non_ffn_names(dense):
             assert np.array_equal(dense.tensors[name], moe.tensors[name])
 
@@ -127,8 +127,8 @@ class TestRandomNoise:
         dense = random_checkpoint(tiny_dense_config(), seed=5)
         config = tiny_moe_config()
         spec = upcycle.UpcycleSpec(method="rnu", seed=6, noise_fraction=0.0)
-        rnu = upcycle.random_noise_upcycle(dense, config, spec)
-        naive = upcycle.naive_upcycle(dense, config, seed=6)
+        rnu, _ = upcycle.build(spec, dense, config)
+        naive, _ = upcycle.build(upcycle.UpcycleSpec("naive", seed=6), dense, config)
         for name in rnu.tensors:
             assert np.array_equal(rnu.tensors[name], naive.tensors[name]), name
 
@@ -138,7 +138,7 @@ class TestRandomNoise:
         config = make_config(64, 512, 1, 4, 4, 50, n=2, k=1)
         spec = upcycle.UpcycleSpec(method="rnu", seed=7, noise_fraction=0.5,
                                    noise_sigma=0.02)
-        rnu = upcycle.random_noise_upcycle(dense, config, spec)
+        rnu, _ = upcycle.build(spec, dense, config)
         for e in range(2):
             for src, dst in zip(ffn_slot_names("layers.0.ffn"),
                                 ffn_slot_names(f"layers.0.experts.{e}")):
@@ -155,8 +155,8 @@ class TestRandomNoise:
 class TestDrop:
     def test_ratio_zero_is_pure_copy(self):
         dense = random_checkpoint(tiny_dense_config(), seed=7)
-        moe, plan = upcycle.drop_upcycle(
-            dense, tiny_moe_config(), upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=8))
+        moe, plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.0, seed=8), dense, tiny_moe_config())
         for layer in range(2):
             for e in range(4):
                 for src, dst in zip(ffn_slot_names(f"layers.{layer}.ffn"),
@@ -170,7 +170,7 @@ class TestDrop:
         dense = random_checkpoint(config_d, seed=8)
         config = make_config(32, d_f, 1, 2, 2, 50, n=2, k=1)
         spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=9)
-        moe, plan = upcycle.drop_upcycle(dense, config, spec)
+        moe, plan = upcycle.build(spec, dense, config)
         gate_p, up_p, down_p = (dense.tensors[n] for n in ffn_slot_names("layers.0.ffn"))
         for e in range(2):
             entry = plan.layers[0].experts[e]
@@ -193,8 +193,8 @@ class TestDrop:
         dense = random_checkpoint(config_d, seed=9)
         c = np.float32(0.125)
         dense.tensors["layers.0.ffn.up"] = np.full_like(dense.tensors["layers.0.ffn.up"], c)
-        moe, plan = upcycle.drop_upcycle(
-            dense, tiny_moe_config(), upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=10))
+        moe, plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=10), dense, tiny_moe_config())
         for e in range(4):
             up_c = moe.tensors[f"layers.0.experts.{e}.up"]
             assert np.all(up_c == c)
@@ -204,8 +204,8 @@ class TestDrop:
         config_d = make_config(128, 1024, 1, 4, 4, 50)
         dense = random_checkpoint(config_d, seed=10)
         config = make_config(128, 1024, 1, 4, 4, 50, n=2, k=1)
-        moe, plan = upcycle.drop_upcycle(
-            dense, config, upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=11))
+        moe, plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=11), dense, config)
         for e in range(2):
             entry = plan.layers[0].experts[e]
             dropped = entry.dropped
@@ -224,16 +224,16 @@ class TestDrop:
     def test_deterministic(self):
         dense = random_checkpoint(tiny_dense_config(), seed=11)
         spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=12)
-        a, plan_a = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
-        b, plan_b = upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
+        a, plan_a = upcycle.build(spec, dense, tiny_moe_config())
+        b, plan_b = upcycle.build(spec, dense, tiny_moe_config())
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name])
         assert plan_a.to_json_dict() == plan_b.to_json_dict()
 
     def test_plan_round_trip(self, tmp_path):
         dense = random_checkpoint(tiny_dense_config(), seed=12)
-        _, plan = upcycle.drop_upcycle(
-            dense, tiny_moe_config(), upcycle.UpcycleSpec(method="drop", ratio=0.3, seed=13))
+        _, plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.3, seed=13), dense, tiny_moe_config())
         upcycle.save_plan(plan, tmp_path)
         loaded = upcycle.load_plan(tmp_path)
         assert loaded.to_json_dict() == plan.to_json_dict()
@@ -247,9 +247,47 @@ class TestDrop:
         spec = upcycle.UpcycleSpec(method="fg-drop", ratio=ratio, seed=13,
                                    granularity=granularity, shared_experts=shared,
                                    shared_init=shared_init)
-        _, plan = upcycle.fine_grained_drop_upcycle(dense, config, spec)
+        _, plan = upcycle.build(spec, dense, config)
         upcycle.save_plan(plan, tmp_path)
         assert upcycle.load_plan(tmp_path).to_json_dict() == plan.to_json_dict()
+
+    @pytest.mark.parametrize("spec, method, match", [
+        ({"ratio": 0.5}, "btx", "plan method"),
+        ({"ratio": 0.5}, "rnu", "plan method"),
+        ({"ratio": 0.5}, "scratch", "plan method"),
+        ({"ratio": 0.5}, "naive", "naive plan has ratio 0"),
+        ({"ratio": 0.5, "granularity": 2}, "drop", "granularity 1"),
+        ({"ratio": 0.5, "shared_experts": 1}, "drop", "no shared experts"),
+    ], ids=["btx", "rnu", "scratch", "naive-at-ratio-0.5", "fine-drop", "shared-drop"])
+    def test_plan_loader_refuses_what_no_builder_writes(self, spec, method, match):
+        """A plan that fg-drop wrote loads as fg-drop, and is refused under a
+        method that would not have written it."""
+        dense = random_checkpoint(tiny_dense_config(), seed=37)
+        config = tiny_moe_config(m=spec.get("granularity", 1), k_s=spec.get("shared_experts", 0))
+        _, plan = upcycle.build(upcycle.UpcycleSpec("fg-drop", seed=38, **spec), dense, config)
+        data = plan.to_json_dict()
+        assert upcycle.ReinitPlan.from_json_dict(data).to_json_dict() == data
+        with pytest.raises(ValidationError, match=match):
+            upcycle.ReinitPlan.from_json_dict(data | {"method": method})
+
+    @pytest.mark.parametrize("granularity, dims, match", [
+        (1, list(range(32)), "exactly when granularity > 1"),
+        (2, None, "exactly when granularity > 1"),
+        (2, [0], "distinct indices"),
+        (2, [0] * 16, "distinct indices"),
+        (2, list(range(15)) + [32], "distinct indices"),
+    ], ids=["dims-at-granularity-1", "no-dims", "short", "repeated", "out-of-range"])
+    def test_plan_loader_checks_sampled_dims(self, granularity, dims, match):
+        """A fine-grained expert's sampled parent dims are expert_width distinct
+        dims of the parent, and a coarse expert has none."""
+        dense = random_checkpoint(tiny_dense_config(), seed=39)
+        spec = upcycle.UpcycleSpec("fg-drop", seed=40, granularity=granularity)
+        _, plan = upcycle.build(spec, dense, tiny_moe_config(m=granularity))
+        data = plan.to_json_dict()
+        assert upcycle.ReinitPlan.from_json_dict(data).to_json_dict() == data
+        data["layers"][0]["experts"][0]["dims"] = dims
+        with pytest.raises(ValidationError, match=match):
+            upcycle.ReinitPlan.from_json_dict(data)
 
     def test_ratio_out_of_range_names_field(self):
         with pytest.raises(ValidationError, match="ratio"):
@@ -257,8 +295,8 @@ class TestDrop:
 
     def test_metadata_provenance(self):
         dense = random_checkpoint(tiny_dense_config(), seed=13)
-        moe, _ = upcycle.drop_upcycle(
-            dense, tiny_moe_config(), upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=14))
+        moe, _ = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=14), dense, tiny_moe_config())
         from moeup.checkpoint import checkpoint_hash
 
         assert moe.metadata["method"] == "drop"
@@ -271,7 +309,8 @@ class TestBtx:
     def test_identical_inputs_average_to_same(self):
         dense = random_checkpoint(tiny_dense_config(), seed=14)
         config = tiny_moe_config(n=8, k=2)
-        merged = upcycle.btx_merge(dense, [dense, dense, dense], config, seed=15)
+        merged, _ = upcycle.build(upcycle.UpcycleSpec("btx", seed=15), dense, config,
+                                  [dense, dense, dense])
         for name in _non_ffn_names(dense):
             assert np.allclose(merged.tensors[name], dense.tensors[name], rtol=0, atol=0)
         first = [merged.tensors[f"layers.0.experts.0.{k}"] for k in ("gate", "up", "down")]
@@ -284,12 +323,14 @@ class TestBtx:
         b = random_checkpoint(tiny_dense_config(), seed=16)
         a.tensors["layers.0.attn.wq"] = np.zeros_like(a.tensors["layers.0.attn.wq"])
         b.tensors["layers.0.attn.wq"] = np.full_like(b.tensors["layers.0.attn.wq"], 2.0)
-        merged = upcycle.btx_merge(a, [b], tiny_moe_config(n=4, k=2), seed=17)
+        merged, _ = upcycle.build(upcycle.UpcycleSpec("btx", seed=17), a,
+                                  tiny_moe_config(n=4, k=2), [b])
         assert np.all(merged.tensors["layers.0.attn.wq"] == 1.0)
 
     def test_expert_duplication_order(self):
         models = [random_checkpoint(tiny_dense_config(), seed=17 + i) for i in range(4)]
-        merged = upcycle.btx_merge(models[0], models[1:], tiny_moe_config(n=8, k=2), seed=18)
+        merged, _ = upcycle.build(upcycle.UpcycleSpec("btx", seed=18), models[0],
+                                  tiny_moe_config(n=8, k=2), models[1:])
         for e in range(8):
             src = models[e // 2]
             for kind, parent_name in zip(("gate", "up", "down"),
@@ -300,13 +341,14 @@ class TestBtx:
     def test_wrong_expert_count_rejected(self):
         models = [random_checkpoint(tiny_dense_config(), seed=21 + i) for i in range(2)]
         with pytest.raises(ValidationError, match="num_experts"):
-            upcycle.btx_merge(models[0], models[1:], tiny_moe_config(n=8, k=2), seed=19)
+            upcycle.build(upcycle.UpcycleSpec("btx", seed=19), models[0],
+                          tiny_moe_config(n=8, k=2), models[1:])
 
     def test_architecture_mismatch_rejected(self):
         a = random_checkpoint(tiny_dense_config(), seed=23)
         b = random_checkpoint(tiny_dense_config(vocab=29), seed=24)
         with pytest.raises(ValidationError):
-            upcycle.btx_merge(a, [b], tiny_moe_config(n=4, k=2), seed=20)
+            upcycle.build(upcycle.UpcycleSpec("btx", seed=20), a, tiny_moe_config(n=4, k=2), [b])
 
 
 class TestFineGrained:
@@ -314,9 +356,9 @@ class TestFineGrained:
         dense = random_checkpoint(tiny_dense_config(), seed=25)
         config = tiny_moe_config(n=4, k=2)
         spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.5, seed=26)
-        fg, fg_plan = upcycle.fine_grained_drop_upcycle(dense, config, spec)
-        plain, plain_plan = upcycle.drop_upcycle(
-            dense, config, upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=26))
+        fg, fg_plan = upcycle.build(spec, dense, config)
+        plain, plain_plan = upcycle.build(
+            upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=26), dense, config)
         for name in fg.tensors:
             assert np.array_equal(fg.tensors[name], plain.tensors[name]), name
         for layer in range(2):
@@ -330,7 +372,7 @@ class TestFineGrained:
         dense = random_checkpoint(config_d, seed=26)
         config = make_config(32, d_f, 1, 2, 2, 50, n=2, k=2, m=2)
         spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.5, seed=27, granularity=2)
-        fg, plan = upcycle.fine_grained_drop_upcycle(dense, config, spec)
+        fg, plan = upcycle.build(spec, dense, config)
         width = d_f // 2
         assert plan.expert_width == width
         for e in range(config.routed_experts):
@@ -351,7 +393,7 @@ class TestFineGrained:
         config = make_config(16, 32, 1, 2, 2, 23, n=2, k=2, m=2, k_s=1)
         spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.0, seed=28,
                                    granularity=2, shared_experts=1, shared_init="copy")
-        fg, plan = upcycle.fine_grained_drop_upcycle(dense, config, spec)
+        fg, plan = upcycle.build(spec, dense, config)
         parent = {k: dense.tensors[n]
                   for k, n in zip(("gate", "up", "down"), ffn_slot_names("layers.0.ffn"))}
         for group, entries in (("experts", plan.layers[0].experts),
@@ -369,13 +411,8 @@ class TestFineGrained:
         dense = random_checkpoint(config_d, seed=28)
         config = make_config(16, 32, 1, 2, 2, 23, n=2, k=2, m=m)
         base = upcycle.UpcycleSpec(method=method, ratio=0.0, seed=29, granularity=m)
-        if method == "rnu":
-            plain = upcycle.random_noise_upcycle(dense, config, base)
-            scaled = upcycle.random_noise_upcycle(dense, config, replace(base, scale_factor=0.5))
-        else:
-            plain, _ = upcycle.fine_grained_drop_upcycle(dense, config, base)
-            scaled, _ = upcycle.fine_grained_drop_upcycle(
-                dense, config, replace(base, scale_factor=0.5))
+        plain, _ = upcycle.build(base, dense, config)
+        scaled, _ = upcycle.build(replace(base, scale_factor=0.5), dense, config)
         for e in range(config.routed_experts):
             prefix = f"layers.0.experts.{e}"
             assert np.array_equal(scaled.tensors[f"{prefix}.gate"],
@@ -399,37 +436,56 @@ def test_non_ffn_invariance_all_methods(method):
     dense = random_checkpoint(tiny_dense_config(), seed=90)
     if method == "btx":
         # Identical seed and branch make the non-FFN average an exact copy.
-        out = upcycle.btx_merge(dense, [dense], tiny_moe_config(n=4, k=2), seed=91)
+        config, branches = tiny_moe_config(n=4, k=2), [dense]
     else:
-        config = tiny_moe_config()
-        spec = upcycle.UpcycleSpec(method=method, ratio=0.5, seed=91)
-        if method == "naive":
-            out = upcycle.naive_upcycle(dense, config, seed=91)
-        elif method == "rnu":
-            out = upcycle.random_noise_upcycle(dense, config, spec)
-        elif method == "drop":
-            out, _ = upcycle.drop_upcycle(dense, config, spec)
-        else:
-            out, _ = upcycle.fine_grained_drop_upcycle(dense, config, spec)
+        config, branches = tiny_moe_config(), []
+    spec = upcycle.UpcycleSpec(method=method, ratio=0.5, seed=91)
+    out, _ = upcycle.build(spec, dense, config, branches)
     for name in _non_ffn_names(dense):
         assert np.array_equal(dense.tensors[name], out.tensors[name]), (method, name)
 
 
-@pytest.mark.parametrize("method", ["rnu", "btx", "scratch"])
-def test_fine_grained_drop_refuses_other_methods(method):
+def test_build_refuses_scratch():
     dense = random_checkpoint(tiny_dense_config(), seed=33)
-    with pytest.raises(ValidationError, match="not a drop method"):
-        upcycle.fine_grained_drop_upcycle(dense, tiny_moe_config(), upcycle.UpcycleSpec(method))
+    with pytest.raises(ValidationError, match="builds no MoE from a parent"):
+        upcycle.build(upcycle.UpcycleSpec("scratch"), dense, tiny_moe_config())
+
+
+@pytest.mark.parametrize("method", ["naive", "rnu", "drop", "fg-drop"])
+def test_only_btx_takes_branches(method):
+    dense = random_checkpoint(tiny_dense_config(), seed=34)
+    with pytest.raises(ValidationError, match="takes no branches"):
+        upcycle.build(upcycle.UpcycleSpec(method), dense, tiny_moe_config(n=4, k=2), [dense])
+
+
+def test_naive_spec_at_its_default_ratio_builds_naive():
+    """A naive spec's ratio is 0 whatever it is given, so the stream that
+    ``moeup upcycle`` writes copies every expert bitwise, and the metadata and
+    the plan record ratio 0 and drop nothing."""
+    dense = random_checkpoint(tiny_dense_config(), seed=35)
+    config = tiny_moe_config()
+    for spec in (upcycle.UpcycleSpec("naive", seed=36),
+                 upcycle.UpcycleSpec("naive", ratio=0.5, seed=36)):
+        assert spec.ratio == 0.0
+        moe, plan = upcycle.upcycle_stream(spec, dense, config)
+        tensors = dict(moe.tensors)
+        assert moe.metadata["ratio"] == plan.ratio == 0.0
+        for layer in range(config.num_layers):
+            for e in range(config.routed_experts):
+                assert plan.layers[layer].experts[e].dropped.size == 0
+                for src, dst in zip(ffn_slot_names(f"layers.{layer}.ffn"),
+                                    ffn_slot_names(f"layers.{layer}.experts.{e}")):
+                    assert np.array_equal(tensors[dst], dense.tensors[src]), dst
 
 
 def test_compatibility_checks():
     dense = random_checkpoint(tiny_dense_config(), seed=30)
     bad = tiny_moe_config(vocab=29)
     with pytest.raises(ValidationError, match="vocab_size"):
-        upcycle.naive_upcycle(dense, bad, seed=0)
+        upcycle.build(upcycle.UpcycleSpec("naive"), dense, bad)
     moe_parent = random_checkpoint(tiny_moe_config(), seed=31)
     with pytest.raises(ValidationError, match="dense"):
-        upcycle.naive_upcycle(moe_parent, tiny_moe_config(), seed=0)
+        upcycle.build(upcycle.UpcycleSpec("naive"), moe_parent, tiny_moe_config())
 
 
 @pytest.mark.parametrize("method", ["rnu", "drop", "fg-drop", "btx"])
@@ -437,18 +493,13 @@ def test_spec_expert_shape_must_match_target(method):
     """Every build that takes a spec refuses a target whose granularity or
     shared experts the spec contradicts, as the metadata records the spec:
     here a coarse 4-expert target and a spec of granularity 2 with one shared
-    expert, and the reverse. (drop refuses the fine target as drop.)"""
+    expert, and the reverse."""
     dense = random_checkpoint(tiny_dense_config(), seed=32)
     spec = upcycle.UpcycleSpec(method, granularity=2, shared_experts=1)
     coarse, fine = tiny_moe_config(n=4, k=2), tiny_moe_config(n=4, k=2, m=2, k_s=1)
-    builders = {
-        "rnu": lambda s, c: upcycle.random_noise_upcycle(dense, c, s),
-        "drop": lambda s, c: upcycle.drop_upcycle(dense, c, s),
-        "fg-drop": lambda s, c: upcycle.fine_grained_drop_upcycle(dense, c, s),
-        "btx": lambda s, c: upcycle.upcycle_stream(s, dense, c, [dense]),
-    }
+    branches = [dense] if method == "btx" else []
     for s, c in ((spec, coarse), (replace(spec, granularity=1, shared_experts=0), fine)):
         with pytest.raises(ValidationError, match="disagrees with the target config"):
-            upcycle.upcycle_stream(s, dense, c, [dense])
-        with pytest.raises(ValidationError):
-            builders[method](s, c)
+            upcycle.upcycle_stream(s, dense, c, branches)
+        with pytest.raises(ValidationError, match="disagrees with the target config"):
+            upcycle.build(s, dense, c, branches)

@@ -137,19 +137,20 @@ def test_tasks_see_the_callers_numpy_error_state(monkeypatch):
 def _upcycle(method: str, dense):
     """(checkpoint, plan or None) of one construction method from ``dense``."""
     if method == "naive":
-        return upcycle.naive_upcycle(dense, tiny_moe_config(), seed=78), None
+        return upcycle.build(upcycle.UpcycleSpec("naive", seed=78), dense, tiny_moe_config())
     if method == "rnu":
         spec = upcycle.UpcycleSpec(method="rnu", seed=78, scale_factor=2.0)
-        return upcycle.random_noise_upcycle(dense, tiny_moe_config(), spec), None
+        return upcycle.build(spec, dense, tiny_moe_config())
     if method == "btx":
         branch = random_checkpoint(tiny_dense_config(), seed=79)
-        return upcycle.btx_merge(dense, [branch], tiny_moe_config(n=4), seed=78), None
+        return upcycle.build(upcycle.UpcycleSpec("btx", seed=78), dense, tiny_moe_config(n=4),
+                             [branch])
     if method == "drop":
         spec = upcycle.UpcycleSpec(method="drop", ratio=0.5, seed=78)
-        return upcycle.drop_upcycle(dense, tiny_moe_config(), spec)
+        return upcycle.build(spec, dense, tiny_moe_config())
     spec = upcycle.UpcycleSpec(method="fg-drop", ratio=0.5, seed=78, granularity=2,
                                shared_experts=1, scale_factor=2.0)
-    return upcycle.fine_grained_drop_upcycle(dense, tiny_moe_config(m=2, k_s=1), spec)
+    return upcycle.build(spec, dense, tiny_moe_config(m=2, k_s=1))
 
 
 @pytest.mark.parametrize("method", ["naive", "drop", "rnu", "btx", "fg-drop"])
