@@ -25,11 +25,14 @@ pass will follow keeps a ``LayerCache`` per layer, whose FFN part is an
 freeing each part at its last use. The caches keep only what backward cannot
 rebuild cheaply. An FFN keeps its input, its two GEMM outputs and the
 sigmoid; backward recomputes ``act`` and ``prod`` with the forward's
-operations, so they are bitwise the same. A routed expert keeps no copy of
-its input rows; backward regathers them from the layer input. A forward pass
+operations, so they are bitwise the same. A routed expert keeps neither a
+copy of its input rows nor its output: backward regathers the rows from the
+layer input, and rebuilds the output, which only the gate gradient needs,
+as ``prod @ down`` from the ``prod`` it rebuilds anyway. A forward pass
 for evaluation or routing traces (``keep_activations=False``) keeps none of
-them: inside an MoE layer each expert's input rows, intermediates and output
-die before the next expert runs, and only the tokens, logits and routing
+them: a layer's norm and attention caches die before its FFN runs, inside
+an MoE layer each expert's input rows, intermediates and output die before
+the next expert runs, and only the tokens, logits and routing
 outlive the pass; it computes no loss, which its callers take from the
 logits (:func:`token_losses`).
 
@@ -43,10 +46,10 @@ balanced by rows x width (:func:`_expert_plan`), one task per group, if the
 average group holds ``_POOL_MIN_ELEMENTS``. The plan follows from the
 routing counts alone, and backward reuses the forward's. A group's experts
 run one after another on its thread, each computing exactly what it would
-in a serial loop; the calling thread weights and combines their outputs in
-expert order while later groups run. Otherwise, as in evaluation and at
-``MOEUP_THREADS=1``, each expert is its own item, run inline, and its
-tensors die before the next expert starts.
+in a serial loop and weighting its own output in place; the calling thread
+adds their outputs in expert order while later groups run. Otherwise, as in
+evaluation and at ``MOEUP_THREADS=1``, each expert is its own item, run
+inline, and its tensors die before the next expert starts.
 
 Work whose rows are whole sequences runs in tiles on the same pool:
 attention's per-sequence core (projections, scores, mask, softmax, context
@@ -182,6 +185,20 @@ def _expert_outputs(run, plan: ExpertPlan):
         del results
 
 
+def _lone_row_as_two(fn, rows: np.ndarray) -> tuple:
+    """``fn(rows)``, a tuple of arrays with one row per row of ``rows``.
+
+    BLAS gives a one-row product other bits than the same row of a taller
+    one, so a lone row runs as two copies and each result keeps the first:
+    its bits then do not depend on how many rows share the expert
+    (evaluation's batch size). The forward and the rebuild of a routed
+    expert's output both follow this rule.
+    """
+    if len(rows) != 1:
+        return fn(rows)
+    return tuple(a[:1] for a in fn(np.repeat(rows, 2, axis=0)))
+
+
 # ---------------------------------------------------------------------------
 # Weight containers
 # ---------------------------------------------------------------------------
@@ -282,11 +299,21 @@ def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 4):
     return np.matmul(prod, w.down, out=y), (x, gate_pre, up_out, sig)
 
 
+def _act_prod(gate_pre: np.ndarray, up_out: np.ndarray, sig: np.ndarray):
+    """``(act, prod)`` rebuilt from an FFN cache by the forward's operations
+    in the forward's order, so they are bitwise the forward's."""
+    act = gate_pre * sig
+    return act, act * up_out
+
+
 def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     """Backward for :func:`_ffn_fwd`; returns ``(dx, d_gate, d_up, d_down)``.
 
-    ``act`` and ``prod`` are rebuilt by the forward's operations in the
-    forward's order, so they are bitwise the forward's. The cache is used up:
+    ``act`` and ``prod`` are rebuilt by :func:`_act_prod`, unless the cache
+    ends with them already rebuilt, as a routed expert's backward passes it
+    (:func:`_moe_bwd`): the list ``[x, gate_pre, up_out, sig, act, prod]``,
+    which is emptied here so that ``prod`` dies at its last use. The cache
+    is used up, with ``act`` and ``prod``:
     swish' is built in ``gate_pre``'s buffer and ``d_prod`` written into
     ``sig``'s, ``act``'s buffer becomes ``d_up_out``, and ``prod``'s, once it
     has given ``d_down``, holds ``1 - sig``. Backward allocates two (K, width)
@@ -294,10 +321,12 @@ def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     the forward's tiles, after ``act`` and ``prod`` are rebuilt whole; the
     weight gradients, sums over all rows, are whole GEMMs.
     """
-    x, gate_pre, up_out, sig = cache
+    x, gate_pre, up_out, sig, *rebuilt = cache
+    if rebuilt:
+        cache.clear()  # the caller's references to act and prod
     tiles = _tiles(len(x), seq_len, w.width)
-    act = gate_pre * sig
-    prod = act * up_out
+    act, prod = rebuilt or _act_prod(gate_pre, up_out, sig)
+    del rebuilt
     d_down = prod.T @ dy
     dx = np.empty_like(dy)
 
@@ -362,8 +391,9 @@ class MoeCache:
     x: np.ndarray           # (N, d_h) layer input
     gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
     routing: LayerRouting
-    # Per routed expert, (rows, (gate_pre, up_out, sig), output), or None if no
-    # row chose it. The FFN cache without its input: backward regathers x[rows].
+    # Per routed expert, (rows, (gate_pre, up_out, sig)), or None if no row
+    # chose it: the FFN cache without its input, which backward regathers as
+    # x[rows], and no output, which backward rebuilds (_expert_output).
     experts: list[tuple | None]
     shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
     plan: ExpertPlan        # the forward's expert plan, which backward follows
@@ -440,10 +470,12 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     ``cache`` is the :class:`MoeCache` for :func:`_moe_bwd`, or None when
     ``keep`` is false: then each expert's input rows, FFN intermediates and
     output die as soon as its output is combined, before the next expert runs.
-    When kept, a routed expert's entry holds its rows, the FFN cache without
-    the gathered input ``x[rows]`` (backward regathers it from ``x``, which
-    the router gradient needs anyway) and its output, which gives the gate
-    gradient. ``seq_len`` tiles the shared experts as in :func:`_ffn_fwd`.
+    When kept, a routed expert's entry holds its rows and the FFN cache
+    without the gathered input ``x[rows]`` (backward regathers it from ``x``,
+    which the router gradient needs anyway). In either mode no output
+    outlives its combine: a routed expert weights its own output in place,
+    and backward rebuilds it for the gate gradient. ``seq_len`` tiles the
+    shared experts as in :func:`_ffn_fwd`.
     """
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
@@ -457,29 +489,28 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     np.put_along_axis(gates_full, sel, gates_sel, axis=-1)
 
     def run(e: int):
-        """Expert ``e``'s output, or shared expert ``e - n``'s; None if unused."""
+        """Expert ``e``'s gate-weighted output, or shared expert ``e - n``'s
+        output; None if unused."""
         if e >= n:
             return _ffn_fwd(w.shared[e - n], x, seq_len)
         idx = np.nonzero(selmask[:, e])[0]
         if not idx.size:
             return None
-        # BLAS gives a one-row product other bits than the same row of a taller
-        # one, so a lone row runs twice and keeps its first copy: its bits then
-        # do not depend on how many rows share the expert (evaluation's batch size).
-        lone = idx.size == 1
-        fe, cache_e = _ffn_fwd(w.experts[e], x[np.repeat(idx, 2) if lone else idx])
+
+        def ffn(rows):
+            fe, (_, *kept) = _ffn_fwd(w.experts[e], rows)
+            return fe, *kept
+
         # The input rows die here, even when the rest is kept.
-        kept = cache_e[1:]
-        if lone:
-            fe, kept = fe[:1], tuple(a[:1] for a in kept)
-        return idx, kept, fe
+        fe, *kept = _lone_row_as_two(ffn, x[idx])
+        fe *= gates_full[idx, e:e + 1]
+        return idx, tuple(kept), fe
 
     # Experts run in groups on the thread pool when activations are kept and
     # the groups are big enough (_expert_plan); an activation-free pass runs
     # them one at a time, so that each expert's tensors die before the next
     # starts (evaluation parallelizes over forwards). Either way each output is
-    # weighted and added here, in expert order, bitwise as in a loop; the
-    # weighted copy lives only for its own addition.
+    # added here, in expert order, bitwise as in a loop, and dies with it.
     y = np.zeros_like(x)
     expert_caches: list[tuple | None] = [None] * n
     shared_caches = []
@@ -494,15 +525,21 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
             del fs, cache_s
         elif out is not None:
             idx, kept, fe = out
-            y[idx] += gates_full[idx, e:e + 1] * fe
+            y[idx] += fe
             if keep:
-                expert_caches[e] = out
+                expert_caches[e] = idx, kept
             del idx, kept, fe
         del out  # before the next expert runs
     routing = LayerRouting(sel, gates_sel, probs)
     if not keep:
         return y, routing, None
     return y, routing, MoeCache(x, gates_full, routing, expert_caches, shared_caches, plan)
+
+
+def _expert_output(w: FfnWeights, prod: np.ndarray) -> np.ndarray:
+    """A routed expert's unweighted output, ``prod @ down``, rebuilt from its
+    ``prod`` bitwise as :func:`_moe_fwd` made it (a lone row runs as two)."""
+    return _lone_row_as_two(lambda p: (p @ w.down,), prod)[0]
 
 
 def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None,
@@ -514,9 +551,12 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     every row, broadcast against the (N, n) probabilities. Top-k selection
     itself is piecewise constant and carries no gradient.
 
-    A routed expert's input rows are regathered from ``cache.x``, and its
-    ``act`` and ``prod`` are rebuilt by :func:`_ffn_bwd`; its kept output
-    gives the gate gradient. ``seq_len`` is the forward's.
+    A routed expert rebuilds its ``act`` and ``prod`` once
+    (:func:`_act_prod`), and its output from them (:func:`_expert_output`),
+    bitwise the forward's. The output gives the gate gradient and dies; the
+    gate-weighted output gradient then runs through :func:`_ffn_bwd` on the
+    same ``act`` and ``prod``, with the input rows regathered from
+    ``cache.x``. ``seq_len`` is the forward's.
     """
     routing = cache.routing
     n = w.num_experts
@@ -531,13 +571,16 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         ew = w.experts[e]
         if entry is None:
             return None, None, None, tuple(map(np.zeros_like, (ew.gate, ew.up, ew.down)))
-        idx, kept, fe = entry
+        idx, kept = entry
         del entry
+        # Only this list holds act and prod, and _ffn_bwd empties it.
+        parts = [cache.x[idx], *kept, *_act_prod(*kept)]
+        fe = _expert_output(ew, parts[5])
         dye = dy[idx]
         d_gates = np.einsum("nd,nd->n", dye, fe)
         del fe
         dye *= cache.gates_full[idx, e:e + 1]
-        dxe, *grads = _ffn_bwd(ew, (cache.x[idx], *kept), dye)
+        dxe, *grads = _ffn_bwd(ew, parts, dye)
         return idx, d_gates, dxe, tuple(grads)
 
     # Experts run in the forward's groups; their input gradients are added and
@@ -805,8 +848,9 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     before running backward, and run this again for another backward pass.
 
     With ``keep_activations=False`` no backward can follow, so nothing else is
-    kept: each layer's activations die as the pass moves on, and inside an MoE
-    layer each expert's tensors die before the next expert runs. Logits and
+    kept: each layer's activations die as the pass moves on, its norm and
+    attention caches before its FFN runs, and inside an MoE layer each
+    expert's tensors die before the next expert runs. Logits and
     routing are bitwise those of the default pass. No loss is computed: a
     caller that needs one takes it from the logits with :func:`token_losses`
     or :func:`next_token_loss`, which gives the default pass's loss bitwise.
@@ -825,7 +869,10 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
         attn_out, attn_cache = _attn_fwd(h, *(p[name] for name in _attn_slots(i)),
                                          cfg.num_heads, cfg.head_dim)
         x = x + attn_out
+        del h, attn_out
         h2, ln2 = _layernorm_fwd(x, p[f"layers.{i}.ffn_norm"])
+        if not keep_activations:
+            ln1 = attn_cache = ln2 = None  # dead before the FFN runs
         flat = h2.reshape(b * t, -1)
         if cfg.is_moe:
             weights = model.layer_moe(i)
@@ -838,7 +885,7 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
         if keep_activations:
             layer_caches.append(LayerCache(ln1, attn_cache, ln2, ffn_cache, weights))
         # Unless kept, this layer's activations die before the next layer runs.
-        del h, ln1, attn_out, attn_cache, h2, ln2, flat, y, ffn_cache
+        del ln1, attn_cache, h2, ln2, flat, y, ffn_cache
 
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]

@@ -209,8 +209,10 @@ def ref_ffn_fwd(w, x: np.ndarray):
 def ref_ffn_bwd(w, cache, dy: np.ndarray, seq_len: int | None = None):
     """FFN backward from the ``(x, gate_pre, up_out, sig)`` cache, every step
     out of place and over all rows at once: ``seq_len``, which tiles the
-    package's kernel, is ignored."""
-    x, gate_pre, up_out, sig = cache
+    package's kernel, is ignored. A cache that also carries the rebuilt
+    ``act`` and ``prod``, as a routed expert's backward passes it, is read
+    for its first four arrays only: the reference rebuilds the rest itself."""
+    x, gate_pre, up_out, sig = cache[:4]
     act = gate_pre * sig
     prod = act * up_out
     d_prod = dy @ w.down.T

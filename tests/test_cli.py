@@ -11,7 +11,7 @@ from moeup import upcycle
 from moeup.cli import main
 from moeup.corpus import default_corpus, save_corpus
 
-from conftest import make_config, random_checkpoint, toy_dense_config
+from conftest import make_config, random_checkpoint
 
 
 # A well-formed plan as the drop upcycle writes one: at ratio 0.5 and width 8,

@@ -23,6 +23,7 @@ from moeup.model import (
     _ffn_bwd,
     _ffn_fwd,
     _layernorm_fwd,
+    _moe_bwd,
     _moe_fwd,
     _sigmoid,
     backward_from_cache,
@@ -120,12 +121,18 @@ def test_ffn_backward_bitwise():
     x = rng.normal(size=(24, 16))
     dy = rng.normal(size=(24, 16))
     _, cache = _ffn_fwd(w, x)
-    # _ffn_bwd uses its cache up, so it gets a copy and the reference the original.
-    got = _ffn_bwd(w, tuple(a.copy() for a in cache), dy)
+    # _ffn_bwd uses its cache up, so it gets copies and the reference the original.
     want = ref_ffn_bwd(w, cache, dy)
-    assert len(got) == len(want) == 4
-    for g, r in zip(got, want):
-        assert _same_bits(g, r)
+    # A cache that ends with act and prod rebuilt, as a routed expert's
+    # backward passes it, gives the same bits.
+    rebuilt = model_mod._act_prod(*cache[1:])
+    for extra in ((), rebuilt):
+        copies = [a.copy() for a in (*cache, *extra)]
+        got = _ffn_bwd(w, copies, dy)
+        assert len(copies) == (0 if extra else 4)  # a 6-array list is emptied
+        assert len(got) == len(want) == 4
+        for g, r in zip(got, want):
+            assert _same_bits(g, r)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -166,11 +173,9 @@ def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
         assert _same_bits(got, want)
 
 
-@pytest.mark.parametrize("keep", [False, True])
-def test_one_row_expert_bits_do_not_depend_on_the_tile(keep):
-    """Expert 3 is routed only the first token of a 16-token tile, and three
-    more tokens in a longer forward. That token's output has the same bits in
-    both: a one-row product would take BLAS's one-row kernel instead."""
+def _lone_row_layer():
+    """Four experts of width 256 over 20 rows of width 64. Expert 3 takes
+    exactly the rows whose feature 0 is positive: row 0, and rows 17-19."""
     rng = np.random.default_rng(5)
     d_h, width = 64, 256
     experts = [FfnWeights(*(0.1 * rng.standard_normal(shape)
@@ -178,16 +183,66 @@ def test_one_row_expert_bits_do_not_depend_on_the_tile(keep):
                for _ in range(4)]
     router = 0.1 * rng.standard_normal((d_h, 4))
     router[:, 3] = 0.0
-    router[0, 3] = 100.0  # expert 3 takes exactly the tokens whose feature 0 is positive
+    router[0, 3] = 100.0
     x = rng.standard_normal((20, d_h))
     x[:, 0] = -1.0
     x[[0, 17, 18, 19], 0] = 1.0
-    weights = MoeLayerWeights(router, experts)
+    return MoeLayerWeights(router, experts), x
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_one_row_expert_bits_do_not_depend_on_the_tile(keep):
+    """Expert 3 is routed only the first token of a 16-token tile, and three
+    more tokens in a longer forward. That token's output has the same bits in
+    both: a one-row product would take BLAS's one-row kernel instead."""
+    weights, x = _lone_row_layer()
     tile, _, _ = _moe_fwd(weights, x[:16], 2, keep=keep)
     longer, routing, _ = _moe_fwd(weights, x, 2, keep=keep)
     assert np.count_nonzero(routing.selected[:16] == 3) == 1
     assert np.count_nonzero(routing.selected == 3) == 4
     assert _same_bits(tile, longer[:16])
+
+
+def test_lone_row_gradients_match_its_forward_output(monkeypatch):
+    """Expert 3 is chosen by one row of 16. Backward rebuilds its output from
+    ``prod``, the lone row run as two as in the forward, with the bits of the
+    forward's own output; the gate gradient is a function of that output and
+    ``dy``. The input, router and weight gradients have the bits of a
+    backward that reads the forward's own outputs. (Rebuilt as one row, the
+    output differs in its last bits.)"""
+    weights, x = _lone_row_layer()
+    x = x[:16]
+    dy = np.random.default_rng(6).standard_normal(x.shape)
+    outputs = {}
+    real = model_mod._ffn_fwd
+
+    def ffn_fwd(w, rows, *seq_len):
+        y, cache = real(w, rows, *seq_len)
+        outputs[id(w.gate)] = y.copy()  # before the expert weights it in place
+        return y, cache
+
+    monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
+    _, routing, cache = _moe_fwd(weights, x, 2)
+    assert np.count_nonzero(routing.selected == 3) == 1
+    assert len(outputs[id(weights.experts[3].gate)]) == 2  # the lone row, run as two
+    idx, kept = cache.experts[3]
+    lone = model_mod._expert_output(weights.experts[3], model_mod._act_prod(*kept)[1])
+    assert idx.size == 1 and _same_bits(lone, outputs[id(weights.experts[3].gate)][:1])
+    got = _moe_bwd(weights, cache, dy, None)
+
+    used = []
+
+    def forward_output(w, prod):
+        used.append(id(w.gate))
+        return outputs[id(w.gate)][:len(prod)]
+
+    monkeypatch.setattr(model_mod, "_expert_output", forward_output)
+    want = _moe_bwd(weights, _moe_fwd(weights, x, 2)[2], dy, None)
+    assert sorted(used) == sorted(id(w.gate) for w in weights.experts)
+    (dx, d_router, expert_grads, _), (ref_dx, ref_router, ref_grads, _) = got, want
+    assert _same_bits(dx, ref_dx) and _same_bits(d_router, ref_router)
+    for grads, ref in zip(expert_grads, ref_grads, strict=True):
+        assert all(_same_bits(g, r) for g, r in zip(grads, ref, strict=True))
 
 
 def test_clip_and_adamw_bitwise():

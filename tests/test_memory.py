@@ -227,7 +227,7 @@ def _expert_refs(cache, model) -> list[list[weakref.ref]]:
     """Per expert, in backward order, the arrays only that expert's cache holds."""
     refs = []
     for layer in reversed(cache["layer_caches"]):
-        # A routed entry is (rows, (gate_pre, up_out, sig), output): all its own.
+        # A routed entry is (rows, (gate_pre, up_out, sig)): all its own.
         refs.extend(_refs(e_cache, model) for e_cache in layer.ffn.experts
                     if e_cache is not None)
         # A shared expert's input is the layer input, which the router also uses.
@@ -301,6 +301,37 @@ def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
     assert not any(own for own, _ in seen)
     assert max(groups for _, groups in seen) <= threads - 1
     assert sum(_alive(refs) for refs in experts) == 0
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_rebuilt_prod_dead_before_weight_gradients(config, monkeypatch):
+    """Every FFN backward frees its rebuilt (K, width) ``prod`` before its two
+    weight-gradient GEMMs run. A routed expert's backward rebuilds ``act``
+    and ``prod`` itself and hands them to ``_ffn_bwd`` in a list that
+    ``_ffn_bwd`` empties, so no caller keeps them either."""
+    monkeypatch.setenv("MOEUP_THREADS", "1")  # one FFN backward at a time
+    model = _model(config)
+    cache = forward_cache(model, _tokens())
+    ffns = sum(len(layer.ffn.experts) + len(layer.ffn.shared) if config.is_moe else 1
+               for layer in cache["layer_caches"])
+    prods, dead = [], []
+    real_act_prod, real_map = model_mod._act_prod, model_mod.ordered_map
+
+    def act_prod(*kept):
+        act, prod = real_act_prod(*kept)
+        prods.append(weakref.ref(prod))
+        return act, prod
+
+    def ordered_map(fn, items, *args):
+        if fn.__code__.co_qualname == "_ffn_bwd.<locals>.<lambda>":  # x.T @ grad
+            dead.append(prods[-1]() is None)
+        return real_map(fn, items, *args)
+
+    monkeypatch.setattr(model_mod, "_act_prod", act_prod)
+    monkeypatch.setattr(model_mod, "ordered_map", ordered_map)
+    backward_from_cache(model, cache)
+    assert len(prods) == len(dead) and 0 < len(dead) <= ffns
+    assert all(dead), dead
 
 
 def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
@@ -384,14 +415,24 @@ def test_expert_tensors_dead_when_next_expert_starts_forward(keep, threads, monk
         assert seen == [0] * len(seen) and _alive(earlier) == 0
 
 
-def test_kept_expert_entry_holds_no_input_rows():
-    """A routed expert keeps its rows, exactly ``(gate_pre, up_out, sig)`` as
-    (K, width) arrays and its (K, d_h) output: no copy of its input rows, and
-    neither ``act`` nor ``prod``, which backward rebuilds."""
+def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
+    """A routed expert keeps its rows and exactly ``(gate_pre, up_out, sig)``
+    as (K, width) arrays: no copy of its input rows, neither ``act`` nor
+    ``prod``, and no output. Backward rebuilds ``act`` and ``prod``, and the
+    output from ``prod``, bitwise as the forward made them."""
     config = make_config(16, 64, 2, 2, 2, VOCAB_SIZE, n=4, k=3, m=2, k_s=1, s=16)
     model = _model(config)
     d_h, width = config.hidden_size, config.intermediate_size // config.granularity
     assert width != d_h
+    outputs = {}
+    real = model_mod._ffn_fwd
+
+    def ffn_fwd(w, x, *seq_len):
+        y, cache = real(w, x, *seq_len)
+        outputs[id(w.gate)] = y.copy()  # before the expert weights it in place
+        return y, cache
+
+    monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
     cache = forward_cache(model, _tokens())
     entries = 0
     for layer in cache["layer_caches"]:
@@ -400,14 +441,18 @@ def test_kept_expert_entry_holds_no_input_rows():
             if entry is None:
                 continue
             entries += 1
-            idx, kept, fe = entry
+            idx, kept = entry
             rows = idx.size
             assert idx.dtype == np.int64 and idx.shape == (rows,)
-            assert len(_arrays(entry, set())) == 5
+            assert len(_arrays(entry, set())) == 4
             assert len(kept) == 3 and all(a.shape == (rows, width) for a in kept)
-            assert fe.shape == (rows, d_h)
-            y, ffn_cache = model_mod._ffn_fwd(layer.weights.experts[e], moe.x[idx])
-            assert _same_bits([*kept, fe], [*ffn_cache[1:], y])
+            w = layer.weights.experts[e]
+            # The kept arrays are those of the forward on the regathered rows.
+            y, fresh = real(w, moe.x[idx])
+            assert _same_bits([*kept], [*fresh[1:]])
+            rebuilt = model_mod._expert_output(w, model_mod._act_prod(*kept)[1])
+            assert rebuilt.shape == (rows, d_h)
+            assert _same_bits([rebuilt, y], [outputs[id(w.gate)][:rows]] * 2)
         for s_cache in moe.shared:
             assert len(s_cache) == 4 and s_cache[0] is moe.x
     assert entries > len(cache["layer_caches"])
@@ -520,30 +565,36 @@ def test_train_peak_is_one_step_of_activations():
 
 def test_activation_free_tile_peaks_at_a_third():
     """One 512-token evaluation forward of the toy coarse MoE. Without kept
-    activations only one expert's tensors are live at a time (about 6.7 MiB);
-    the kept forward holds every expert's (about 21 MiB)."""
+    activations a layer's norm and attention caches die before its FFN runs,
+    and only one expert's tensors are live at a time (about 3.7 MiB; 6.7 MiB
+    while those caches lived through the FFN); the kept forward holds every
+    expert's (about 20.4 MiB)."""
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     tile = default_corpus(seq_len=64, num_sequences=8).sequences
     kept = _peak(lambda: forward_cache(model, tile))
     free = _peak(lambda: forward_cache(model, tile, keep_activations=False))
     assert 3 * free <= kept, (free, kept)
-    assert free <= 8 << 20, (free, kept)
+    assert free <= 5 << 20, (free, kept)
     assert kept <= 24 << 20, (free, kept)
 
 
-def test_fine_grained_train_step_peak():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fine_grained_train_step_peak(threads, monkeypatch):
     """One train step (forward and backward) at the ``toy-finegrained``
     shape: 31 routed experts of width 32, top-15, one shared expert, a 16 x 64
-    batch. Kept expert entries hold no input rows, ``act`` or ``prod``, so
-    the step peaks near 59 MiB; caching ``prod`` again adds about 8 MiB."""
+    batch. Kept expert entries hold no input rows, ``act``, ``prod`` or
+    output, so the step peaks near 44 MiB on one thread and 45-48 MiB on two;
+    keeping each expert's output again adds 7.5 MiB per MoE layer (59 MiB),
+    and caching ``prod`` as well about 8 MiB more."""
+    monkeypatch.setenv("MOEUP_THREADS", threads)
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
     assert (config.routed_experts, config.shared_experts) == (31, 1)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
                         stream=RngStream(4))
     tokens = default_corpus(seq_len=64, num_sequences=16).sequences
     peak = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
-    assert peak <= 65 << 20, peak / (1 << 20)
+    assert peak <= 52 << 20, peak / (1 << 20)
 
 
 def test_from_scratch_peak_near_payload():
