@@ -23,12 +23,13 @@ Gradients are reverse-mode via per-layer hand-written backward functions at
 pass will follow keeps a ``LayerCache`` per layer, whose FFN part is an
 ``MoeCache`` in an MoE model, and the backward pass reads them by name,
 freeing each part at its last use. The caches keep only what backward cannot
-rebuild cheaply. An FFN keeps its input, its two GEMM outputs and the
-sigmoid; backward recomputes ``act`` and ``prod`` with the forward's
-operations, so they are bitwise the same. A routed expert keeps neither a
-copy of its input rows nor its output: backward regathers the rows from the
-layer input, and rebuilds the output, which only the gate gradient needs,
-as ``prod @ down`` from the ``prod`` it rebuilds anyway. A forward pass
+rebuild cheaply. An FFN keeps its input and its two GEMM outputs; backward
+recomputes ``sig``, ``act`` and ``prod`` with the forward's operations, so
+they are bitwise the same, in the forward's tiles where its rows were tiled.
+A routed expert keeps neither a copy of its input rows nor its output:
+backward regathers the rows from the layer input, and rebuilds the output,
+which only the gate gradient needs, as ``prod @ down`` from the ``prod`` it
+rebuilds anyway. A forward pass
 for evaluation or routing traces (``keep_activations=False``) keeps none of
 them: a layer's norm and attention caches die before its FFN runs, inside
 an MoE layer each expert's input rows, intermediates and output die before
@@ -265,68 +266,85 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
-    """Gated FFN over rows of ``x``; returns ``(y, (x, gate_pre, up_out, sig))``.
+    """Gated FFN over rows of ``x``; returns ``(y, (x, gate_pre, up_out))``.
 
-    The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the input,
-    the two GEMM outputs and the sigmoid. ``act = gate_pre * sig`` and
-    ``prod = act * up_out`` die here, in one buffer; backward recomputes them.
-    With ``seq_len``, the rows are whole sequences of that many tokens, and
-    they run in tiles (:func:`_tiles`), each writing its rows of the
-    outputs; a routed expert's rows run whole.
+    The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the input
+    and the two GEMM outputs. ``sig``, ``act = gate_pre * sig`` and
+    ``prod = act * up_out`` die here, in one buffer; backward recomputes them
+    (:func:`_act_prod`). With ``seq_len``, the rows are whole sequences of
+    that many tokens, and they run in tiles (:func:`_tiles`), each writing
+    its rows of the outputs; a routed expert's rows run whole.
     """
     tiles = _tiles(len(x), seq_len, w.width)
     if len(tiles) == 1:
         return _ffn_rows(w, x)
-    outs = [np.empty((len(x), w.down.shape[1]))] + [np.empty((len(x), w.width)) for _ in range(3)]
+    outs = [np.empty((len(x), w.down.shape[1]))] + [np.empty((len(x), w.width)) for _ in range(2)]
 
     def rows(r: slice):
         _ffn_rows(w, x[r], [a[r] for a in outs])
 
     list(ordered_map(rows, tiles))
-    y, gate_pre, up_out, sig = outs
-    return y, (x, gate_pre, up_out, sig)
+    y, gate_pre, up_out = outs
+    return y, (x, gate_pre, up_out)
 
 
-def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 4):
+def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 3):
     """:func:`_ffn_fwd` on rows ``x``, its results written into ``out``
-    (``y``, ``gate_pre``, ``up_out``, ``sig``) where given, else new arrays."""
-    y, gate_pre, up_out, sig = out
+    (``y``, ``gate_pre``, ``up_out``) where given, else new arrays. The
+    sigmoid is written straight into ``prod``'s buffer; a product is the same
+    bits either way round, so ``prod`` is bitwise :func:`_act_prod`'s."""
+    y, gate_pre, up_out = out
     gate_pre = np.matmul(x, w.gate, out=gate_pre)
     up_out = np.matmul(x, w.up, out=up_out)
-    sig = _sigmoid(gate_pre, out=sig)
-    prod = gate_pre * sig  # act
+    prod = _sigmoid(gate_pre)  # sig
+    prod *= gate_pre  # act
     prod *= up_out
-    return np.matmul(prod, w.down, out=y), (x, gate_pre, up_out, sig)
+    return np.matmul(prod, w.down, out=y), (x, gate_pre, up_out)
 
 
-def _act_prod(gate_pre: np.ndarray, up_out: np.ndarray, sig: np.ndarray):
-    """``(act, prod)`` rebuilt from an FFN cache by the forward's operations
-    in the forward's order, so they are bitwise the forward's."""
-    act = gate_pre * sig
-    return act, act * up_out
+def _act_prod(gate_pre: np.ndarray, up_out: np.ndarray, out=(None,) * 3):
+    """``(sig, act, prod)`` rebuilt from an FFN cache by the forward's
+    operations (the same :func:`_sigmoid` call), so they are bitwise the
+    forward's; written into ``out`` where given, else new arrays."""
+    sig, act, prod = out
+    sig = _sigmoid(gate_pre, out=sig)
+    act = np.multiply(gate_pre, sig, out=act)
+    return sig, act, np.multiply(act, up_out, out=prod)
 
 
 def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     """Backward for :func:`_ffn_fwd`; returns ``(dx, d_gate, d_up, d_down)``.
 
-    ``act`` and ``prod`` are rebuilt by :func:`_act_prod`, unless the cache
-    ends with them already rebuilt, as a routed expert's backward passes it
-    (:func:`_moe_bwd`): the list ``[x, gate_pre, up_out, sig, act, prod]``,
-    which is emptied here so that ``prod`` dies at its last use. The cache
-    is used up, with ``act`` and ``prod``:
-    swish' is built in ``gate_pre``'s buffer and ``d_prod`` written into
-    ``sig``'s, ``act``'s buffer becomes ``d_up_out``, and ``prod``'s, once it
-    has given ``d_down``, holds ``1 - sig``. Backward allocates two (K, width)
-    temporaries in all, ``act`` and ``prod``. With ``seq_len`` the rows run in
-    the forward's tiles, after ``act`` and ``prod`` are rebuilt whole; the
-    weight gradients, sums over all rows, are whole GEMMs.
+    ``sig``, ``act`` and ``prod`` are rebuilt by :func:`_act_prod`, unless
+    the cache ends with them already rebuilt, as a routed expert's backward
+    passes it (:func:`_moe_bwd`): the list
+    ``[x, gate_pre, up_out, sig, act, prod]``, which is emptied here so that
+    ``prod`` dies at its last use. The cache is used up, with the three
+    rebuilt arrays: swish' is built in ``gate_pre``'s buffer and ``d_prod``
+    written into ``sig``'s, ``act``'s buffer becomes ``d_up_out``, and
+    ``prod``'s, once it has given ``d_down``, holds ``1 - sig``. Backward
+    allocates three (K, width) temporaries in all, ``sig``, ``act`` and
+    ``prod``. With ``seq_len`` the rows run in the forward's tiles: the
+    three are rebuilt tile by tile, then ``d_down`` is taken whole, and then
+    the gradients run tile by tile; the weight gradients, sums over all
+    rows, are whole GEMMs.
     """
-    x, gate_pre, up_out, sig, *rebuilt = cache
-    if rebuilt:
-        cache.clear()  # the caller's references to act and prod
+    x, gate_pre, up_out, *rebuilt = cache
     tiles = _tiles(len(x), seq_len, w.width)
-    act, prod = rebuilt or _act_prod(gate_pre, up_out, sig)
-    del rebuilt
+    if rebuilt:
+        cache.clear()  # the caller's references to sig, act and prod
+        sig, act, prod = rebuilt
+        del rebuilt
+    elif len(tiles) == 1:
+        sig, act, prod = _act_prod(gate_pre, up_out)
+    else:
+        sig, act, prod = outs = [np.empty_like(gate_pre) for _ in range(3)]
+
+        def rebuild(r: slice):
+            _act_prod(gate_pre[r], up_out[r], [a[r] for a in outs])
+
+        list(ordered_map(rebuild, tiles))
+        del outs
     d_down = prod.T @ dy
     dx = np.empty_like(dy)
 
@@ -391,8 +409,8 @@ class MoeCache:
     x: np.ndarray           # (N, d_h) layer input
     gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
     routing: LayerRouting
-    # Per routed expert, (rows, (gate_pre, up_out, sig)), or None if no row
-    # chose it: the FFN cache without its input, which backward regathers as
+    # Per routed expert, (rows, (gate_pre, up_out)), or None if no row chose
+    # it: the FFN cache without its input, which backward regathers as
     # x[rows], and no output, which backward rebuilds (_expert_output).
     experts: list[tuple | None]
     shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
@@ -551,12 +569,12 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     every row, broadcast against the (N, n) probabilities. Top-k selection
     itself is piecewise constant and carries no gradient.
 
-    A routed expert rebuilds its ``act`` and ``prod`` once
-    (:func:`_act_prod`), and its output from them (:func:`_expert_output`),
-    bitwise the forward's. The output gives the gate gradient and dies; the
-    gate-weighted output gradient then runs through :func:`_ffn_bwd` on the
-    same ``act`` and ``prod``, with the input rows regathered from
-    ``cache.x``. ``seq_len`` is the forward's.
+    A routed expert rebuilds its ``sig``, ``act`` and ``prod`` once
+    (:func:`_act_prod`), and its output from ``prod``
+    (:func:`_expert_output`), bitwise the forward's. The output gives the
+    gate gradient and dies; the gate-weighted output gradient then runs
+    through :func:`_ffn_bwd` on the same three arrays, with the input rows
+    regathered from ``cache.x``. ``seq_len`` is the forward's.
     """
     routing = cache.routing
     n = w.num_experts
@@ -573,7 +591,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
             return None, None, None, tuple(map(np.zeros_like, (ew.gate, ew.up, ew.down)))
         idx, kept = entry
         del entry
-        # Only this list holds act and prod, and _ffn_bwd empties it.
+        # Only this list holds sig, act and prod, and _ffn_bwd empties it.
         parts = [cache.x[idx], *kept, *_act_prod(*kept)]
         fe = _expert_output(ew, parts[5])
         dye = dy[idx]

@@ -199,20 +199,22 @@ def ref_attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
 
 def ref_ffn_fwd(w, x: np.ndarray):
     """Gated FFN over all rows at once, every step out of place; returns
-    ``(y, (x, gate_pre, up_out, sig))``."""
+    ``(y, (x, gate_pre, up_out))``."""
     gate_pre = x @ w.gate
     up_out = x @ w.up
     sig = ref_sigmoid_array(gate_pre)
-    return (gate_pre * sig * up_out) @ w.down, (x, gate_pre, up_out, sig)
+    return (gate_pre * sig * up_out) @ w.down, (x, gate_pre, up_out)
 
 
 def ref_ffn_bwd(w, cache, dy: np.ndarray, seq_len: int | None = None):
-    """FFN backward from the ``(x, gate_pre, up_out, sig)`` cache, every step
-    out of place and over all rows at once: ``seq_len``, which tiles the
+    """FFN backward from the ``(x, gate_pre, up_out)`` cache, every step out
+    of place and over all rows at once: ``seq_len``, which tiles the
     package's kernel, is ignored. A cache that also carries the rebuilt
-    ``act`` and ``prod``, as a routed expert's backward passes it, is read
-    for its first four arrays only: the reference rebuilds the rest itself."""
-    x, gate_pre, up_out, sig = cache[:4]
+    ``sig``, ``act`` and ``prod``, as a routed expert's backward passes it,
+    is read for its first three arrays only: the reference rebuilds the rest
+    itself."""
+    x, gate_pre, up_out = cache[:3]
+    sig = ref_sigmoid_array(gate_pre)
     act = gate_pre * sig
     prod = act * up_out
     d_prod = dy @ w.down.T

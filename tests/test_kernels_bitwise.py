@@ -8,6 +8,7 @@ in ``reference_impl``. Training must therefore reproduce exactly.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -123,16 +124,86 @@ def test_ffn_backward_bitwise():
     _, cache = _ffn_fwd(w, x)
     # _ffn_bwd uses its cache up, so it gets copies and the reference the original.
     want = ref_ffn_bwd(w, cache, dy)
-    # A cache that ends with act and prod rebuilt, as a routed expert's
+    # A cache that ends with sig, act and prod rebuilt, as a routed expert's
     # backward passes it, gives the same bits.
     rebuilt = model_mod._act_prod(*cache[1:])
+    assert len(cache) == len(rebuilt) == 3
     for extra in ((), rebuilt):
         copies = [a.copy() for a in (*cache, *extra)]
         got = _ffn_bwd(w, copies, dy)
-        assert len(copies) == (0 if extra else 4)  # a 6-array list is emptied
+        assert len(copies) == (0 if extra else 3)  # a 6-array list is emptied
         assert len(got) == len(want) == 4
         for g, r in zip(got, want):
             assert _same_bits(g, r)
+
+
+def _tiled_ffn_case():
+    """An FFN of width 512 over 9 sequences of 64 tokens, which run in two
+    tiles of 8 sequences and of 1."""
+    b, t, d_h, width = 9, 64, 64, 512
+    assert model_mod._tiles(b * t, t, width) == [slice(0, 512), slice(512, 576)]
+    rng = np.random.default_rng(9)
+    w = FfnWeights(*(rng.normal(scale=0.2, size=s) for s in ((d_h, width), (d_h, width),
+                                                             (width, d_h))))
+    x, dy = rng.normal(size=(2, b * t, d_h))
+    return w, x, dy, t
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
+def test_rebuilt_sig_act_prod_are_the_forwards(tiled, monkeypatch):
+    """The forward computes ``sig`` in the buffer that then becomes ``act``
+    and ``prod``, and keeps none of them; :func:`_act_prod` rebuilds all
+    three from the kept ``(gate_pre, up_out)`` with the bits the forward had.
+    The forward's ``sig`` is captured as its ``_sigmoid`` call returns, and
+    its ``prod`` as that buffer's final contents."""
+    monkeypatch.setenv("MOEUP_THREADS", "2")
+    w, x, _, t = _tiled_ffn_case()
+    calls = []
+    real = model_mod._sigmoid
+
+    def sigmoid(z, out=None):
+        result = real(z, out)
+        calls.append((z.ctypes.data, result, result.copy()))
+        return result
+
+    monkeypatch.setattr(model_mod, "_sigmoid", sigmoid)
+    y, cache = _ffn_fwd(w, x, t if tiled else None)
+    assert len(cache) == 3
+    _, gate_pre, up_out = cache
+    calls.sort(key=lambda call: call[0])  # tiles in row order
+    assert len(calls) == (2 if tiled else 1) and calls[0][0] == gate_pre.ctypes.data
+    fwd_sig = np.concatenate([sig for _, _, sig in calls])
+    fwd_prod = np.concatenate([buffer for _, buffer, _ in calls])
+    calls.clear()
+    sig, act, prod = model_mod._act_prod(gate_pre, up_out)
+    assert len(calls) == 1  # the forward's own _sigmoid
+    assert _same_bits(sig, fwd_sig) and _same_bits(prod, fwd_prod)
+    assert _same_bits(act, gate_pre * fwd_sig)
+    assert _same_bits(prod @ w.down, y)
+
+
+def test_tiled_ffn_backward_on_the_pool_matches_one_thread(monkeypatch):
+    """A dense FFN backward over two tiles rebuilds ``sig``, ``act`` and
+    ``prod`` tile by tile, on the pool at two threads, and its gradients
+    have the bits of the one-thread run and of the whole-batch reference."""
+    w, x, dy, t = _tiled_ffn_case()
+    want = ref_ffn_bwd(w, ref_ffn_fwd(w, x)[1], dy)
+    real = model_mod._act_prod
+    threads = []
+
+    def act_prod(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "_act_prod", act_prod)
+    got = {}
+    for count in ("1", "2"):
+        monkeypatch.setenv("MOEUP_THREADS", count)
+        threads.clear()
+        got[count] = _ffn_bwd(w, _ffn_fwd(w, x, t)[1], dy, t)
+        assert threads == [count == "1"] * 2  # one rebuild per tile
+    for one, two, ref in zip(got["1"], got["2"], want, strict=True):
+        assert _same_bits(one, ref) and _same_bits(two, ref)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -226,7 +297,7 @@ def test_lone_row_gradients_match_its_forward_output(monkeypatch):
     assert np.count_nonzero(routing.selected == 3) == 1
     assert len(outputs[id(weights.experts[3].gate)]) == 2  # the lone row, run as two
     idx, kept = cache.experts[3]
-    lone = model_mod._expert_output(weights.experts[3], model_mod._act_prod(*kept)[1])
+    lone = model_mod._expert_output(weights.experts[3], model_mod._act_prod(*kept)[2])
     assert idx.size == 1 and _same_bits(lone, outputs[id(weights.experts[3].gate)][:1])
     got = _moe_bwd(weights, cache, dy, None)
 

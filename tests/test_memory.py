@@ -227,7 +227,7 @@ def _expert_refs(cache, model) -> list[list[weakref.ref]]:
     """Per expert, in backward order, the arrays only that expert's cache holds."""
     refs = []
     for layer in reversed(cache["layer_caches"]):
-        # A routed entry is (rows, (gate_pre, up_out, sig)): all its own.
+        # A routed entry is (rows, (gate_pre, up_out)): all its own.
         refs.extend(_refs(e_cache, model) for e_cache in layer.ffn.experts
                     if e_cache is not None)
         # A shared expert's input is the layer input, which the router also uses.
@@ -303,24 +303,32 @@ def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
     assert sum(_alive(refs) for refs in experts) == 0
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("config", [*CONFIGS, toy_dense_config()],
+                         ids=[*CONFIG_IDS, "tiled-dense"])
 def test_rebuilt_prod_dead_before_weight_gradients(config, monkeypatch):
     """Every FFN backward frees its rebuilt (K, width) ``prod`` before its two
-    weight-gradient GEMMs run. A routed expert's backward rebuilds ``act``
-    and ``prod`` itself and hands them to ``_ffn_bwd`` in a list that
-    ``_ffn_bwd`` empties, so no caller keeps them either."""
+    weight-gradient GEMMs run. A routed expert's backward rebuilds ``sig``,
+    ``act`` and ``prod`` itself and hands them to ``_ffn_bwd`` in a list that
+    ``_ffn_bwd`` empties, so no caller keeps them either. The toy dense FFN
+    on 16 x 64 tokens rebuilds them in two tiles, each into its rows of one
+    ``prod``."""
     monkeypatch.setenv("MOEUP_THREADS", "1")  # one FFN backward at a time
-    model = _model(config)
-    cache = forward_cache(model, _tokens())
+    tiled = config.seq_len == 64
+    model = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                        stream=RngStream(4)) if tiled else _model(config)
+    cache = forward_cache(model, default_corpus(seq_len=64, num_sequences=16).sequences
+                          if tiled else _tokens())
     ffns = sum(len(layer.ffn.experts) + len(layer.ffn.shared) if config.is_moe else 1
                for layer in cache["layer_caches"])
     prods, dead = [], []
     real_act_prod, real_map = model_mod._act_prod, model_mod.ordered_map
 
     def act_prod(*kept):
-        act, prod = real_act_prod(*kept)
-        prods.append(weakref.ref(prod))
-        return act, prod
+        sig, act, prod = real_act_prod(*kept)
+        whole = prod if prod.base is None else prod.base  # a tile writes its rows of one prod
+        if not prods or prods[-1]() is not whole:
+            prods.append(weakref.ref(whole))
+        return sig, act, prod
 
     def ordered_map(fn, items, *args):
         if fn.__code__.co_qualname == "_ffn_bwd.<locals>.<lambda>":  # x.T @ grad
@@ -372,8 +380,9 @@ def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
         monkeypatch.setenv("MOEUP_THREADS", count)
         tiles.clear()
         peaks[count] = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
-        # Per layer: attention and FFN forward, FFN and attention backward.
-        assert len(tiles) == 2 * 4 * model.config.num_layers
+        # Per layer: attention and FFN forward, the FFN's rebuild of sig, act
+        # and prod, and FFN and attention backward.
+        assert len(tiles) == 2 * 5 * model.config.num_layers
         assert all(result is None for _, result in tiles)
         assert all(on_main for on_main, _ in tiles) == (count == "1")
     assert most[0] <= threads
@@ -416,10 +425,11 @@ def test_expert_tensors_dead_when_next_expert_starts_forward(keep, threads, monk
 
 
 def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
-    """A routed expert keeps its rows and exactly ``(gate_pre, up_out, sig)``
-    as (K, width) arrays: no copy of its input rows, neither ``act`` nor
-    ``prod``, and no output. Backward rebuilds ``act`` and ``prod``, and the
-    output from ``prod``, bitwise as the forward made them."""
+    """A routed expert keeps its rows and exactly ``(gate_pre, up_out)`` as
+    (K, width) arrays: no copy of its input rows, no ``sig``, ``act`` or
+    ``prod``, and no output. Backward rebuilds ``sig``, ``act`` and ``prod``,
+    and the output from ``prod``, bitwise as the forward made them. A shared
+    expert keeps ``(x, gate_pre, up_out)``, its ``x`` the layer input."""
     config = make_config(16, 64, 2, 2, 2, VOCAB_SIZE, n=4, k=3, m=2, k_s=1, s=16)
     model = _model(config)
     d_h, width = config.hidden_size, config.intermediate_size // config.granularity
@@ -444,17 +454,17 @@ def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
             idx, kept = entry
             rows = idx.size
             assert idx.dtype == np.int64 and idx.shape == (rows,)
-            assert len(_arrays(entry, set())) == 4
-            assert len(kept) == 3 and all(a.shape == (rows, width) for a in kept)
+            assert len(_arrays(entry, set())) == 3
+            assert len(kept) == 2 and all(a.shape == (rows, width) for a in kept)
             w = layer.weights.experts[e]
             # The kept arrays are those of the forward on the regathered rows.
             y, fresh = real(w, moe.x[idx])
             assert _same_bits([*kept], [*fresh[1:]])
-            rebuilt = model_mod._expert_output(w, model_mod._act_prod(*kept)[1])
+            rebuilt = model_mod._expert_output(w, model_mod._act_prod(*kept)[2])
             assert rebuilt.shape == (rows, d_h)
             assert _same_bits([rebuilt, y], [outputs[id(w.gate)][:rows]] * 2)
         for s_cache in moe.shared:
-            assert len(s_cache) == 4 and s_cache[0] is moe.x
+            assert len(s_cache) == 3 and s_cache[0] is moe.x
     assert entries > len(cache["layer_caches"])
 
 
@@ -568,7 +578,7 @@ def test_activation_free_tile_peaks_at_a_third():
     activations a layer's norm and attention caches die before its FFN runs,
     and only one expert's tensors are live at a time (about 3.7 MiB; 6.7 MiB
     while those caches lived through the FFN); the kept forward holds every
-    expert's (about 20.4 MiB)."""
+    expert's (about 16.2 MiB; 20.0 MiB while each FFN kept its sigmoid)."""
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     tile = default_corpus(seq_len=64, num_sequences=8).sequences
@@ -579,22 +589,38 @@ def test_activation_free_tile_peaks_at_a_third():
     assert kept <= 24 << 20, (free, kept)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_fine_grained_train_step_peak(threads, monkeypatch):
-    """One train step (forward and backward) at the ``toy-finegrained``
-    shape: 31 routed experts of width 32, top-15, one shared expert, a 16 x 64
-    batch. Kept expert entries hold no input rows, ``act``, ``prod`` or
-    output, so the step peaks near 44 MiB on one thread and 45-48 MiB on two;
-    keeping each expert's output again adds 7.5 MiB per MoE layer (59 MiB),
-    and caching ``prod`` as well about 8 MiB more."""
+def _train_step_peak(config, threads, monkeypatch) -> int:
+    """The ``tracemalloc`` peak of one train step (forward and backward) of
+    ``config`` on a 16 x 64 batch at ``threads`` threads."""
     monkeypatch.setenv("MOEUP_THREADS", threads)
-    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
-    assert (config.routed_experts, config.shared_experts) == (31, 1)
     model = build_model(random_checkpoint(config, seed=3), max_positions=64,
                         stream=RngStream(4))
     tokens = default_corpus(seq_len=64, num_sequences=16).sequences
-    peak = _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
-    assert peak <= 52 << 20, peak / (1 << 20)
+    return _peak(lambda: backward_from_cache(model, forward_cache(model, tokens)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fine_grained_train_step_peak(threads, monkeypatch):
+    """One train step at the ``toy-finegrained`` shape: 31 routed experts of
+    width 32, top-15, one shared expert, a 16 x 64 batch. FFN caches hold no
+    ``sig``, and kept expert entries no input rows, ``act``, ``prod`` or
+    output, so the step peaks near 36 MiB on one thread and 37-40 MiB on
+    two. Keeping the sigmoid adds 4 MiB per MoE layer (44 MiB on one
+    thread, 45-48 MiB on two), keeping each expert's output 7.5 MiB more per
+    layer (59 MiB), and caching ``prod`` as well about 8 MiB more."""
+    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
+    assert (config.routed_experts, config.shared_experts) == (31, 1)
+    peak = _train_step_peak(config, threads, monkeypatch)
+    assert peak <= 42 << 20, peak / (1 << 20)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_coarse_train_step_peak(threads, monkeypatch):
+    """One train step of the toy coarse MoE (4 experts of width 256, top-2)
+    on a 16 x 64 batch peaks near 34.4 MiB on one thread and 38 MiB on two;
+    when each FFN cache kept its sigmoid, at 42.4 and 43-44 MiB."""
+    peak = _train_step_peak(toy_moe_config(), threads, monkeypatch)
+    assert peak <= 41 << 20, peak / (1 << 20)
 
 
 def test_from_scratch_peak_near_payload():
