@@ -23,14 +23,19 @@ Gradients are reverse-mode via per-layer hand-written backward functions at
 pass will follow keeps a ``LayerCache`` per layer, whose FFN part is an
 ``MoeCache`` in an MoE model, and the backward pass reads them by name,
 freeing each part at its last use. The caches keep only what backward cannot
-rebuild cheaply. An FFN keeps its input and its two GEMM outputs; backward
-recomputes ``sig``, ``act`` and ``prod`` with the forward's operations, so
-they are bitwise the same, in the forward's tiles where its rows were tiled.
-A routed expert keeps neither a copy of its input rows nor its output:
-backward regathers the rows from the layer input, and rebuilds the output,
-which only the gate gradient needs, as ``prod @ down`` from the ``prod`` it
-rebuilds anyway. A forward pass
-for evaluation or routing traces (``keep_activations=False``) keeps none of
+rebuild cheaply, and backward rebuilds the rest with the forward's
+operations, so it is bitwise the same. No cache keeps a norm output:
+backward rebuilds attention's input, the FFN's input and the final norm's
+output as ``g * xhat`` from the norm caches and passes them in. Attention
+keeps ``q``, ``k``, ``v``, its merged heads and each row's max score and sum
+of exponentials, but no (B, heads, T, T) probabilities, which backward
+rebuilds tile by tile (:func:`_attn_probs`). An FFN keeps its two GEMM
+outputs; backward recomputes ``sig``, ``act`` and ``prod``, in the forward's
+tiles where its rows were tiled. A routed expert keeps neither a copy of its
+input rows nor its output: backward regathers the rows from the layer input,
+and rebuilds the output, which only the gate gradient needs, as
+``prod @ down`` from the ``prod`` it rebuilds anyway. A forward pass for
+evaluation or routing traces (``keep_activations=False``) keeps none of
 them: a layer's norm and attention caches die before its FFN runs, inside
 an MoE layer each expert's input rows, intermediates and output die before
 the next expert runs, and only the tokens, logits and routing
@@ -47,18 +52,20 @@ balanced by rows x width (:func:`_expert_plan`), one task per group, if the
 average group holds ``_POOL_MIN_ELEMENTS``. The plan follows from the
 routing counts alone, and backward reuses the forward's. A group's experts
 run one after another on its thread, each computing exactly what it would
-in a serial loop and weighting its own output in place; the calling thread
-adds their outputs in expert order while later groups run. Otherwise, as in
-evaluation and at ``MOEUP_THREADS=1``, each expert is its own item, run
-inline, and its tensors die before the next expert starts.
+in a serial loop and weighting its own output in place. The first group
+adds its outputs to the layer output in its own task, since nothing is
+added before them; the calling thread adds the later groups' outputs, in
+expert order, while later groups run. Otherwise, as in evaluation and at
+``MOEUP_THREADS=1``, each expert is its own item, run inline, and its
+tensors die before the next expert starts.
 
 Work whose rows are whole sequences runs in tiles on the same pool:
-attention's per-sequence core (projections, scores, mask, softmax, context
-and their gradients), the dense FFN and shared experts, forward and
-backward. :func:`_tiles` is the one tile plan, and it depends only on
-shapes: at most ``_TILE_TOKENS`` tokens of whole sequences per tile, used
-only if even the last tile holds ``_POOL_MIN_ELEMENTS``; otherwise the work
-runs whole. Evaluation's pool task is a whole forward pass of at most
+attention's per-sequence core (projections, scores, mask, softmax, context,
+the rebuild of the probabilities and their gradients), the dense FFN and
+shared experts, forward and backward. :func:`_tiles` is the one tile plan,
+and it depends only on shapes: at most ``_TILE_TOKENS`` tokens of whole
+sequences per tile, used only if even the last tile holds
+``_POOL_MIN_ELEMENTS``; otherwise the work runs whole. Evaluation's pool task is a whole forward pass of at most
 ``EVAL_FORWARD_TOKENS`` tokens (:func:`moeup.trainer.forward_tiles`).
 Each tile writes its rows of preallocated outputs; every sum over rows (the
 weight gradients, the norm gains, the loss and the embedding scatter) stays
@@ -266,10 +273,11 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
-    """Gated FFN over rows of ``x``; returns ``(y, (x, gate_pre, up_out))``.
+    """Gated FFN over rows of ``x``; returns ``(y, (gate_pre, up_out))``.
 
-    The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the input
-    and the two GEMM outputs. ``sig``, ``act = gate_pre * sig`` and
+    The cache keeps what :func:`_ffn_bwd` cannot rebuild cheaply: the two
+    GEMM outputs. The input is no part of it: the caller passes it to
+    backward again. ``sig``, ``act = gate_pre * sig`` and
     ``prod = act * up_out`` die here, in one buffer; backward recomputes them
     (:func:`_act_prod`). With ``seq_len``, the rows are whole sequences of
     that many tokens, and they run in tiles (:func:`_tiles`), each writing
@@ -285,7 +293,7 @@ def _ffn_fwd(w: FfnWeights, x: np.ndarray, seq_len: int | None = None):
 
     list(ordered_map(rows, tiles))
     y, gate_pre, up_out = outs
-    return y, (x, gate_pre, up_out)
+    return y, (gate_pre, up_out)
 
 
 def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 3):
@@ -299,7 +307,7 @@ def _ffn_rows(w: FfnWeights, x: np.ndarray, out=(None,) * 3):
     prod = _sigmoid(gate_pre)  # sig
     prod *= gate_pre  # act
     prod *= up_out
-    return np.matmul(prod, w.down, out=y), (x, gate_pre, up_out)
+    return np.matmul(prod, w.down, out=y), (gate_pre, up_out)
 
 
 def _act_prod(gate_pre: np.ndarray, up_out: np.ndarray, out=(None,) * 3):
@@ -312,13 +320,14 @@ def _act_prod(gate_pre: np.ndarray, up_out: np.ndarray, out=(None,) * 3):
     return sig, act, np.multiply(act, up_out, out=prod)
 
 
-def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
-    """Backward for :func:`_ffn_fwd`; returns ``(dx, d_gate, d_up, d_down)``.
+def _ffn_bwd(w: FfnWeights, x: np.ndarray, cache, dy: np.ndarray, seq_len: int | None = None):
+    """Backward for :func:`_ffn_fwd` on input rows ``x``; returns
+    ``(dx, d_gate, d_up, d_down)``.
 
     ``sig``, ``act`` and ``prod`` are rebuilt by :func:`_act_prod`, unless
     the cache ends with them already rebuilt, as a routed expert's backward
     passes it (:func:`_moe_bwd`): the list
-    ``[x, gate_pre, up_out, sig, act, prod]``, which is emptied here so that
+    ``[gate_pre, up_out, sig, act, prod]``, which is emptied here so that
     ``prod`` dies at its last use. The cache is used up, with the three
     rebuilt arrays: swish' is built in ``gate_pre``'s buffer and ``d_prod``
     written into ``sig``'s, ``act``'s buffer becomes ``d_up_out``, and
@@ -329,7 +338,7 @@ def _ffn_bwd(w: FfnWeights, cache, dy: np.ndarray, seq_len: int | None = None):
     the gradients run tile by tile; the weight gradients, sums over all
     rows, are whole GEMMs.
     """
-    x, gate_pre, up_out, *rebuilt = cache
+    gate_pre, up_out, *rebuilt = cache
     tiles = _tiles(len(x), seq_len, w.width)
     if rebuilt:
         cache.clear()  # the caller's references to sig, act and prod
@@ -404,16 +413,16 @@ class LayerRouting:
 
 @dataclass(slots=True)
 class MoeCache:
-    """What :func:`_moe_fwd` keeps for :func:`_moe_bwd`."""
+    """What :func:`_moe_fwd` keeps for :func:`_moe_bwd`. It keeps no layer
+    input, which backward rebuilds from the norm cache and passes in."""
 
-    x: np.ndarray           # (N, d_h) layer input
     gates_full: np.ndarray  # (N, n) gates, exact zeros off the selection
     routing: LayerRouting
     # Per routed expert, (rows, (gate_pre, up_out)), or None if no row chose
-    # it: the FFN cache without its input, which backward regathers as
-    # x[rows], and no output, which backward rebuilds (_expert_output).
+    # it: its FFN cache, whose input backward regathers as x[rows], and no
+    # output, which backward rebuilds (_expert_output).
     experts: list[tuple | None]
-    shared: list[tuple]     # per shared expert, its FFN cache (its input is x)
+    shared: list[tuple]     # per shared expert, its FFN cache (gate_pre, up_out)
     plan: ExpertPlan        # the forward's expert plan, which backward follows
 
 
@@ -488,12 +497,13 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     ``cache`` is the :class:`MoeCache` for :func:`_moe_bwd`, or None when
     ``keep`` is false: then each expert's input rows, FFN intermediates and
     output die as soon as its output is combined, before the next expert runs.
-    When kept, a routed expert's entry holds its rows and the FFN cache
-    without the gathered input ``x[rows]`` (backward regathers it from ``x``,
-    which the router gradient needs anyway). In either mode no output
+    When kept, a routed expert's entry holds its rows and its FFN cache, which
+    holds no input (backward regathers ``x[rows]`` from the ``x`` it is
+    given, which the router gradient needs anyway). In either mode no output
     outlives its combine: a routed expert weights its own output in place,
-    and backward rebuilds it for the gate gradient. ``seq_len`` tiles the
-    shared experts as in :func:`_ffn_fwd`.
+    the experts of the first group add their outputs to the layer output in
+    their own task, and backward rebuilds each output for the gate gradient.
+    ``seq_len`` tiles the shared experts as in :func:`_ffn_fwd`.
     """
     n = w.num_experts
     logits = x @ w.router                                   # (N, n)
@@ -506,52 +516,61 @@ def _moe_fwd(w: MoeLayerWeights, x: np.ndarray, k: int, keep: bool = True,
     gates_full = np.zeros_like(logits)
     np.put_along_axis(gates_full, sel, gates_sel, axis=-1)
 
+    y = np.zeros_like(x)
+    plan = _expert_plan([*np.count_nonzero(selmask, axis=0).tolist(), *[len(x)] * len(w.shared)],
+                        [f.width for f in (*w.experts, *w.shared)], thread_cap() if keep else 1)
+    first = plan.groups[0]
+
     def run(e: int):
-        """Expert ``e``'s gate-weighted output, or shared expert ``e - n``'s
-        output; None if unused."""
+        """Routed expert ``e``'s rows, FFN cache and gate-weighted output, or
+        shared expert ``e - n``'s, whose rows are all rows and whose output
+        is unweighted; None if no row chose it. An expert of the first group
+        adds its output to ``y`` itself and hands on None in its place:
+        nothing adds to ``y`` before that group, so every addition keeps the
+        order of a serial loop."""
         if e >= n:
-            return _ffn_fwd(w.shared[e - n], x, seq_len)
-        idx = np.nonzero(selmask[:, e])[0]
-        if not idx.size:
-            return None
+            rows = slice(None)
+            out, kept = _ffn_fwd(w.shared[e - n], x, seq_len)
+        else:
+            rows = np.nonzero(selmask[:, e])[0]
+            if not rows.size:
+                return None
 
-        def ffn(rows):
-            fe, (_, *kept) = _ffn_fwd(w.experts[e], rows)
-            return fe, *kept
+            def ffn(x_rows):
+                out, kept = _ffn_fwd(w.experts[e], x_rows)
+                return out, *kept
 
-        # The input rows die here, even when the rest is kept.
-        fe, *kept = _lone_row_as_two(ffn, x[idx])
-        fe *= gates_full[idx, e:e + 1]
-        return idx, tuple(kept), fe
+            # The input rows die here, even when the rest is kept.
+            out, *kept = _lone_row_as_two(ffn, x[rows])
+            out *= gates_full[rows, e:e + 1]
+        if e in first:
+            y[rows] += out
+            out = None
+        return rows, tuple(kept), out
 
     # Experts run in groups on the thread pool when activations are kept and
     # the groups are big enough (_expert_plan); an activation-free pass runs
     # them one at a time, so that each expert's tensors die before the next
-    # starts (evaluation parallelizes over forwards). Either way each output is
-    # added here, in expert order, bitwise as in a loop, and dies with it.
-    y = np.zeros_like(x)
+    # starts (evaluation parallelizes over forwards). The first group's
+    # outputs are added in its task, the later groups' here, all in expert
+    # order, bitwise as in a loop; each output dies with its addition.
     expert_caches: list[tuple | None] = [None] * n
     shared_caches = []
-    plan = _expert_plan([*np.count_nonzero(selmask, axis=0).tolist(), *[len(x)] * len(w.shared)],
-                        [f.width for f in (*w.experts, *w.shared)], thread_cap() if keep else 1)
     for e, out in _expert_outputs(run, plan):
-        if e >= n:
-            fs, cache_s = out
-            y += fs
-            if keep:
-                shared_caches.append(cache_s)
-            del fs, cache_s
-        elif out is not None:
-            idx, kept, fe = out
-            y[idx] += fe
-            if keep:
-                expert_caches[e] = idx, kept
-            del idx, kept, fe
+        if out is not None:
+            rows, kept, fe = out
+            if fe is not None:
+                y[rows] += fe
+            if keep and e >= n:
+                shared_caches.append(kept)
+            elif keep:
+                expert_caches[e] = rows, kept
+            del rows, kept, fe
         del out  # before the next expert runs
     routing = LayerRouting(sel, gates_sel, probs)
     if not keep:
         return y, routing, None
-    return y, routing, MoeCache(x, gates_full, routing, expert_caches, shared_caches, plan)
+    return y, routing, MoeCache(gates_full, routing, expert_caches, shared_caches, plan)
 
 
 def _expert_output(w: FfnWeights, prod: np.ndarray) -> np.ndarray:
@@ -560,9 +579,9 @@ def _expert_output(w: FfnWeights, prod: np.ndarray) -> np.ndarray:
     return _lone_row_as_two(lambda p: (p @ w.down,), prod)[0]
 
 
-def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.ndarray | None,
-             seq_len: int | None = None):
-    """Backward for :func:`_moe_fwd`.
+def _moe_bwd(w: MoeLayerWeights, x: np.ndarray, cache: MoeCache, dy: np.ndarray,
+             d_probs: np.ndarray | None, seq_len: int | None = None):
+    """Backward for :func:`_moe_fwd` on layer input ``x``.
 
     ``d_probs`` optionally injects an upstream gradient on the full router
     softmax (used by the load-balancing loss): one (n,) vector, the same for
@@ -574,7 +593,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     (:func:`_expert_output`), bitwise the forward's. The output gives the
     gate gradient and dies; the gate-weighted output gradient then runs
     through :func:`_ffn_bwd` on the same three arrays, with the input rows
-    regathered from ``cache.x``. ``seq_len`` is the forward's.
+    regathered from ``x``. ``seq_len`` is the forward's.
     """
     routing = cache.routing
     n = w.num_experts
@@ -584,7 +603,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         cache entry, which it takes out of the layer cache and uses up."""
         if e >= n:
             entry, cache.shared[e - n] = cache.shared[e - n], None
-            return _ffn_bwd(w.shared[e - n], entry, dy, seq_len)
+            return _ffn_bwd(w.shared[e - n], x, entry, dy, seq_len)
         entry, cache.experts[e] = cache.experts[e], None
         ew = w.experts[e]
         if entry is None:
@@ -592,18 +611,18 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
         idx, kept = entry
         del entry
         # Only this list holds sig, act and prod, and _ffn_bwd empties it.
-        parts = [cache.x[idx], *kept, *_act_prod(*kept)]
-        fe = _expert_output(ew, parts[5])
+        parts = [*kept, *_act_prod(*kept)]
+        fe = _expert_output(ew, parts[4])
         dye = dy[idx]
         d_gates = np.einsum("nd,nd->n", dye, fe)
         del fe
         dye *= cache.gates_full[idx, e:e + 1]
-        dxe, *grads = _ffn_bwd(ew, parts, dye)
+        dxe, *grads = _ffn_bwd(ew, x[idx], parts, dye)
         return idx, d_gates, dxe, tuple(grads)
 
     # Experts run in the forward's groups; their input gradients are added and
     # their gate gradients written here, in expert order, bitwise as in a loop.
-    dx = np.zeros_like(cache.x)
+    dx = np.zeros_like(x)
     d_gates_full = np.zeros_like(cache.gates_full)
     expert_grads, shared_grads = [], []
     for e, out in _expert_outputs(run, cache.plan):  # as in _moe_fwd
@@ -629,7 +648,7 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
     if d_probs is not None:
         inner_p = np.sum(routing.probs * d_probs, axis=-1, keepdims=True)
         d_logits += routing.probs * (d_probs - inner_p)
-    d_router = cache.x.T @ d_logits
+    d_router = x.T @ d_logits
     dx += d_logits @ w.router.T
     return dx, d_router, expert_grads, shared_grads
 
@@ -639,6 +658,8 @@ def _moe_bwd(w: MoeLayerWeights, cache: MoeCache, dy: np.ndarray, d_probs: np.nd
 # ---------------------------------------------------------------------------
 
 def _layernorm_fwd(x: np.ndarray, g: np.ndarray):
+    """Scale-only layer norm; returns ``(g * xhat, (xhat, inv_std, g))``. The
+    cache keeps no output: :func:`_layernorm_out` rebuilds it."""
     mu = np.mean(x, axis=-1, keepdims=True)
     xhat = x - mu
     var = np.mean(xhat ** 2, axis=-1, keepdims=True)
@@ -647,14 +668,28 @@ def _layernorm_fwd(x: np.ndarray, g: np.ndarray):
     return g * xhat, (xhat, inv_std, g)
 
 
+def _layernorm_out(cache) -> np.ndarray:
+    """The output of the :func:`_layernorm_fwd` that made ``cache``, rebuilt
+    by the forward's one operation, so bitwise the same."""
+    xhat, _, g = cache
+    return g * xhat
+
+
 def _layernorm_bwd(cache, dy: np.ndarray):
+    """Backward for :func:`_layernorm_fwd`; returns ``(dx, dg)``. Two
+    (..., d_h) temporaries: ``dxhat``, which becomes ``dx``, and one product
+    buffer; ``inv_std * (dxhat - m1 - xhat * m2)`` is evaluated in place, in
+    that order (a product is the same bits either way round)."""
     xhat, inv_std, g = cache
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
+    prod = np.multiply(dy, xhat)
+    dg = np.sum(prod, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
     m1 = np.mean(dxhat, axis=-1, keepdims=True)
-    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
-    return dx, dg
+    m2 = np.mean(np.multiply(dxhat, xhat, out=prod), axis=-1, keepdims=True)
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=prod)
+    dxhat *= inv_std
+    return dxhat, dg
 
 
 @functools.lru_cache(maxsize=8)
@@ -670,46 +705,73 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
     return x.reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
 
 
+def _attn_probs(q: np.ndarray, k: np.ndarray, row_max: np.ndarray, row_sum: np.ndarray,
+                fwd: bool = False) -> np.ndarray:
+    """Causal attention probabilities of queries ``q`` against keys ``k``,
+    both (b, heads, T, head_dim), as a new (b, heads, T, T) array.
+
+    The forward (``fwd``) writes each row's max score and its sum of
+    exponentials into ``row_max`` and ``row_sum``, (b, heads, T, 1); backward
+    passes them back and rebuilds the forward's probabilities by the same
+    operations, bitwise. These are the operations of
+    :func:`~moeup.numerics.softmax` over the scores with masked lanes at -inf.
+    """
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / np.sqrt(q.shape[3])
+    # A masked copy rather than an added -inf bias: inf + -inf would be NaN.
+    np.copyto(scores, -np.inf, where=_causal_mask(q.shape[2]))
+    if fwd:
+        np.max(scores, axis=-1, keepdims=True, out=row_max)
+    scores -= row_max
+    np.exp(scores, out=scores)
+    if fwd:
+        np.sum(scores, axis=-1, keepdims=True, out=row_sum)
+    scores /= row_sum
+    return scores
+
+
 def _attn_fwd(h: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int):
     """Causal attention over ``h`` (B, T, d_h); returns ``(out, cache)``.
 
-    The sequences run in the tiles of :func:`_tiles`, each writing its
-    sequences of the preallocated outputs; a tile's row slice of the
-    flattened (B * T) tokens gives its sequences.
+    The cache is ``(q, k, v, row_max, row_sum, merged)``: no input, which the
+    caller passes to backward again, and no (B, heads, T, T) probabilities,
+    which backward rebuilds tile by tile from the per-row statistics
+    (:func:`_attn_probs`). The sequences run in the tiles of :func:`_tiles`,
+    each writing its sequences of the preallocated outputs; a tile's row
+    slice of the flattened (B * T) tokens gives its sequences.
     """
     b, t, _ = h.shape
     proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
     q, k, v = (_split_heads(a, n_heads, head_dim) for a in proj)
-    attn = np.empty((b, n_heads, t, t))
+    row_max, row_sum = (np.empty((b, n_heads, t, 1)) for _ in range(2))
     merged = np.empty((b, t, n_heads * head_dim))
     out = np.empty((b, t, wo.shape[1]))
-    scale = 1.0 / np.sqrt(head_dim)
 
     def seqs(s: slice):
         for w, a in zip((wq, wk, wv), proj):
             np.matmul(h[s], w, out=a[s])
-        scores = np.matmul(q[s], k[s].transpose(0, 1, 3, 2), out=attn[s])
-        scores *= scale
-        # A masked copy rather than an added -inf bias: inf + -inf would be NaN.
-        np.copyto(scores, -np.inf, where=_causal_mask(t))
-        softmax(scores, axis=-1, out=scores)
-        np.matmul(scores, v[s], out=_split_heads(merged[s], n_heads, head_dim))
+        probs = _attn_probs(q[s], k[s], row_max[s], row_sum[s], fwd=True)
+        np.matmul(probs, v[s], out=_split_heads(merged[s], n_heads, head_dim))
         np.matmul(merged[s], wo, out=out[s])
 
     list(ordered_map(seqs, [slice(r.start // t, r.stop // t)
                             for r in _tiles(b * t, t, n_heads * t)]))
-    return out, (h, q, k, v, attn, merged, scale)
+    return out, (q, k, v, row_max, row_sum, merged)
 
 
-def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
-    """Backward for :func:`_attn_fwd`; returns ``(dh, d_wq, d_wk, d_wv, d_wo)``.
+def _attn_bwd(h: np.ndarray, cache, wq, wk, wv, wo, dy: np.ndarray):
+    """Backward for :func:`_attn_fwd` on input ``h``; returns
+    ``(dh, d_wq, d_wk, d_wv, d_wo)``.
 
-    The sequences run in the forward's tiles; the weight gradients, sums over
-    all tokens, are whole GEMMs.
+    The sequences run in the forward's tiles, each rebuilding its
+    probabilities; the weight gradients, sums over all tokens, are whole
+    GEMMs. A tile holds two (b, heads, T, T) temporaries, the probabilities
+    and ``d_attn``, whose buffer becomes ``d_scores``.
     """
-    h, q, k, v, attn, merged, scale = cache
+    q, k, v, row_max, row_sum, merged = cache
     b, t, d_h = h.shape
     n_heads, head_dim = q.shape[1], q.shape[3]
+    scale = 1.0 / np.sqrt(head_dim)
     tiles = [slice(r.start // t, r.stop // t) for r in _tiles(b * t, t, n_heads * t)]
     # d(q), d(k) and d(v) with heads merged; C order, so that rows reshape to views.
     d_proj = [np.empty((b, t, n_heads * head_dim)) for _ in range(3)]
@@ -717,15 +779,20 @@ def _attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
 
     def seqs(s: slice):
         dq, dk, dv = (_split_heads(a[s], n_heads, head_dim) for a in d_proj)
+        attn = _attn_probs(q[s], k[s], row_max[s], row_sum[s])
         d_ctx = _split_heads(dy[s] @ wo.T, n_heads, head_dim)
         d_attn = d_ctx @ v[s].transpose(0, 1, 3, 2)
-        np.matmul(attn[s].transpose(0, 1, 3, 2), d_ctx, out=dv)
-        # attn * (d_attn - inner), built in the buffer of attn * d_attn.
-        d_scores = attn[s] * d_attn
-        inner = np.sum(d_scores, axis=-1, keepdims=True)
-        np.subtract(d_attn, inner, out=d_scores)
-        del d_attn
-        d_scores *= attn[s]
+        np.matmul(attn.transpose(0, 1, 3, 2), d_ctx, out=dv)
+        # attn * (d_attn - inner), built in d_attn's buffer. inner holds the
+        # row sums of attn * d_attn, taken one sequence at a time so that
+        # the product is no tile-sized temporary.
+        inner = np.empty_like(row_max[s])
+        for j in range(len(inner)):
+            np.sum(attn[j] * d_attn[j], axis=-1, keepdims=True, out=inner[j])
+        d_scores = d_attn
+        d_scores -= inner
+        d_scores *= attn
+        del attn, d_attn
         np.multiply(d_scores @ k[s], scale, out=dq)
         np.multiply(d_scores.transpose(0, 1, 3, 2) @ q[s], scale, out=dk)
         dq2, dk2, dv2 = (a[s].reshape(-1, a.shape[2]) for a in d_proj)
@@ -761,10 +828,12 @@ class LmOutput:
 
 @dataclass(slots=True)
 class LayerCache:
-    """What one layer's forward keeps for its backward."""
+    """What one layer's forward keeps for its backward. No part keeps a norm
+    output: backward rebuilds attention's and the FFN's inputs from the norm
+    caches (:func:`_layernorm_out`) and passes them in."""
 
     attn_norm: tuple         # _layernorm_fwd cache before attention
-    attn: tuple              # _attn_fwd cache
+    attn: tuple              # _attn_fwd cache: no input, no probabilities
     ffn_norm: tuple          # _layernorm_fwd cache before the FFN
     ffn: MoeCache | tuple    # _moe_fwd cache in an MoE model, else _ffn_fwd cache
     weights: MoeLayerWeights | FfnWeights
@@ -860,7 +929,8 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
     layer's (B*T, ·) :class:`LayerRouting`; empty for a dense model) and
     ``logits``. With ``keep_activations`` (the default) it also has ``loss``,
     ``layer_caches`` (one :class:`LayerCache` per layer, whose ``ffn`` is an
-    :class:`MoeCache` in an MoE model), ``ln_final`` and ``h_final``.
+    :class:`MoeCache` in an MoE model) and ``ln_final``, the final norm's
+    cache.
     :func:`backward_from_cache` uses such a cache up: it frees each activation
     at its last use. Take the routing trace with :func:`trace_from_cache`
     before running backward, and run this again for another backward pass.
@@ -887,7 +957,7 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
         attn_out, attn_cache = _attn_fwd(h, *(p[name] for name in _attn_slots(i)),
                                          cfg.num_heads, cfg.head_dim)
         x = x + attn_out
-        del h, attn_out
+        del h, attn_out  # h is rebuilt in backward
         h2, ln2 = _layernorm_fwd(x, p[f"layers.{i}.ffn_norm"])
         if not keep_activations:
             ln1 = attn_cache = ln2 = None  # dead before the FFN runs
@@ -907,11 +977,12 @@ def forward_cache(model: ToyLm, tokens, *, keep_activations: bool = True) -> dic
 
     h_final, ln_final = _layernorm_fwd(x, p["final_norm"])
     logits = h_final @ p["head.out"]
+    del h_final  # rebuilt in backward
 
     result = {"tokens": tok, "routing": routings, "logits": logits}
     if keep_activations:
         result |= {"loss": next_token_loss(logits, tok), "layer_caches": layer_caches,
-                   "ln_final": ln_final, "h_final": h_final}
+                   "ln_final": ln_final}
     return result
 
 
@@ -979,22 +1050,31 @@ def lm_forward(model: ToyLm, tokens, domains=None) -> LmOutput:
 def _head_bwd(p: dict[str, np.ndarray], cache: dict, grads: dict[str, np.ndarray]):
     """Backward through the loss, output head and final norm; returns d(x).
 
-    Takes the head's activations out of ``cache``, so they die on return.
+    Takes the head's activations out of ``cache``, and drops each array at
+    its last use: the logits once their softmax is taken, and ``d_logits``
+    and the rebuilt final norm output once they have given the head's
+    gradients.
     """
     tok = cache["tokens"]
     b, t = tok.shape
-    logits, h_final, ln_final = cache["logits"], cache["h_final"], cache["ln_final"]
-    cache["logits"] = cache["h_final"] = cache["ln_final"] = None
-    d_logits = np.zeros_like(logits)
+    logits, ln_final = cache["logits"], cache["ln_final"]
+    cache["logits"] = cache["ln_final"] = None
+    probs = softmax(logits[:, :-1, :], axis=-1)
+    del logits
+    # (probs - onehot) / count, with no one-hot: subtracting its 0.0 leaves a
+    # probability as it is. A single-position batch has no targets.
+    target = tok[:, 1:, None]
+    np.put_along_axis(probs, target, np.take_along_axis(probs, target, axis=-1) - 1.0, axis=-1)
+    d_logits = np.zeros((b, t, probs.shape[-1]))
     if t > 1:
-        pred = logits[:, :-1, :]
-        probs = softmax(pred, axis=-1)
-        onehot = np.zeros_like(pred)
-        np.put_along_axis(onehot, tok[:, 1:, None], 1.0, axis=-1)
-        d_logits[:, :-1, :] = (probs - onehot) / (b * (t - 1))
+        np.divide(probs, b * (t - 1), out=d_logits[:, :-1, :])
+    del probs
 
+    h_final = _layernorm_out(ln_final)
     grads["head.out"] = h_final.reshape(b * t, -1).T @ d_logits.reshape(b * t, -1)
+    del h_final
     d_h_final = d_logits @ p["head.out"].T
+    del d_logits
     dx, grads["final_norm"] = _layernorm_bwd(ln_final, d_h_final)
     return dx
 
@@ -1004,9 +1084,9 @@ def backward_from_cache(model: ToyLm, cache: dict,
     """Gradients of the LM loss from a :func:`forward_cache` result.
 
     Backward uses the cache up, so that activations die at their last use:
-    the head's ``logits`` and ``h_final`` go once the head gradient is taken,
-    each layer's :class:`LayerCache` (top layer first) once that layer's
-    backward has run, and within an MoE layer each expert's entry of the
+    the head's ``logits`` once their softmax is taken, each layer's
+    :class:`LayerCache` (top layer first) once that layer's backward has
+    run, and within an MoE layer each expert's entry of the
     :class:`MoeCache` once that expert's backward has run. A used-up cache
     raises ``ValidationError``, as does a cache made with
     ``keep_activations=False``; run :func:`forward_cache` again, and take any
@@ -1034,25 +1114,29 @@ def backward_from_cache(model: ToyLm, cache: dict,
         layer = cache["layer_caches"][i]
         cache["layer_caches"][i] = None
         dsub = dx.reshape(b * t, -1)
+        # The FFN's input, the norm output, rebuilt bitwise.
+        h2 = _layernorm_out(layer.ffn_norm).reshape(b * t, -1)
         if cfg.is_moe:
             cache["routing"][i] = None  # the MoeCache holds the only other reference
             d_probs = None if router_prob_grads is None else router_prob_grads[i]
             dh2_flat, d_router, expert_grads, shared_grads = _moe_bwd(
-                layer.weights, layer.ffn, dsub, d_probs, t)
+                layer.weights, h2, layer.ffn, dsub, d_probs, t)
             grads[f"layers.{i}.router"] = d_router
             for e, expert_grad in enumerate(expert_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.experts.{e}"), expert_grad))
             for j, shared_grad in enumerate(shared_grads):
                 grads.update(zip(ffn_slot_names(f"layers.{i}.shared.{j}"), shared_grad))
         else:
-            dh2_flat, *ffn_grad = _ffn_bwd(layer.weights, layer.ffn, dsub, t)
+            dh2_flat, *ffn_grad = _ffn_bwd(layer.weights, h2, layer.ffn, dsub, t)
             grads.update(zip(ffn_slot_names(f"layers.{i}.ffn"), ffn_grad))
+        del h2
         dh2 = dh2_flat.reshape(b, t, -1)
         dx_ffn, grads[f"layers.{i}.ffn_norm"] = _layernorm_bwd(layer.ffn_norm, dh2)
         dx = dx + dx_ffn
 
         attn_slots = _attn_slots(i)
-        dh_attn, *attn_grads = _attn_bwd(layer.attn, *(p[name] for name in attn_slots), dx)
+        dh_attn, *attn_grads = _attn_bwd(_layernorm_out(layer.attn_norm), layer.attn,
+                                         *(p[name] for name in attn_slots), dx)
         grads.update(zip(attn_slots, attn_grads))
         dx_attn, grads[f"layers.{i}.attn_norm"] = _layernorm_bwd(layer.attn_norm, dh_attn)
         dx = dx + dx_attn

@@ -163,26 +163,41 @@ def ref_merge_heads(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:, j] for j in range(x.shape[1])], axis=-1)
 
 
+def ref_masked_scores(q, k):
+    """The scaled attention scores of queries ``q`` against keys ``k``, with
+    every future key masked to -inf."""
+    t = q.shape[2]
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[3]))
+    return np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+
+
+def ref_attn_probs(q, k):
+    """Causal attention probabilities: the softmax over the masked scores."""
+    return ref_softmax_array(ref_masked_scores(q, k), axis=-1)
+
+
 def ref_attn_fwd(h, wq, wk, wv, wo, n_heads: int, head_dim: int):
-    """Causal attention with an explicit boolean mask (same signature and cache)."""
-    t = h.shape[1]
+    """Causal attention with an explicit boolean mask (same signature and
+    cache layout: ``(q, k, v, row_max, row_sum, merged)``, the row max of the
+    masked scores and the row sum of their exponentials)."""
     q = ref_split_heads(h @ wq, n_heads, head_dim)
     k = ref_split_heads(h @ wk, n_heads, head_dim)
     v = ref_split_heads(h @ wv, n_heads, head_dim)
-    scale = 1.0 / np.sqrt(head_dim)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    scores = np.where(causal, -np.inf, scores)
-    attn = ref_softmax_array(scores, axis=-1)
-    merged = ref_merge_heads(attn @ v)
-    return merged @ wo, (h, q, k, v, attn, merged, scale)
+    masked = ref_masked_scores(q, k)
+    row_max = np.max(masked, axis=-1, keepdims=True)
+    row_sum = np.sum(np.exp(masked - row_max), axis=-1, keepdims=True)
+    merged = ref_merge_heads(ref_softmax_array(masked, axis=-1) @ v)
+    return merged @ wo, (q, k, v, row_max, row_sum, merged)
 
 
-def ref_attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
-    """Attention backward over the whole batch at once, every step out of place."""
-    h, q, k, v, attn, merged, scale = cache
+def ref_attn_bwd(h, cache, wq, wk, wv, wo, dy: np.ndarray):
+    """Attention backward over the whole batch at once, every step out of
+    place; the probabilities are recomputed from ``q`` and ``k`` alone."""
+    q, k, v, _, _, merged = cache
     b, t, _ = h.shape
     n_heads, head_dim = q.shape[1], q.shape[3]
+    scale = 1.0 / np.sqrt(head_dim)
+    attn = ref_attn_probs(q, k)
     h2 = h.reshape(b * t, -1)
     d_wo = merged.reshape(b * t, -1).T @ dy.reshape(b * t, -1)
     d_ctx = ref_split_heads(dy @ wo.T, n_heads, head_dim)
@@ -199,21 +214,21 @@ def ref_attn_bwd(cache, wq, wk, wv, wo, dy: np.ndarray):
 
 def ref_ffn_fwd(w, x: np.ndarray):
     """Gated FFN over all rows at once, every step out of place; returns
-    ``(y, (x, gate_pre, up_out))``."""
+    ``(y, (gate_pre, up_out))``."""
     gate_pre = x @ w.gate
     up_out = x @ w.up
     sig = ref_sigmoid_array(gate_pre)
-    return (gate_pre * sig * up_out) @ w.down, (x, gate_pre, up_out)
+    return (gate_pre * sig * up_out) @ w.down, (gate_pre, up_out)
 
 
-def ref_ffn_bwd(w, cache, dy: np.ndarray, seq_len: int | None = None):
-    """FFN backward from the ``(x, gate_pre, up_out)`` cache, every step out
-    of place and over all rows at once: ``seq_len``, which tiles the
-    package's kernel, is ignored. A cache that also carries the rebuilt
-    ``sig``, ``act`` and ``prod``, as a routed expert's backward passes it,
-    is read for its first three arrays only: the reference rebuilds the rest
-    itself."""
-    x, gate_pre, up_out = cache[:3]
+def ref_ffn_bwd(w, x: np.ndarray, cache, dy: np.ndarray, seq_len: int | None = None):
+    """FFN backward on input rows ``x`` from the ``(gate_pre, up_out)``
+    cache, every step out of place and over all rows at once: ``seq_len``,
+    which tiles the package's kernel, is ignored. A cache that also carries
+    the rebuilt ``sig``, ``act`` and ``prod``, as a routed expert's backward
+    passes it, is read for its first two arrays only: the reference rebuilds
+    the rest itself."""
+    gate_pre, up_out = cache[:2]
     sig = ref_sigmoid_array(gate_pre)
     act = gate_pre * sig
     prod = act * up_out

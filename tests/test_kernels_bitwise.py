@@ -40,6 +40,7 @@ from reference_impl import (
     ref_adamw_step,
     ref_attn_bwd,
     ref_attn_fwd,
+    ref_attn_probs,
     ref_balance_loss_and_grads,
     ref_clip_gradients,
     ref_ffn_bwd,
@@ -98,11 +99,45 @@ def test_masked_attention_bitwise(t, overflow):
     with np.errstate(over="ignore", invalid="ignore"):
         out, cache = _attn_fwd(h, *weights, n_heads, head_dim)
         ref_out, ref_cache = ref_attn_fwd(h, *weights, n_heads, head_dim)
+        # The cache keeps no probabilities; backward rebuilds them.
+        probs = model_mod._attn_probs(*cache[:2], *cache[3:5])
+        ref_probs = ref_attn_probs(*ref_cache[:2])
     assert _same_bits(out, ref_out)
-    for got, want in zip(cache[:-1], ref_cache[:-1]):
+    assert len(cache) == len(ref_cache) == 6
+    for got, want in zip(cache, ref_cache, strict=True):
         assert _same_bits(got, want)
-    assert cache[-1] == ref_cache[-1]
-    assert np.all(np.isfinite(cache[4][:, :, :-1]))
+    assert _same_bits(probs, ref_probs)
+    assert np.all(np.isfinite(probs[:, :, :-1]))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rebuilt_attention_probs_are_the_forwards(threads, monkeypatch):
+    """The attention cache keeps no (B, heads, T, T) probabilities: each
+    backward tile rebuilds its own from the kept row max and row sum
+    (``_attn_probs``), with the bits the forward's tile had. Nine sequences
+    of 64 tokens at 8 heads run in two tiles, on the pool at two threads."""
+    monkeypatch.setenv("MOEUP_THREADS", threads)
+    b, t, n_heads, head_dim = 9, 64, 8, 8
+    d_h = n_heads * head_dim
+    assert len(model_mod._tiles(b * t, t, n_heads * t)) == 2
+    rng = np.random.default_rng(10)
+    h, dy = rng.normal(size=(2, b, t, d_h))
+    weights = [rng.normal(scale=0.3, size=(d_h, d_h)) for _ in range(4)]
+    made = {True: {}, False: {}}  # by fwd, then by tile
+    real = model_mod._attn_probs
+
+    def attn_probs(q, k, row_max, row_sum, fwd=False):
+        probs = real(q, k, row_max, row_sum, fwd)
+        made[fwd][row_max.ctypes.data] = probs.copy()
+        return probs
+
+    monkeypatch.setattr(model_mod, "_attn_probs", attn_probs)
+    _, cache = _attn_fwd(h, *weights, n_heads, head_dim)
+    assert not any(a.shape[2:] == (t, t) for a in cache)
+    _attn_bwd(h, cache, *weights, dy)
+    assert len(made[True]) == 2 and made[True].keys() == made[False].keys()
+    for tile, probs in made[True].items():
+        assert _same_bits(made[False][tile], probs)
 
 
 def test_layernorm_bitwise():
@@ -123,15 +158,15 @@ def test_ffn_backward_bitwise():
     dy = rng.normal(size=(24, 16))
     _, cache = _ffn_fwd(w, x)
     # _ffn_bwd uses its cache up, so it gets copies and the reference the original.
-    want = ref_ffn_bwd(w, cache, dy)
+    want = ref_ffn_bwd(w, x, cache, dy)
     # A cache that ends with sig, act and prod rebuilt, as a routed expert's
     # backward passes it, gives the same bits.
-    rebuilt = model_mod._act_prod(*cache[1:])
-    assert len(cache) == len(rebuilt) == 3
+    rebuilt = model_mod._act_prod(*cache)
+    assert len(cache) == 2 and len(rebuilt) == 3
     for extra in ((), rebuilt):
         copies = [a.copy() for a in (*cache, *extra)]
-        got = _ffn_bwd(w, copies, dy)
-        assert len(copies) == (0 if extra else 3)  # a 6-array list is emptied
+        got = _ffn_bwd(w, x, copies, dy)
+        assert len(copies) == (0 if extra else 2)  # a 5-array list is emptied
         assert len(got) == len(want) == 4
         for g, r in zip(got, want):
             assert _same_bits(g, r)
@@ -168,8 +203,8 @@ def test_rebuilt_sig_act_prod_are_the_forwards(tiled, monkeypatch):
 
     monkeypatch.setattr(model_mod, "_sigmoid", sigmoid)
     y, cache = _ffn_fwd(w, x, t if tiled else None)
-    assert len(cache) == 3
-    _, gate_pre, up_out = cache
+    assert len(cache) == 2
+    gate_pre, up_out = cache
     calls.sort(key=lambda call: call[0])  # tiles in row order
     assert len(calls) == (2 if tiled else 1) and calls[0][0] == gate_pre.ctypes.data
     fwd_sig = np.concatenate([sig for _, _, sig in calls])
@@ -187,7 +222,7 @@ def test_tiled_ffn_backward_on_the_pool_matches_one_thread(monkeypatch):
     ``prod`` tile by tile, on the pool at two threads, and its gradients
     have the bits of the one-thread run and of the whole-batch reference."""
     w, x, dy, t = _tiled_ffn_case()
-    want = ref_ffn_bwd(w, ref_ffn_fwd(w, x)[1], dy)
+    want = ref_ffn_bwd(w, x, ref_ffn_fwd(w, x)[1], dy)
     real = model_mod._act_prod
     threads = []
 
@@ -200,7 +235,7 @@ def test_tiled_ffn_backward_on_the_pool_matches_one_thread(monkeypatch):
     for count in ("1", "2"):
         monkeypatch.setenv("MOEUP_THREADS", count)
         threads.clear()
-        got[count] = _ffn_bwd(w, _ffn_fwd(w, x, t)[1], dy, t)
+        got[count] = _ffn_bwd(w, x, _ffn_fwd(w, x, t)[1], dy, t)
         assert threads == [count == "1"] * 2  # one rebuild per tile
     for one, two, ref in zip(got["1"], got["2"], want, strict=True):
         assert _same_bits(one, ref) and _same_bits(two, ref)
@@ -226,10 +261,10 @@ def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
     out, cache = _attn_fwd(h, *weights, n_heads, head_dim)
     ref_out, ref_cache = ref_attn_fwd(h, *weights, n_heads, head_dim)
     assert _same_bits(out, ref_out)
-    for got, want in zip(cache[:-1], ref_cache[:-1], strict=True):
+    for got, want in zip(cache, ref_cache, strict=True):
         assert _same_bits(got, want)
-    for got, want in zip(_attn_bwd(cache, *weights, dy), ref_attn_bwd(ref_cache, *weights, dy),
-                         strict=True):
+    for got, want in zip(_attn_bwd(h, cache, *weights, dy),
+                         ref_attn_bwd(h, ref_cache, *weights, dy), strict=True):
         assert _same_bits(got, want)
 
     w = FfnWeights(*(rng.normal(scale=0.2, size=s) for s in ((d_h, width), (d_h, width),
@@ -240,7 +275,8 @@ def test_tiled_attention_and_ffn_match_whole_batch(threads, monkeypatch):
     assert _same_bits(y, ref_y)
     for got, want in zip(cache, ref_cache, strict=True):
         assert _same_bits(got, want)
-    for got, want in zip(_ffn_bwd(w, cache, dy, t), ref_ffn_bwd(w, ref_cache, dy), strict=True):
+    for got, want in zip(_ffn_bwd(w, x, cache, dy, t), ref_ffn_bwd(w, x, ref_cache, dy),
+                         strict=True):
         assert _same_bits(got, want)
 
 
@@ -299,7 +335,7 @@ def test_lone_row_gradients_match_its_forward_output(monkeypatch):
     idx, kept = cache.experts[3]
     lone = model_mod._expert_output(weights.experts[3], model_mod._act_prod(*kept)[2])
     assert idx.size == 1 and _same_bits(lone, outputs[id(weights.experts[3].gate)][:1])
-    got = _moe_bwd(weights, cache, dy, None)
+    got = _moe_bwd(weights, x, cache, dy, None)
 
     used = []
 
@@ -308,7 +344,7 @@ def test_lone_row_gradients_match_its_forward_output(monkeypatch):
         return outputs[id(w.gate)][:len(prod)]
 
     monkeypatch.setattr(model_mod, "_expert_output", forward_output)
-    want = _moe_bwd(weights, _moe_fwd(weights, x, 2)[2], dy, None)
+    want = _moe_bwd(weights, x, _moe_fwd(weights, x, 2)[2], dy, None)
     assert sorted(used) == sorted(id(w.gate) for w in weights.experts)
     (dx, d_router, expert_grads, _), (ref_dx, ref_router, ref_grads, _) = got, want
     assert _same_bits(dx, ref_dx) and _same_bits(d_router, ref_router)

@@ -205,7 +205,7 @@ def test_collect_traces_routing_matches_one_sequence_per_forward(monkeypatch):
 def test_layer_cache_dead_when_layer_below_starts_backward(config, monkeypatch):
     model = _model(config)
     cache = forward_cache(model, _tokens())
-    head = _refs([cache["logits"], cache["h_final"], cache["ln_final"]], model)
+    head = _refs([cache["logits"], cache["ln_final"]], model)
     layers = [_refs(entry, model) for entry in cache["layer_caches"]]
     assert all(layers)
     seen = []
@@ -223,15 +223,76 @@ def test_layer_cache_dead_when_layer_below_starts_backward(config, monkeypatch):
     assert sum(_alive(refs) for refs in layers) == 0
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_layer_caches_hold_no_scores_or_norm_outputs(config):
+    """A train step's cache keeps no (B, heads, T, T) attention probabilities
+    and no norm output: attention's input, the FFN's input and the final
+    norm's output are rebuilt in backward as ``g * xhat`` from the norm
+    caches, which keep ``xhat``."""
+    model = _model(config)
+    tokens = _tokens()
+    b, t = tokens.shape
+    cache = forward_cache(model, tokens)
+    norms = [norm for layer in cache["layer_caches"] for norm in (layer.attn_norm, layer.ffn_norm)]
+    outputs = [g * xhat for xhat, _, g in (*norms, cache["ln_final"])]
+    kept = _arrays(cache, {id(a) for a in model.params.values()})
+    assert not any(a.shape == (b, model.config.num_heads, t, t) for a in kept)
+    assert len(kept) > len(outputs)
+    for out in outputs:
+        assert not any(a.size == out.size and a.tobytes() == out.tobytes() for a in kept)
+
+
+def test_first_group_outputs_dead_when_its_task_returns(monkeypatch):
+    """At two threads each MoE layer of the ``toy-finegrained`` shape runs
+    its experts in two groups on the pool. The first group's task adds its
+    experts' gate-weighted outputs to the layer output itself, so none of
+    them is alive when the task returns; the second group's stay alive in its
+    result until the calling thread adds them."""
+    monkeypatch.setenv("MOEUP_THREADS", "2")
+    config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
+    model = build_model(random_checkpoint(config, seed=3), max_positions=64,
+                        stream=RngStream(4))
+    tokens = default_corpus(seq_len=64, num_sequences=16).sequences
+    local = threading.local()
+    at_return = []  # per group task: its first expert, outputs alive, outputs made
+    real_ffn, real_map = model_mod._ffn_fwd, model_mod.ordered_map
+
+    def ffn_fwd(w, x, *seq_len):
+        y, ffn_cache = real_ffn(w, x, *seq_len)
+        local.outputs.append(weakref.ref(y))
+        return y, ffn_cache
+
+    def spy(fn, items, pool=True):
+        items = list(items)
+        if not (items and all(isinstance(item, range) for item in items)):
+            return real_map(fn, items, pool)
+        assert pool and len(items) == 2
+
+        def task(group):
+            local.outputs = []
+            result = fn(group)
+            at_return.append((group.start, _alive(local.outputs), len(local.outputs)))
+            return result
+
+        return real_map(task, items, pool)
+
+    monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
+    monkeypatch.setattr(model_mod, "ordered_map", spy)
+    forward_cache(model, tokens)
+    assert len(at_return) == 2 * config.num_layers
+    assert all(made > 0 for _, _, made in at_return)
+    assert all(alive == (0 if start == 0 else made) for start, alive, made in at_return)
+
+
 def _expert_refs(cache, model) -> list[list[weakref.ref]]:
     """Per expert, in backward order, the arrays only that expert's cache holds."""
     refs = []
     for layer in reversed(cache["layer_caches"]):
-        # A routed entry is (rows, (gate_pre, up_out)): all its own.
+        # A routed entry is (rows, (gate_pre, up_out)), a shared one
+        # (gate_pre, up_out): all their own.
         refs.extend(_refs(e_cache, model) for e_cache in layer.ffn.experts
                     if e_cache is not None)
-        # A shared expert's input is the layer input, which the router also uses.
-        refs.extend(_refs(s_cache[1:], model) for s_cache in layer.ffn.shared)
+        refs.extend(_refs(s_cache, model) for s_cache in layer.ffn.shared)
     assert refs and all(refs)
     return refs
 
@@ -244,9 +305,9 @@ def test_expert_cache_dead_when_next_expert_starts_backward(monkeypatch):
     seen = []
     real = model_mod._ffn_bwd
 
-    def ffn_bwd(w, ffn_cache, dy, *seq_len):
+    def ffn_bwd(w, x, ffn_cache, dy, *seq_len):
         seen.append(sum(_alive(refs) for refs in experts[:len(seen)]))
-        return real(w, ffn_cache, dy, *seq_len)
+        return real(w, x, ffn_cache, dy, *seq_len)
 
     monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
     backward_from_cache(model, cache)
@@ -268,31 +329,32 @@ def test_expert_caches_in_flight_bounded_by_threads(monkeypatch):
     cache = forward_cache(model, default_corpus(seq_len=64, num_sequences=8).sequences)
     experts = _expert_refs(cache, model)
     # Per used expert, in backward order: its gate weight, its group and the
-    # activations its cache entry holds (the entry without its rows or input).
+    # activations its cache entry holds (a routed entry without its rows).
     order, group_of, activations = [], [], []
     for i, layer in enumerate(reversed(cache["layer_caches"])):
         weights = (*layer.weights.experts, *layer.weights.shared)
-        entries = (*layer.ffn.experts, *layer.ffn.shared)
+        entries = (*(None if e is None else e[1] for e in layer.ffn.experts),
+                   *layer.ffn.shared)
         assert layer.ffn.plan.pooled and 1 < len(layer.ffn.plan.groups) <= threads
         for g, group in enumerate(layer.ffn.plan.groups):
             for e in group:
                 if entries[e] is not None:
                     order.append(id(weights[e].gate))
                     group_of.append((i, g))
-                    activations.append(_refs(entries[e][1:], model))
+                    activations.append(_refs(entries[e], model))
     del entries  # the cache's own references must be the last
     assert len(order) == len(experts) and all(activations)
     lock = threading.Lock()
     seen, on_pool = [], []
     real = model_mod._ffn_bwd
 
-    def ffn_bwd(w, ffn_cache, dy, *seq_len):
+    def ffn_bwd(w, x, ffn_cache, dy, *seq_len):
         with lock:
             me = order.index(id(w.gate))
             live = {group_of[j] for j in range(me) if _alive(activations[j]) > 0}
             seen.append((group_of[me] in live, len(live)))
             on_pool.append(threading.current_thread() is not threading.main_thread())
-        return real(w, ffn_cache, dy, *seq_len)
+        return real(w, x, ffn_cache, dy, *seq_len)
 
     monkeypatch.setattr(model_mod, "_ffn_bwd", ffn_bwd)
     backward_from_cache(model, cache)
@@ -349,7 +411,7 @@ def test_train_tiles_in_flight_bounded_by_threads(monkeypatch):
     temporaries live only while it runs. At most ``thread_cap()`` tiles run
     at once, so each thread past the first adds at most one tile's
     temporaries to the peak: a few of its (8, 4, 64, 64) score-sized arrays,
-    measured at 2.3 MiB."""
+    measured at 1.0-1.1 MiB."""
     threads = 2
     model = build_model(random_checkpoint(toy_dense_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
@@ -407,11 +469,10 @@ def test_expert_tensors_dead_when_next_expert_starts_forward(keep, threads, monk
     def ffn_fwd(w, x, *seq_len):
         seen.append(_alive(earlier))
         y, cache = real(w, x, *seq_len)
-        assert cache[0] is x
-        layer_input = x if id(w.gate) in shared else None
-        if layer_input is None:
+        assert len(cache) == 2 and all(a.shape == (len(x), w.width) for a in cache)
+        if id(w.gate) not in shared:
             routed_inputs.append(weakref.ref(x))
-        earlier.extend(weakref.ref(a) for a in (y, *cache) if a is not layer_input)
+        earlier.extend(weakref.ref(a) for a in (y, *cache))
         return y, cache
 
     monkeypatch.setattr(model_mod, "_ffn_fwd", ffn_fwd)
@@ -429,7 +490,8 @@ def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
     (K, width) arrays: no copy of its input rows, no ``sig``, ``act`` or
     ``prod``, and no output. Backward rebuilds ``sig``, ``act`` and ``prod``,
     and the output from ``prod``, bitwise as the forward made them. A shared
-    expert keeps ``(x, gate_pre, up_out)``, its ``x`` the layer input."""
+    expert keeps ``(gate_pre, up_out)`` too. The layer input, regathered by
+    backward, is the FFN norm's output, rebuilt from its cache."""
     config = make_config(16, 64, 2, 2, 2, VOCAB_SIZE, n=4, k=3, m=2, k_s=1, s=16)
     model = _model(config)
     d_h, width = config.hidden_size, config.intermediate_size // config.granularity
@@ -447,6 +509,7 @@ def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
     entries = 0
     for layer in cache["layer_caches"]:
         moe = layer.ffn
+        x = model_mod._layernorm_out(layer.ffn_norm).reshape(-1, d_h)
         for e, entry in enumerate(moe.experts):
             if entry is None:
                 continue
@@ -458,13 +521,13 @@ def test_kept_expert_entry_holds_no_input_rows(monkeypatch):
             assert len(kept) == 2 and all(a.shape == (rows, width) for a in kept)
             w = layer.weights.experts[e]
             # The kept arrays are those of the forward on the regathered rows.
-            y, fresh = real(w, moe.x[idx])
-            assert _same_bits([*kept], [*fresh[1:]])
+            y, fresh = real(w, x[idx])
+            assert _same_bits([*kept], [*fresh])
             rebuilt = model_mod._expert_output(w, model_mod._act_prod(*kept)[2])
             assert rebuilt.shape == (rows, d_h)
             assert _same_bits([rebuilt, y], [outputs[id(w.gate)][:rows]] * 2)
         for s_cache in moe.shared:
-            assert len(s_cache) == 3 and s_cache[0] is moe.x
+            assert len(s_cache) == 2 and all(a.shape == (len(x), width) for a in s_cache)
     assert entries > len(cache["layer_caches"])
 
 
@@ -576,9 +639,8 @@ def test_train_peak_is_one_step_of_activations():
 def test_activation_free_tile_peaks_at_a_third():
     """One 512-token evaluation forward of the toy coarse MoE. Without kept
     activations a layer's norm and attention caches die before its FFN runs,
-    and only one expert's tensors are live at a time (about 3.7 MiB; 6.7 MiB
-    while those caches lived through the FFN); the kept forward holds every
-    expert's (about 16.2 MiB; 20.0 MiB while each FFN kept its sigmoid)."""
+    and only one expert's tensors are live at a time (about 3.7 MiB); the
+    kept forward holds every expert's (about 13.5 MiB)."""
     model = build_model(random_checkpoint(toy_moe_config(), seed=3), max_positions=64,
                         stream=RngStream(4))
     tile = default_corpus(seq_len=64, num_sequences=8).sequences
@@ -602,25 +664,35 @@ def _train_step_peak(config, threads, monkeypatch) -> int:
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_fine_grained_train_step_peak(threads, monkeypatch):
     """One train step at the ``toy-finegrained`` shape: 31 routed experts of
-    width 32, top-15, one shared expert, a 16 x 64 batch. FFN caches hold no
-    ``sig``, and kept expert entries no input rows, ``act``, ``prod`` or
-    output, so the step peaks near 36 MiB on one thread and 37-40 MiB on
-    two. Keeping the sigmoid adds 4 MiB per MoE layer (44 MiB on one
-    thread, 45-48 MiB on two), keeping each expert's output 7.5 MiB more per
-    layer (59 MiB), and caching ``prod`` as well about 8 MiB more."""
+    width 32, top-15, one shared expert, a 16 x 64 batch. No cache holds
+    attention probabilities or a norm output, FFN caches hold no ``sig``,
+    kept expert entries no input rows, ``act``, ``prod`` or output, and the
+    first expert group adds its own outputs, so the step peaks near 27 MiB
+    on one thread and 30 MiB on two. Keeping the probabilities and the norm
+    outputs again would break the bound."""
     config = make_config(64, 256, 2, 4, 4, VOCAB_SIZE, n=4, k=15, m=8, k_s=1, s=64)
     assert (config.routed_experts, config.shared_experts) == (31, 1)
     peak = _train_step_peak(config, threads, monkeypatch)
-    assert peak <= 42 << 20, peak / (1 << 20)
+    assert peak <= 34 << 20, peak / (1 << 20)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_coarse_train_step_peak(threads, monkeypatch):
     """One train step of the toy coarse MoE (4 experts of width 256, top-2)
-    on a 16 x 64 batch peaks near 34.4 MiB on one thread and 38 MiB on two;
-    when each FFN cache kept its sigmoid, at 42.4 and 43-44 MiB."""
+    on a 16 x 64 batch peaks near 29 MiB on one thread and 32 MiB on two.
+    Keeping the attention probabilities and the norm outputs again would
+    break the bound."""
     peak = _train_step_peak(toy_moe_config(), threads, monkeypatch)
-    assert peak <= 41 << 20, peak / (1 << 20)
+    assert peak <= 34 << 20, peak / (1 << 20)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dense_train_step_peak(threads, monkeypatch):
+    """One train step of the dense toy model on a 16 x 64 batch peaks near
+    22.4 MiB on one thread and 23-24 MiB on two. Keeping the attention
+    probabilities and the norm outputs again would break the bound."""
+    peak = _train_step_peak(toy_dense_config(), threads, monkeypatch)
+    assert peak <= 26 << 20, peak / (1 << 20)
 
 
 def test_from_scratch_peak_near_payload():

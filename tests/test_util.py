@@ -187,7 +187,7 @@ def _experts_pooled(monkeypatch, layer, rows: int, k: int, threads: str = "2") -
     x = np.random.default_rng(1).normal(size=(rows, layer.router.shape[0]))
     model_mod._moe_fwd(layer, x, k, keep=False)
     _, _, cache = model_mod._moe_fwd(layer, x, k)
-    model_mod._moe_bwd(layer, cache, x, None)
+    model_mod._moe_bwd(layer, x, cache, x, None)
     monkeypatch.setattr(model_mod, "ordered_map", real)
     monkeypatch.delenv("MOEUP_THREADS")
     assert len(calls) == 3 and calls[0][1] is False and calls[1] == calls[2], calls
@@ -216,7 +216,7 @@ def test_moe_layer_bitwise_under_thread_stress(monkeypatch):
         monkeypatch.setenv("MOEUP_THREADS", threads)
         y, _, cache = model_mod._moe_fwd(layer, x, k, seq_len=seq_len)
         groups = cache.plan.groups
-        dx, d_router, experts, shared = model_mod._moe_bwd(layer, cache, dy, None, seq_len)
+        dx, d_router, experts, shared = model_mod._moe_bwd(layer, x, cache, dy, None, seq_len)
         grads = [g for grads in (*experts, *shared) for g in grads]
         return groups, [y, dx, d_router, *grads]
 
