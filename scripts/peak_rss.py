@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Peak memory of one ``moeup init``, ``moeup upcycle --method drop``,
-``moeup train`` or ``moeup analyze-routing`` run.
+``moeup train``, ``moeup analyze-routing`` or ``moeup inspect`` run.
 
     python3 scripts/peak_rss.py init --scale toy|152m --out DIR [--seed N]
     python3 scripts/peak_rss.py upcycle --in PARENT --out DIR [--seed N]
     python3 scripts/peak_rss.py train --in CKPT --corpus FILE --out DIR [--steps N]
     python3 scripts/peak_rss.py analyze-routing --in CKPT --corpus FILE --out DIR
+    python3 scripts/peak_rss.py inspect --in CKPT
 
 ``init`` writes a from-scratch dense checkpoint of the toy config or of the
 152M config (``from_scratch`` and then ``save``). ``upcycle`` turns a dense
@@ -13,14 +14,18 @@ parent into 8 experts, top-2, drop ratio 0.5. ``train`` trains a checkpoint
 for N steps (default 20) with ``moeup train``'s other defaults: batches of
 16 x 64 tokens and global load balancing, the settings of the benchmark's MoE
 training phase. ``analyze-routing`` walks the corpus as evaluation does and
-writes its routing CSVs to DIR. The command runs as ``python3 -m moeup.cli``
-in a child process, so its peak is its own; the script prints one JSON line
-with the child's exit code, wall time, peak RSS (``ru_maxrss`` from
-``wait4``) and the size of the checkpoint it wrote, in MiB (null for
-``analyze-routing``, which writes none). The 152M run needs about 0.3 GiB for
-``init`` and 0.65-0.75 GiB for ``upcycle``, each writing its tensors as it
-draws or builds them (0.7 and 1.8 GiB when they built the whole checkpoint
-first), plus 0.6 and 1.6 GiB of disk.
+writes its routing CSVs to DIR. ``inspect`` verifies a checkpoint and reports
+its manifest and hash. The command runs as ``python3 -m moeup.cli`` in a
+child process, so its peak is its own; the script prints one JSON line with
+the child's exit code, wall time, peak RSS (``ru_maxrss`` from ``wait4``)
+and the size of the checkpoint it wrote, in MiB (null for
+``analyze-routing`` and ``inspect``, which write none). The 152M run needs
+about 0.3 GiB for ``init``, each tensor written as it is drawn, and 75-190
+MiB for ``upcycle`` at 1 to 8 threads, which reads its parent a tensor or a
+piece at a time and writes each expert as it is built (0.65-0.75 GiB when it
+read the whole parent first, 1.8 GiB when it also built the whole MoE
+first), plus 0.6 and 1.6 GiB of disk. ``inspect`` of the 152M parent or of
+its 8x152M upcycle peaks near 36 MiB (0.6 and 1.6 GiB when it loaded them).
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="input", required=True, help="MoE checkpoint")
     p.add_argument("--corpus", required=True, help="corpus file (domain TAB ids)")
     p.add_argument("--out", required=True, help="output directory for the CSV files")
+    p = sub.add_parser("inspect", help="time moeup inspect")
+    p.add_argument("--in", dest="input", required=True, help="checkpoint to inspect")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,14 +108,20 @@ def main(argv=None) -> int:
             cli_args = ["train", "--steps", str(args.steps), "--in", args.input,
                         "--corpus", args.corpus, "--out", args.out]
             result = {"command": "train", "steps": args.steps}
-        else:
+        elif args.command == "analyze-routing":
             cli_args = ["analyze-routing", "--in", args.input, "--corpus", args.corpus,
                         "--out", args.out]
             result = {"command": "analyze-routing"}
+        else:
+            cli_args = ["inspect", "--in", args.input]
+            result = {"command": "inspect"}
         result.update(measure(cli_args))
-    written = Path(args.out) / "model" if args.command == "train" else Path(args.out)
-    blob = written / "tensors.bin"
-    result["payload_mib"] = round(blob.stat().st_size / MIB, 1) if blob.exists() else None
+    result["payload_mib"] = None
+    if args.command != "inspect":
+        written = Path(args.out) / "model" if args.command == "train" else Path(args.out)
+        blob = written / "tensors.bin"
+        if blob.exists():
+            result["payload_mib"] = round(blob.stat().st_size / MIB, 1)
     print(json.dumps(result, sort_keys=True))
     return 0 if result["exit_code"] == 0 else 1
 

@@ -19,17 +19,19 @@ do not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+# Each command imports the modules it runs beyond these, so that ``moeup
+# upcycle`` loads no model, trainer, corpus, analysis or accounting code.
 from . import __version__
-from . import accounting, analysis, checkpoint, corpus as corpus_mod, trainer, upcycle
-from .config import (ModelConfig, ValidationError, load_config_file, model_config_from_dict,
-                     model_config_from_file)
-from .model import build_model, model_to_checkpoint
+from . import checkpoint, upcycle
+from .config import (BALANCE_MODES, ModelConfig, TrainingDiverged, ValidationError,
+                     load_config_file, model_config_from_dict, model_config_from_file)
 from .numerics import RngStream
 from .util import thread_cap
 
@@ -88,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-lr", type=float)
     p.add_argument("--warmup", type=int)
     p.add_argument("--tail", type=int)
-    p.add_argument("--balance", choices=list(trainer.BALANCE_MODES))
+    p.add_argument("--balance", choices=list(BALANCE_MODES))
     p.add_argument("--balance-coeff", type=float)
     p.add_argument("--seed", type=int)
 
@@ -227,21 +229,24 @@ def _cmd_upcycle(args) -> dict:
     spec = _from_config(upcycle.UpcycleSpec, file, "upcycle", flags | {"method": args.method})
     _reject_unused(args, file, flags)
     plan = None
-    if spec.method == "scratch":
-        if args.config is None:
-            raise ValidationError("--method scratch requires --config with a model section")
-        built = upcycle.scratch_stream(model_config_from_dict(file), seed=spec.seed)
-    else:
-        if args.input is None:
-            raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
-        if spec.method == "btx" and not args.branches:
-            raise ValidationError("--method btx requires --branches")
-        parent = checkpoint.load(args.input)
-        branches = [checkpoint.load(p) for p in (args.branches or "").split(",") if p]
-        config = _target_config(parent.config, args, spec, file)
-        built, plan = upcycle.upcycle_stream(spec, parent, config, branches)
-    # Written as it is built: the whole checkpoint is never held.
-    manifest = checkpoint.save(built, args.out)
+    with contextlib.ExitStack() as inputs:
+        if spec.method == "scratch":
+            if args.config is None:
+                raise ValidationError("--method scratch requires --config with a model section")
+            built = upcycle.scratch_stream(model_config_from_dict(file), seed=spec.seed)
+        else:
+            if args.input is None:
+                raise ValidationError(f"--method {spec.method} requires --in (parent checkpoint)")
+            if spec.method == "btx" and not args.branches:
+                raise ValidationError("--method btx requires --branches")
+            # Verified handles: each tensor is read when the build asks for it.
+            parent = inputs.enter_context(checkpoint.open(args.input))
+            branches = [inputs.enter_context(checkpoint.open(p))
+                        for p in (args.branches or "").split(",") if p]
+            config = _target_config(parent.config, args, spec, file)
+            built, plan = upcycle.upcycle_stream(spec, parent, config, branches)
+        # Written as it is built: the whole checkpoint is never held.
+        manifest = checkpoint.save(built, args.out)
     result = {
         "command": "upcycle", "method": spec.method, "spec": asdict(spec),
         "config": built.config.to_dict(), "metadata": built.metadata, "out": str(args.out),
@@ -258,7 +263,9 @@ def _cmd_upcycle(args) -> dict:
 _TRAIN_REQUIRED = {"max_lr": 2e-3, "min_lr": 2e-4, "total_steps": 100}
 
 
-def _train_config(args) -> trainer.TrainConfig:
+def _train_config(args):
+    from . import trainer
+
     flags = {
         "total_steps": args.steps, "batch_size": args.batch_size, "seq_len": args.seq_len,
         "max_lr": args.max_lr, "min_lr": args.min_lr, "warmup_steps": args.warmup,
@@ -284,6 +291,9 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _cmd_train(args) -> dict:
+    from . import corpus as corpus_mod, trainer
+    from .model import build_model, model_to_checkpoint
+
     out = _out_dir(args.out)
     cfg = _train_config(args)
     ckpt = checkpoint.load(args.input)
@@ -310,6 +320,8 @@ def _cmd_train(args) -> dict:
 
 
 def _cmd_flops(args) -> dict:
+    from . import accounting
+
     config = model_config_from_file(args.config)
     breakdown = accounting.flops_forward(config, seq_len=args.seq_len)
     result = {
@@ -324,6 +336,8 @@ def _cmd_flops(args) -> dict:
 
 
 def _cmd_params(args) -> dict:
+    from . import accounting
+
     config = model_config_from_file(args.config)
     breakdown = accounting.count_params(config)
     _info(f"total parameters:  {breakdown.total:,}")
@@ -332,6 +346,9 @@ def _cmd_params(args) -> dict:
 
 
 def _cmd_analyze_routing(args) -> dict:
+    from . import analysis, corpus as corpus_mod
+    from .model import build_model
+
     out = _out_dir(args.out)
     ckpt = checkpoint.load(args.input)
     data = corpus_mod.load_corpus(args.corpus)
@@ -352,6 +369,8 @@ def _cmd_analyze_routing(args) -> dict:
 
 
 def _cmd_analyze_overlap(args) -> dict:
+    from . import analysis
+
     plan = upcycle.load_plan(args.plan)
     report = analysis.overlap_report(plan, k=args.topk, max_subsets=args.max_subsets,
                                      subset_seed=args.seed)
@@ -362,6 +381,8 @@ def _cmd_analyze_overlap(args) -> dict:
 
 
 def _cmd_catch_up(args) -> dict:
+    from . import analysis, trainer
+
     base = trainer.LossCurve.load_jsonl(args.base)
     other = trainer.LossCurve.load_jsonl(args.other)
     points = analysis.catch_up(base, other, smooth_window=args.window)
@@ -375,16 +396,18 @@ def _cmd_catch_up(args) -> dict:
 
 
 def _cmd_inspect(args) -> dict:
-    manifest = checkpoint.read_manifest(args.input)
-    ckpt = checkpoint.load(args.input)
-    breakdown = accounting.count_params(ckpt.config)
-    _info(f"{len(ckpt.tensors)} tensors, {ckpt.num_parameters():,} stored parameters")
-    return {
-        "command": "inspect", "manifest": manifest,
-        "stored_parameters": ckpt.num_parameters(),
-        "counted_parameters": breakdown.to_dict(),
-        "checkpoint_hash": checkpoint.checkpoint_hash(ckpt),
-    }
+    from . import accounting
+
+    # The manifest, open's verify pass and the hash it computes: no tensor is built.
+    with checkpoint.open(args.input) as ckpt:
+        stored = ckpt.num_parameters()
+        _info(f"{len(ckpt.specs())} tensors, {stored:,} stored parameters")
+        return {
+            "command": "inspect", "manifest": ckpt.manifest,
+            "stored_parameters": stored,
+            "counted_parameters": accounting.count_params(ckpt.config).to_dict(),
+            "checkpoint_hash": checkpoint.checkpoint_hash(ckpt),
+        }
 
 
 _HANDLERS = {
@@ -408,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         result = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except (ValidationError, trainer.TrainingDiverged) as exc:
+    except (ValidationError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (checkpoint.CheckpointError, OSError) as exc:

@@ -23,6 +23,15 @@ class ValidationError(ValueError):
     """Raised when a config, spec, or CLI argument fails validation."""
 
 
+class TrainingDiverged(RuntimeError):
+    """Raised when the training loss stops being finite."""
+
+
+# The load-balancing modes of ``moeup.trainer``; here, so that the CLI's parser
+# and error handling need no trainer import.
+BALANCE_MODES = ("global", "layerwise", "off")
+
+
 def require_ints(obj, names) -> None:
     """Raise ``ValidationError`` unless each named field of ``obj`` holds an
     integer; ``bool`` and integral floats such as ``2.0`` are rejected."""

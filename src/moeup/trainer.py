@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ValidationError, require_ints, text_lines
+from .config import BALANCE_MODES, TrainingDiverged, ValidationError, require_ints, text_lines
 from .corpus import Corpus
 from .model import (
     EVAL_FORWARD_TOKENS,
@@ -42,13 +42,6 @@ from .model import (
 )
 from .numerics import RngStream
 from .util import ordered_map
-
-BALANCE_MODES = ("global", "layerwise", "off")
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
-
 
 @dataclass(frozen=True)
 class TrainConfig:

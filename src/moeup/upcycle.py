@@ -33,16 +33,20 @@ excepted. Naive, drop and fg-drop share one transform and record a
 ``scale_factor``; :data:`SPEC_FIELDS` names the spec fields each method reads.
 
 :func:`upcycle_stream` builds every upcycled method, and is the one place
-where a parent, branches and target are checked. It yields the MoE layer by
-layer, as ``(name, array)`` pairs in name order, with layers in string order
-(``layers.0``, ``layers.1``, ``layers.10``, ..., ``layers.2``), and
-:func:`moeup.checkpoint.save` writes each tensor as it arrives, so ``moeup
-upcycle`` holds the parent and only the experts in flight, never the whole
-MoE. :func:`build`, the in-memory entry point, drains the same stream into a
-:class:`~moeup.checkpoint.Checkpoint`, copying once each input array that it
-keeps, so the result keeps no parent load buffer alive. From scratch works
-the same way: ``moeup init`` writes :func:`scratch_stream`, which draws each
-tensor as it is written, and :func:`from_scratch` drains it.
+where a parent, branches and target are checked. Its inputs are in-memory
+checkpoints or :func:`moeup.checkpoint.open` handles, read through the same
+calls. It yields the MoE layer by layer, as ``(name, tensor)`` pairs in name
+order, with layers in string order (``layers.0``, ``layers.1``,
+``layers.10``, ..., ``layers.2``), and :func:`moeup.checkpoint.save` writes
+each tensor as it arrives. An input's non-FFN tensors are read a piece at a
+time when their names come up, and each layer's dense FFN once for the jobs
+that share it, so ``moeup upcycle`` holds no input tensor whole beyond the
+dense FFNs and experts in flight, and never the whole MoE. :func:`build`, the
+in-memory entry point, drains the same stream into a
+:class:`~moeup.checkpoint.Checkpoint` whose arrays are all its own, so the
+result keeps no parent load buffer alive. From scratch works the same way:
+``moeup init`` writes :func:`scratch_stream`, which draws each tensor as it
+is written, and :func:`from_scratch` drains it.
 
 Randomness is derived from substream paths so that per-(layer, expert)
 transforms are independent: expert work uses path (layer, expert, purpose
@@ -57,14 +61,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (Checkpoint, TensorStream, checkpoint_hash, expected_slots,
-                         ffn_slot_names)
+from .checkpoint import (Checkpoint, CheckpointHandle, Chunked, TensorStream, checkpoint_hash,
+                         expected_slots, ffn_slot_names)
 from .config import ModelConfig, ValidationError, require_ints
 from .numerics import NormalParams, RngStream, sample_indices_without_replacement, sample_normal
 from .util import ordered_map
@@ -77,6 +83,9 @@ _PLAN_METHODS = ("naive", "drop", "fg-drop")  # the methods that record a Reinit
 SHARED_INITS = ("copy", "drop")
 
 _KINDS = ("gate", "up", "down")
+
+# An input to upcycle: in memory, or on disk behind a verified handle.
+Source = Checkpoint | CheckpointHandle
 
 # Substream purpose codes (see module docstring for path layout).
 _P_INDICES = 0
@@ -393,10 +402,10 @@ def scratch_stream(config: ModelConfig, seed: int) -> TensorStream:
 
 def from_scratch(config: ModelConfig, seed: int) -> Checkpoint:
     """Fresh checkpoint: :func:`scratch_stream` drained into memory."""
-    return _collect(scratch_stream(config, seed), [])
+    return _collect(scratch_stream(config, seed))
 
 
-def _require_compatible(dense: Checkpoint, config: ModelConfig) -> None:
+def _require_compatible(dense: Source, config: ModelConfig) -> None:
     if dense.config.is_moe:
         raise ValidationError("source checkpoint must be dense (num_experts == 0)")
     if not config.is_moe:
@@ -414,13 +423,25 @@ def _require_coarse(config: ModelConfig, method: str) -> None:
             f"method {method!r} does not support fine-grained or shared experts (see fg-drop)")
 
 
-def _provenance(spec: UpcycleSpec, parent: Checkpoint) -> dict:
+def _provenance(spec: UpcycleSpec, parent: Source) -> dict:
     return asdict(spec) | {"seed": int(spec.seed), "parent_hash": checkpoint_hash(parent)}
 
 
-def _dense_ffn(dense: Checkpoint, layer: int) -> dict[str, np.ndarray]:
-    """The dense FFN matrices of one layer, by kind."""
-    return dict(zip(_KINDS, (dense.tensors[n] for n in ffn_slot_names(f"layers.{layer}.ffn"))))
+def _dense_ffn(dense: Source, layer: int) -> dict[str, np.ndarray]:
+    """The dense FFN matrices of one layer, by kind, read into arrays of their own."""
+    return dict(zip(_KINDS, (dense.read(n) for n in ffn_slot_names(f"layers.{layer}.ffn"))))
+
+
+def _mean(models: Sequence[Source], name: str) -> Chunked:
+    """Tensor ``name``'s elementwise mean over ``models``, in the first model's
+    dtype, computed a piece at a time; a lone model's own bytes."""
+    shape, dtype = models[0].specs()[name]
+    if len(models) == 1:
+        return Chunked(shape, dtype, models[0].pieces(name))
+    # strict: every model's pieces are taken to their end, where a handle checks the CRC32.
+    groups = zip(*(m.pieces(name) for m in models), strict=True)
+    return Chunked(shape, dtype, (np.stack([np.asarray(p, dtype=np.float64) for p in group])
+                                  .mean(axis=0).astype(dtype) for group in groups))
 
 
 def _job_key(job: tuple[int, str, int]) -> str:
@@ -429,13 +450,17 @@ def _job_key(job: tuple[int, str, int]) -> str:
     return "layers.{}.{}.{}.".format(*job)
 
 
-def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: int,
-               scale_factor: float | None = None, layers: list[LayerReinit] | None = None):
-    """Yield the MoE's tensors as ``(name, array)`` pairs in name order, the order
-    :func:`moeup.checkpoint.save` writes them in: the non-FFN tensors of
-    ``base``, routers from path (layer, ROUTER) of ``seed``, and the matrices
-    of one ``expert(layer, group, index)`` job per expert, which returns them
-    by kind with its :class:`ExpertReinit` or None, its up and down scaled by
+def _build_moe(config: ModelConfig, models: Sequence[Source], expert, seed: int,
+               scale_factor: float | None = None, layers: list[LayerReinit] | None = None,
+               model_of=lambda i, group, index: 0):
+    """Yield the MoE's tensors as ``(name, tensor)`` pairs in name order, the
+    order :func:`moeup.checkpoint.save` writes them in: the non-FFN tensors of
+    ``models``, averaged by :func:`_mean` when there are several, each read a
+    piece at a time when its name comes up; routers from path (layer, ROUTER)
+    of ``seed``; and the matrices of one ``expert(ffn, layer, group, index)``
+    job per expert, where ``ffn`` is the dense FFN, by kind, of that layer of
+    ``models[model_of(layer, group, index)]``. A job returns its matrices by
+    kind with its :class:`ExpertReinit` or None, its up and down scaled by
     ``scale_factor`` when set. The entry is stored at ``layers[layer]``'s
     ``group`` list, at ``index``, when ``layers`` is given.
 
@@ -444,15 +469,28 @@ def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: i
     ``"shared"`` group within a layer. Jobs run through ``ordered_map`` in
     that same order; each expert's matrices are yielded as its job's result
     is taken, and dropped once written, so at most ``thread_cap()`` jobs in
-    flight and the expert being written are held, never a whole layer.
+    flight and the expert being written are held, never a whole layer. Each
+    dense FFN is read once, by the first job that takes it, and held until the
+    last job that takes it has done so: only the FFNs of jobs in flight are
+    held.
     """
     jobs = sorted(((i, group, index) for i in range(config.num_layers)
                    for group, count in (("experts", config.routed_experts),
                                         ("shared", config.shared_experts))
                    for index in range(count)), key=_job_key)
+    takers = Counter((model_of(*job), job[0]) for job in jobs)
+    held: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+    lock = threading.Lock()
 
     def make(job):
-        mats, entry = expert(*job)
+        key = (model_of(*job), job[0])
+        with lock:
+            if key not in held:
+                held[key] = _dense_ffn(models[key[0]], key[1])
+            takers[key] -= 1
+            ffn = held[key] if takers[key] else held.pop(key)
+        mats, entry = expert(ffn, *job)
+        del ffn
         if scale_factor is not None:
             # An overflow to inf is reported by the finite check in checkpoint.save.
             with np.errstate(over="ignore"):
@@ -461,47 +499,43 @@ def _build_moe(config: ModelConfig, base: dict[str, np.ndarray], expert, seed: i
                     mats[kind] = scaled.astype(mats[kind].dtype)
         return mats, entry
 
-    kept = {name: t for name, t in base.items() if ".ffn." not in name}
+    specs = models[0].specs()
+    kept = {name for name in specs if ".ffn." not in name}
     routers = {f"layers.{i}.router": i for i in range(config.num_layers)}
     root = RngStream(seed)
-    dtype = base["embedding.token"].dtype
-    built = zip(jobs, ordered_map(make, jobs))
+    dtype = specs["embedding.token"][1]
+    experts = {_job_key(job): job for job in jobs}
+    # Not zipped with the jobs: zip would keep the last expert alive while the
+    # next job runs.
+    built = ordered_map(make, jobs)
     # An expert's three names sort where its job key does, as no other name
     # starts with that key.
-    for key in sorted([*kept, *routers, *map(_job_key, jobs)]):
+    for key in sorted([*kept, *routers, *experts]):
         if key in kept:
-            yield key, kept[key]
+            yield key, _mean(models, key)
         elif key in routers:
             yield key, router_init(config, root.child(routers[key], _P_ROUTER)).astype(dtype)
         else:
-            (i, group, index), (mats, entry) = next(built)
+            i, group, index = experts[key]
+            mats, entry = next(built)
             if layers is not None:
                 getattr(layers[i], group)[index] = entry
             yield from sorted(zip(ffn_slot_names(key[:-1]), (mats[kind] for kind in _KINDS)))
             del mats
 
 
-def _collect(moe: TensorStream, inputs: list[Checkpoint]) -> Checkpoint:
-    """The stream drained into one in-memory checkpoint. A tensor of ``inputs``
-    that the MoE retains as it is, such as a loaded parent's view of its load
-    buffer, is copied once, so that the MoE keeps no input alive; experts that
-    share one input matrix share its copy."""
-    owned = {id(t) for ckpt in inputs for t in ckpt.tensors.values()}
-    copies: dict[int, np.ndarray] = {}
-    tensors = {}
-    for name, tensor in moe.tensors:
-        if id(tensor) in owned:
-            if id(tensor) not in copies:
-                copies[id(tensor)] = tensor.copy()
-            tensor = copies[id(tensor)]
-        tensors[name] = tensor
+def _collect(moe: TensorStream) -> Checkpoint:
+    """The stream drained into one in-memory checkpoint, each
+    :class:`~moeup.checkpoint.Chunked` tensor gathered into an array of its own."""
+    tensors = {name: tensor.array() if isinstance(tensor, Chunked) else tensor
+               for name, tensor in moe.tensors}
     ckpt = Checkpoint(config=moe.config, tensors=tensors, metadata=moe.metadata)
     ckpt.validate()
     return ckpt
 
 
-def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
-                   branches: Sequence[Checkpoint] = ()) -> tuple[TensorStream, ReinitPlan | None]:
+def upcycle_stream(spec: UpcycleSpec, parent: Source, config: ModelConfig,
+                   branches: Sequence[Source] = ()) -> tuple[TensorStream, ReinitPlan | None]:
     """The MoE that ``spec.method`` builds from ``parent`` (and, for btx, the
     ``branches``), as a :class:`~moeup.checkpoint.TensorStream` that
     :func:`moeup.checkpoint.save` writes as it is built, with its reinit plan
@@ -527,7 +561,7 @@ def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
         for m in branches:
             if m.config != parent.config:
                 raise ValidationError("input checkpoints disagree on architecture")
-            if set(m.tensors) != set(parent.tensors):
+            if _shapes(m) != _shapes(parent):
                 raise ValidationError("input checkpoints disagree on tensor slots")
         if config.num_experts != 2 * len(models):
             raise ValidationError(
@@ -539,20 +573,24 @@ def upcycle_stream(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
     return _drop_moe(parent, config, spec)
 
 
-def build(spec: UpcycleSpec, parent: Checkpoint, config: ModelConfig,
-          branches: Sequence[Checkpoint] = ()) -> tuple[Checkpoint, ReinitPlan | None]:
+def _shapes(model: Source) -> dict[str, tuple[int, ...]]:
+    return {name: tuple(shape) for name, (shape, _) in model.specs().items()}
+
+
+def build(spec: UpcycleSpec, parent: Source, config: ModelConfig,
+          branches: Sequence[Source] = ()) -> tuple[Checkpoint, ReinitPlan | None]:
     """The MoE of :func:`upcycle_stream` drained into memory, with its plan."""
     moe, plan = upcycle_stream(spec, parent, config, branches)
-    return _collect(moe, [parent, *branches]), plan
+    return _collect(moe), plan
 
 
-def _random_noise_moe(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec) -> TensorStream:
+def _random_noise_moe(dense: Source, config: ModelConfig, spec: UpcycleSpec) -> TensorStream:
     root = RngStream(spec.seed)
     noise_params = NormalParams(0.0, spec.noise_sigma)
 
-    def noisy_copy(i, group, e):
+    def noisy_copy(ffn, i, group, e):
         out = {}
-        for kind_code, (kind, parent) in enumerate(_dense_ffn(dense, i).items()):
+        for kind_code, (kind, parent) in enumerate(ffn.items()):
             mask_stream = root.child(i, e, _P_NOISE_MASK, kind_code)
             mask = mask_stream.generator().random(parent.shape) < spec.noise_fraction
             noise = sample_normal(root.child(i, e, _P_NOISE, kind_code),
@@ -561,7 +599,7 @@ def _random_noise_moe(dense: Checkpoint, config: ModelConfig, spec: UpcycleSpec)
             out[kind] = perturbed.astype(parent.dtype)
         return out, None
 
-    return TensorStream(config, _build_moe(config, dense.tensors, noisy_copy, spec.seed,
+    return TensorStream(config, _build_moe(config, [dense], noisy_copy, spec.seed,
                                            spec.scale_factor), _provenance(spec, dense))
 
 
@@ -605,7 +643,7 @@ _GROUP_PURPOSES = {
 }
 
 
-def _drop_moe(dense: Checkpoint, config: ModelConfig,
+def _drop_moe(dense: Source, config: ModelConfig,
               spec: UpcycleSpec) -> tuple[TensorStream, ReinitPlan]:
     """The drop family's one transform (see the method table): at granularity
     1 the experts start from the parent matrices themselves."""
@@ -615,9 +653,8 @@ def _drop_moe(dense: Checkpoint, config: ModelConfig,
     drop_counts = {"experts": math.floor(spec.ratio * width)}
     drop_counts["shared"] = drop_counts["experts"] if spec.shared_init == "drop" else 0
 
-    def reinit(i, group, index):
+    def reinit(parents, i, group, index):
         p_dims, p_indices, p_reinit = _GROUP_PURPOSES[group]
-        parents = _dense_ffn(dense, i)
         dims = None
         if width != d_f:
             dims = sample_indices_without_replacement(root.child(i, index, p_dims), d_f, width)
@@ -634,21 +671,17 @@ def _drop_moe(dense: Checkpoint, config: ModelConfig,
     plan = ReinitPlan(method=spec.method, ratio=spec.ratio, seed=int(spec.seed),
                       intermediate_size=d_f, expert_width=width,
                       granularity=config.granularity, layers=layers)
-    tensors = _build_moe(config, dense.tensors, reinit, spec.seed, spec.scale_factor, layers)
+    tensors = _build_moe(config, [dense], reinit, spec.seed, spec.scale_factor, layers)
     return TensorStream(config, tensors, _provenance(spec, dense)), plan
 
 
-def _btx_moe(parent: Checkpoint, branches: Sequence[Checkpoint],
+def _btx_moe(parent: Source, branches: Sequence[Source],
              config: ModelConfig, seed: int) -> TensorStream:
-    models = [parent, *branches]
-    averaged = {name: np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
-                .mean(axis=0).astype(t.dtype)
-                for name, t in parent.tensors.items() if ".ffn." not in name}
     metadata = {
         "method": "btx", "seed": int(seed),
         "parent_hash": checkpoint_hash(parent),
         "branch_hashes": [checkpoint_hash(m) for m in branches],
     }
-    tensors = _build_moe(config, averaged,
-                         lambda i, group, e: (_dense_ffn(models[e // 2], i), None), seed)
+    tensors = _build_moe(config, [parent, *branches], lambda ffn, i, group, e: (ffn, None), seed,
+                         model_of=lambda i, group, e: e // 2)
     return TensorStream(config, tensors, metadata)

@@ -1,5 +1,6 @@
 """Streaming save and load: memory bounds, crash safety and load-time integrity checks."""
 
+import builtins
 import errno
 import hashlib
 import json
@@ -70,6 +71,22 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 1.25 * _payload_bytes(big_checkpoint)
         assert _same(loaded, big_checkpoint)
+
+    def test_open_holds_no_tensor(self, tmp_path, big_checkpoint):
+        """Open's pass, and the checks and counts a handle answers from its
+        manifest, hold about two chunks of the blob (the one read and the one
+        before it), not its 4 MiB embedding."""
+        cp.save(big_checkpoint, tmp_path / "ck")
+        tracemalloc.start()
+        try:
+            with cp.open(tmp_path / "ck") as handle:
+                handle.validate()
+                assert handle.num_parameters() == big_checkpoint.num_parameters()
+                assert cp.checkpoint_hash(handle) == cp.checkpoint_hash(big_checkpoint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cp.CHUNK_BYTES
 
 
 class TestLoadedTensors:
@@ -185,11 +202,14 @@ class TestCrashSafety:
         (cp.MANIFEST_FILE, 0), (cp.MANIFEST_FILE, 500),
     ])
     def test_write_fails_partway(self, tmp_path, monkeypatch, old, new, target, limit):
+        real_open = builtins.open
+
         def failing_open(file, mode="r", **kwargs):
-            fh = open(file, mode, **kwargs)
+            fh = real_open(file, mode, **kwargs)
             return _FailingFile(fh, limit) if Path(file).name.startswith(f".{target}.") else fh
 
-        monkeypatch.setattr(cp, "open", failing_open, raising=False)
+        # checkpoint.open is the handle opener; the module writes files with builtins.open.
+        monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(cp.CheckpointError, match="No space left"):
             cp.save(new, tmp_path / "ck")
         monkeypatch.undo()
@@ -323,13 +343,16 @@ class TestLoadChecks:
         lambda m: m["tensors"][0].update(name=None),
         lambda m: m.update(config=7),
         lambda m: m.update(tensors={"a": 1}),
+        lambda m: m.update(metadata=7),
     ], ids=["size-str", "size-bool", "file-int", "offset-str", "offset-negative",
             "nbytes-float", "shape-str", "shape-int", "dtype-list", "name-null",
-            "config-int", "tensors-dict"])
+            "config-int", "tensors-dict", "metadata-int"])
     def test_wrong_typed_manifest_fields(self, saved, edit):
         _edit_manifest(saved, edit)
         with pytest.raises(cp.CheckpointError):
             cp.load(saved)
+        with pytest.raises(cp.CheckpointError):
+            cp.open(saved)
 
     def test_manifest_not_an_object(self, saved):
         (saved / cp.MANIFEST_FILE).write_text("[]\n")
@@ -341,13 +364,128 @@ class TestLoadChecks:
         lambda m: m["blob"].update(sha256="0" * 64),
         lambda m: m["blob"].update(file="../outside.bin"),
         lambda m: m["tensors"][0].update(offset="0"),
-    ], ids=["duplicate", "sha256", "escape", "offset-str"])
+        lambda m: m.update(metadata=[1]),
+    ], ids=["duplicate", "sha256", "escape", "offset-str", "metadata-list"])
     def test_cli_reports_one_error_line(self, capsys, saved, edit):
         _edit_manifest(saved, edit)
         code = main(["inspect", "--in", str(saved)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _flip(path: Path, offset: int) -> None:
+    blob = bytearray((path / cp.BLOB_FILE).read_bytes())
+    blob[offset] ^= 0xFF
+    (path / cp.BLOB_FILE).write_bytes(bytes(blob))
+
+
+def _padding_offset(path: Path) -> int:
+    """The first byte of alignment padding in the blob, which no tensor CRC covers."""
+    entries = sorted(cp.read_manifest(path)["tensors"], key=lambda e: e["offset"])
+    return next(a["offset"] + a["nbytes"] for a, b in zip(entries, entries[1:])
+                if b["offset"] > a["offset"] + a["nbytes"])
+
+
+class TestOpen:
+    """``checkpoint.open``: a verified handle that reads a tensor or a piece at a time."""
+
+    @pytest.mark.parametrize("case", ["dense", "moe-f64-positions", "big"])
+    def test_handle_answers_as_load(self, tmp_path, big_checkpoint, case):
+        if case == "big":  # its embedding and head are four pieces each
+            ck = big_checkpoint
+        elif case == "dense":
+            ck = random_checkpoint(tiny_dense_config(), seed=10)
+        else:
+            ck = random_checkpoint(tiny_moe_config(), seed=10, dtype=np.float64)
+            ck.tensors[cp.POSITION_SLOT] = np.ones((16, 16), dtype=np.float32)
+        cp.save(ck, tmp_path / "ck")
+        loaded = cp.load(tmp_path / "ck")
+        with cp.open(tmp_path / "ck") as handle:
+            assert handle.manifest == cp.read_manifest(tmp_path / "ck")
+            assert handle.config == loaded.config and handle.metadata == loaded.metadata
+            assert handle.specs() == loaded.specs()
+            assert handle.num_parameters() == loaded.num_parameters()
+            assert cp.checkpoint_hash(handle) == cp.checkpoint_hash(loaded)
+            for name, array in loaded.tensors.items():
+                read = handle.read(name)
+                assert read.flags.writeable and read.dtype == array.dtype
+                assert read.shape == array.shape and read.tobytes() == array.tobytes()
+                pieces = list(handle.pieces(name))
+                assert all(p.size <= cp.CHUNK_ELEMENTS for p in pieces)
+                assert b"".join(p.tobytes() for p in pieces) == array.tobytes()
+
+    def test_blob_out_of_name_order(self, tmp_path):
+        """A blob holding its tensors in reverse name order, which ``save`` never
+        writes, loads and opens; open's hash then takes a second, name-order pass."""
+        ck = random_checkpoint(make_config(12, 24, 1, 2, 2, 23, s=16), seed=11)
+        cp.save(ck, tmp_path / "ck")
+        manifest = cp.read_manifest(tmp_path / "ck")
+        old = (tmp_path / "ck" / cp.BLOB_FILE).read_bytes()
+        blob = bytearray()
+        for entry in reversed(manifest["tensors"]):
+            blob += bytes(-len(blob) % cp.TENSOR_ALIGNMENT)
+            payload = old[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            entry["offset"] = len(blob)
+            blob += payload
+        manifest["blob"].update(size=len(blob), sha256=hashlib.sha256(blob).hexdigest())
+        (tmp_path / "ck" / cp.BLOB_FILE).write_bytes(bytes(blob))
+        (tmp_path / "ck" / cp.MANIFEST_FILE).write_text(json.dumps(manifest))
+        assert _same(cp.load(tmp_path / "ck"), ck)
+        with cp.open(tmp_path / "ck") as handle:
+            assert cp.checkpoint_hash(handle) == cp.checkpoint_hash(ck)
+            assert handle.read("head.out").tobytes() == ck.tensors["head.out"].tobytes()
+
+    @pytest.mark.parametrize("change", ["truncate", "flip"])
+    def test_blob_changed_after_open(self, tmp_path, change):
+        """Every read checks its tensor's CRC32 again: a blob truncated or changed
+        after open is refused at the next read of what changed."""
+        ck = random_checkpoint(tiny_dense_config(), seed=12)
+        cp.save(ck, tmp_path / "ck")
+        entries = sorted(cp.read_manifest(tmp_path / "ck")["tensors"], key=lambda e: e["offset"])
+        first, last = entries[0]["name"], entries[-1]["name"]
+        with cp.open(tmp_path / "ck") as handle:
+            size = (tmp_path / "ck" / cp.BLOB_FILE).stat().st_size
+            if change == "truncate":
+                os.truncate(tmp_path / "ck" / cp.BLOB_FILE, size - 1)
+            else:
+                _flip(tmp_path / "ck", size - 1)
+            match = "truncated" if change == "truncate" else "checksum mismatch"
+            with pytest.raises(cp.CheckpointError, match=match):
+                handle.read(last)
+            with pytest.raises(cp.CheckpointError, match=match):
+                list(handle.pieces(last))
+            assert handle.read(first).tobytes() == ck.tensors[first].tobytes()
+
+    CORRUPTIONS = {
+        "tensor-byte": (lambda path: _flip(path, cp.read_manifest(path)["tensors"][2]["offset"]
+                                           + 5), "checksum mismatch"),
+        "padding": (lambda path: _flip(path, _padding_offset(path)), "SHA-256 mismatch"),
+        "last-byte": (lambda path: _flip(path, cp.read_manifest(path)["blob"]["size"] - 1),
+                      "checksum mismatch"),
+        "manifest-sha256": (lambda path: _edit_manifest(
+            path, lambda m: m["blob"].update(sha256="0" * 64)), "SHA-256 mismatch"),
+        "manifest-crc32": (lambda path: _edit_manifest(
+            path, lambda m: m["tensors"][3].update(crc32=m["tensors"][3]["crc32"] ^ 1)),
+            "checksum mismatch"),
+    }
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_parent_refused_before_any_output(self, capsys, tmp_path, case):
+        # Hidden size 12 gives 48-byte norm tensors, so the blob has padding.
+        parent = tmp_path / "parent"
+        cp.save(random_checkpoint(make_config(12, 24, 1, 2, 2, 23, s=16), seed=13), parent)
+        corrupt, match = self.CORRUPTIONS[case]
+        corrupt(parent)
+        with pytest.raises(cp.CheckpointError, match=match):
+            cp.open(parent)
+        code = main(["upcycle", "--method", "drop", "--experts", "4", "--topk", "2",
+                     "--in", str(parent), "--out", str(tmp_path / "new" / "moe")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert match in captured.err
+        assert not (tmp_path / "new").exists()
 
 
 def _pairs(ck: cp.Checkpoint) -> list:
@@ -387,6 +525,15 @@ class TestStreamingWriter:
                   cp.CheckpointError, "unsupported dtype"),
         "non-finite": (lambda p: _replace_last_layer_tensor(p, _poisoned), ValidationError,
                        "non-finite"),
+        "chunked-short": (lambda p: _replace_last_layer_tensor(
+            p, lambda a: cp.Chunked(a.shape, a.dtype, [a.reshape(-1)[:-1]])),
+            cp.CheckpointError, "arrived as"),
+        "chunked-dtype": (lambda p: _replace_last_layer_tensor(
+            p, lambda a: cp.Chunked(a.shape, a.dtype, [a.reshape(-1).astype(np.float64)])),
+            cp.CheckpointError, "piece of dtype"),
+        "chunked-non-finite": (lambda p: _replace_last_layer_tensor(
+            p, lambda a: cp.Chunked(a.shape, a.dtype, np.array_split(
+                _poisoned(a).reshape(-1), 3))), ValidationError, "non-finite"),
     }
 
     @pytest.mark.parametrize("case", STREAMS)
@@ -418,9 +565,14 @@ class TestStreamingWriter:
                           tmp_path / "stream")
         assert written == cp.read_manifest(tmp_path / "stream")
         cp.save(ck, tmp_path / "dict")
-        for name in (cp.MANIFEST_FILE, cp.BLOB_FILE):
-            assert (tmp_path / "stream" / name).read_bytes() == (
-                tmp_path / "dict" / name).read_bytes()
+        # Each tensor as a Chunked one, in uneven pieces.
+        chunked = [(name, cp.Chunked(a.shape, a.dtype, np.array_split(a.reshape(-1), 3)))
+                   for name, a in _pairs(ck)]
+        cp.save(cp.TensorStream(ck.config, iter(chunked), ck.metadata), tmp_path / "chunked")
+        for out in ("stream", "chunked"):
+            for name in (cp.MANIFEST_FILE, cp.BLOB_FILE):
+                assert (tmp_path / out / name).read_bytes() == (
+                    tmp_path / "dict" / name).read_bytes()
 
 
 # The upcycle flags of each method, and the spec that upcycle.build takes for them.

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from moeup.cli import main
 from moeup.corpus import default_corpus, save_corpus
 
 from conftest import make_config, random_checkpoint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # A well-formed plan as the drop upcycle writes one: at ratio 0.5 and width 8,
@@ -484,3 +489,42 @@ class TestArtifactPipeline:
             "upcycle", "--method", "scratch", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "config" in err
+
+
+# moeup modules that a command must not import, by command.
+_NOT_IMPORTED = {
+    "init": {"trainer", "model", "corpus", "analysis", "accounting"},
+    "upcycle": {"trainer", "model", "corpus", "analysis", "accounting"},
+    "inspect": {"trainer", "model", "corpus", "analysis"},
+}
+
+
+@pytest.mark.parametrize("command", _NOT_IMPORTED)
+def test_command_imports_only_the_modules_it_runs(tmp_path, command):
+    """``python3 -m moeup.cli init|upcycle|inspect`` does not import (and, without
+    bytecode, compile) the training, model, corpus, analysis or accounting code
+    that it does not run."""
+    config = make_config(16, 32, 2, 2, 2, 23, s=16)
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()))
+    cp.save(random_checkpoint(config, seed=1), tmp_path / "parent")
+    argv = {
+        "init": ["init", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")],
+        "upcycle": ["upcycle", "--method", "drop", "--experts", "4", "--topk", "2",
+                    "--in", str(tmp_path / "parent"), "--out", str(tmp_path / "o")],
+        "inspect": ["inspect", "--in", str(tmp_path / "parent")],
+    }[command]
+    child = ("import runpy, sys\n"
+             "sys.argv = ['moeup', *sys.argv[1:]]\n"
+             "try:\n"
+             "    runpy.run_module('moeup.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    assert not exc.code, exc.code\n"
+             "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.strip().splitlines()[-1].split())
+    assert {"moeup.checkpoint", "moeup.upcycle"} <= loaded
+    assert not {f"moeup.{name}" for name in _NOT_IMPORTED[command]} & loaded

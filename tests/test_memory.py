@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moeup import analysis, checkpoint, cli, upcycle
+from moeup import accounting, analysis, checkpoint, cli, upcycle
 from moeup import model as model_mod
 from moeup import trainer as trainer_mod
 from moeup.config import ValidationError
@@ -792,6 +792,86 @@ def test_cli_upcycle_holds_about_one_layer_of_experts(tmp_path, monkeypatch, cap
     peak = _peak(lambda: cli.main(argv))
     assert capsys.readouterr().err.startswith("wrote drop checkpoint")
     assert peak - parent_bytes < 1.5 * layer_experts, (peak - parent_bytes, layer_experts)
+
+
+# A parent whose largest tensors are its 16 MiB token embedding and output head.
+_WIDE_VOCAB_PARENT = make_config(128, 256, 4, 4, 4, 32_768, s=64)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_upcycle_holds_no_parent_tensor_whole(tmp_path, monkeypatch, capsys, threads):
+    """``moeup upcycle`` reads its parent through a verified handle, a piece at a
+    time: its peak stays under half the parent's token embedding, the largest
+    tensor, plus the jobs in flight, each one layer's dense FFN and one expert.
+    Reading the parent whole would hold its 33 MiB."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    parent = random_checkpoint(_WIDE_VOCAB_PARENT, seed=1)
+    checkpoint.save(parent, tmp_path / "parent")
+    sizes = {name: array.nbytes for name, array in parent.tensors.items()}
+    assert sizes["embedding.token"] == max(sizes.values())
+    job = 2 * sum(sizes[name] for name in checkpoint.ffn_slot_names("layers.0.ffn"))
+    argv = ["upcycle", "--method", "drop", "--experts", "4", "--topk", "2", "--ratio", "0.5",
+            "--in", str(tmp_path / "parent"), "--out", str(tmp_path / "moe")]
+    peak = _peak(lambda: cli.main(argv))
+    assert capsys.readouterr().err.startswith("wrote drop checkpoint")
+    assert peak < 0.5 * sizes["embedding.token"] + threads * job, peak / (1 << 20)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("method", ["naive", "fg-drop"])
+def test_upcycle_reads_each_dense_ffn_once(tmp_path, monkeypatch, capsys, method, threads):
+    """The expert jobs of a layer share one read of its dense FFN (fg-drop has 8
+    jobs a layer here), the other tensors stream as pieces and are never read
+    whole, and a layer's FFN is dropped once its jobs are done: when a layer's
+    FFN is read, those of at most ``threads - 1`` other layers are alive. At 8
+    threads, more than the cores, and a short switch interval, a lost update
+    of the shared FFN table would read an FFN twice."""
+    monkeypatch.setenv("MOEUP_THREADS", str(threads))
+    parent = random_checkpoint(_WIDE_VOCAB_PARENT, seed=2)
+    checkpoint.save(parent, tmp_path / "parent")
+    reads, alive = [], []
+    real_read = checkpoint.CheckpointHandle.read
+
+    def read(handle, name):
+        layer = name.split(".")[1]
+        if name.endswith(".gate"):
+            others = {other for other, ref in alive if ref() is not None and other != layer}
+            assert len(others) <= threads - 1, (name, others)
+        array = real_read(handle, name)
+        reads.append(name)
+        alive.append((layer, weakref.ref(array)))
+        return array
+
+    monkeypatch.setattr(checkpoint.CheckpointHandle, "read", read)
+    flags = ["--experts", "4", "--topk", "2"]
+    if method == "fg-drop":
+        flags = ["--experts", "2", "--topk", "3", "--granularity", "4", "--shared", "1"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert cli.main(["upcycle", "--method", method, *flags, "--in",
+                         str(tmp_path / "parent"), "--out", str(tmp_path / "moe")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert sorted(reads) == sorted(name for name in parent.tensors if ".ffn." in name)
+
+
+def test_cli_inspect_builds_no_tensor(tmp_path, capsys):
+    """``moeup inspect`` needs only the manifest, open's verify pass and the hash
+    that pass computes: it peaks under half the largest tensor, and reports
+    what the loaded checkpoint gives."""
+    checkpoint.save(random_checkpoint(_WIDE_VOCAB_PARENT, seed=3), tmp_path / "ck")
+    peak = _peak(lambda: cli.main(["inspect", "--in", str(tmp_path / "ck")]))
+    out = json.loads(capsys.readouterr().out)
+    loaded = checkpoint.load(tmp_path / "ck")
+    assert out == {
+        "command": "inspect", "manifest": checkpoint.read_manifest(tmp_path / "ck"),
+        "stored_parameters": loaded.num_parameters(),
+        "counted_parameters": accounting.count_params(loaded.config).to_dict(),
+        "checkpoint_hash": checkpoint.checkpoint_hash(loaded),
+    }
+    assert peak < 0.5 * loaded.tensors["embedding.token"].nbytes, peak / (1 << 20)
 
 
 @pytest.mark.parametrize("method", ["naive", "drop", "fg-drop", "rnu", "btx"])

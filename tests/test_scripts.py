@@ -58,3 +58,20 @@ def test_make_corpus_rejects_bad_sizes(tmp_path, flag, value):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert flag in proc.stderr and proc.stdout == ""
     assert not out.exists()
+
+
+def test_peak_rss_inspect_job_on_toy_parent(tmp_path):
+    runs = []
+    for args in (["init", "--scale", "toy", "--out", str(tmp_path / "parent")],
+                 ["inspect", "--in", str(tmp_path / "parent")]):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "peak_rss.py"), *args],
+                              env=_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 1
+        runs.append(json.loads(lines[0]))
+    inspect = runs[1]
+    assert inspect["command"] == "inspect" and inspect["exit_code"] == 0
+    assert inspect["maxrss_mib"] > 0 and inspect["wall_s"] > 0
+    assert inspect["payload_mib"] is None
+    assert "stored parameters" in proc.stderr

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moeup import upcycle
+from moeup import checkpoint, upcycle
 from moeup.checkpoint import ffn_slot_names
 from moeup.config import ValidationError
 from moeup.model import FfnWeights, ffn_forward, moe_forward
@@ -337,6 +337,41 @@ class TestBtx:
                                          ffn_slot_names("layers.1.ffn")):
                 assert np.array_equal(merged.tensors[f"layers.1.experts.{e}.{kind}"],
                                       src.tensors[parent_name])
+
+    def test_handles_average_as_whole_tensors(self, tmp_path):
+        """btx reads its inputs a piece at a time. From open handles and from
+        memory, with an f64 branch and an embedding of three pieces, each
+        non-FFN tensor is the whole-tensor mean, rounded to the parent's dtype."""
+        config = make_config(16, 32, 2, 2, 2, 40_000, s=16)
+        models = [random_checkpoint(config, seed=30), random_checkpoint(config, seed=31),
+                  random_checkpoint(config, seed=32, dtype=np.float64)]
+        assert models[0].tensors["embedding.token"].size > 2 * checkpoint.CHUNK_ELEMENTS
+        spec, moe_config = upcycle.UpcycleSpec("btx", seed=33), replace(config, num_experts=6,
+                                                                         top_k=2)
+        for i, model in enumerate(models):
+            checkpoint.save(model, tmp_path / str(i))
+        handles = [checkpoint.open(tmp_path / str(i)) for i in range(3)]
+        try:
+            from_disk, _ = upcycle.build(spec, handles[0], moe_config, handles[1:])
+        finally:
+            for handle in handles:
+                handle.close()
+        in_memory, _ = upcycle.build(spec, models[0], moe_config, models[1:])
+        assert from_disk.metadata == in_memory.metadata
+        assert from_disk.metadata["branch_hashes"] == [checkpoint.checkpoint_hash(m)
+                                                       for m in models[1:]]
+        for name in _non_ffn_names(models[0]):
+            want = np.stack([np.asarray(m.tensors[name], dtype=np.float64) for m in models])
+            want = want.mean(axis=0).astype(np.float32)
+            for moe in (from_disk, in_memory):
+                assert moe.tensors[name].dtype == np.float32
+                assert moe.tensors[name].tobytes() == want.tobytes(), name
+        for e in range(6):
+            for kind, parent_name in zip(("gate", "up", "down"),
+                                         ffn_slot_names("layers.1.ffn")):
+                want = models[e // 2].tensors[parent_name].tobytes()
+                for moe in (from_disk, in_memory):
+                    assert moe.tensors[f"layers.1.experts.{e}.{kind}"].tobytes() == want
 
     def test_wrong_expert_count_rejected(self):
         models = [random_checkpoint(tiny_dense_config(), seed=21 + i) for i in range(2)]
